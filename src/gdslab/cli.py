@@ -4,7 +4,6 @@ and print the ground-space tables."""
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from typing import Callable, Dict, List, Optional, Sequence
@@ -22,17 +21,6 @@ from .voronoi import PointSet, torus_voronoi
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-
-def _threads() -> int:
-    raw = os.environ.get("GDS_LAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise SystemExit("GDS_LAB_THREADS must be an integer")
-    if n < 1:
-        raise SystemExit("GDS_LAB_THREADS must be at least 1")
-    return n
 
 
 def build_manifold(spec: str, points: Optional[int], seed: Optional[int]) -> CellComplex:
@@ -335,10 +323,9 @@ def dispatch(argv: Sequence[str]) -> int:
     if not getattr(args, "command", None):
         parser.print_usage()
         return EXIT_USAGE
-    _threads()
     try:
         return args.fn(args)
-    except (ValueError, NotImplementedError) as exc:
+    except (ValueError, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

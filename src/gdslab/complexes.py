@@ -147,6 +147,8 @@ class CellComplex:
         self._cofaces: List[List[Tuple[int, ...]]] | None = None
         self._closures: Dict[CellKey, FrozenSet[CellKey]] = {}
         self._incidence: Dict[int, F2Matrix] = {}
+        # kernel bases of the boundary maps, kept by homology.cycle_space_basis
+        self._cycle_bases: Dict[int, Tuple[int, ...]] = {}
 
     # -- basic queries -----------------------------------------------------
 

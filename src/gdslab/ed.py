@@ -20,6 +20,8 @@ from .homology import cycle_space_basis
 from .model import GDS, GTC, chi_up
 
 QUBIT_LIMIT = 20
+# Largest Hilbert space diagonalized densely; bigger ones go to eigsh.
+_DENSE_SPECTRUM_MAX_DIM = 4096
 
 H_E = "H_e"
 H_C = "H_c"
@@ -252,7 +254,7 @@ def _plain_spectrum(c: CellComplex, model: str, k: int) -> np.ndarray:
     n = _check_size(c)
     terms = all_terms(c, model, "plain")
     dim = 1 << n
-    if dim <= 4096:
+    if dim <= _DENSE_SPECTRUM_MAX_DIM:
         dense = np.zeros((dim, dim))
         for t in terms:
             for x in range(dim):
@@ -268,7 +270,11 @@ def _plain_spectrum(c: CellComplex, model: str, k: int) -> np.ndarray:
         return out
 
     op = LinearOperator((dim, dim), matvec=matvec, dtype=float)
-    vals = eigsh(op, k=min(k, dim - 2), which="SA", return_eigenvectors=False)
+    # A seeded generator fixes the start vector and every restart vector, so
+    # the Lanczos run, its output and its run time are the same on every
+    # call; without it eigsh draws them from OS entropy.
+    vals = eigsh(op, k=min(k, dim - 2), which="SA", return_eigenvectors=False,
+                 rng=np.random.default_rng(0))
     return np.sort(vals)
 
 

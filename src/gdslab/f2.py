@@ -2,13 +2,24 @@
 
 Matrices store one Python int per row (bit j = column j), so row operations
 are single word-level XORs and everything stays exact.
+
+Elimination is sparse. `F2Matrix.rref` reduces the rows in their given order
+against a dictionary of pivot rows keyed by each row's lowest set bit
+(`r & -r`): a row either finds its low bit free and becomes that pivot, or is
+XOR-ed with the pivot row and tried again. The pivot rows are then
+back-substituted in decreasing pivot order, so every pivot column is cleared
+from every other row. The cost follows the fill-in of the rows, not
+rows x cols. The reduced row echelon form of a matrix is unique: it depends on
+the row space only, never on the elimination order. So `rref`, its pivot list
+and the nullspace basis read off it are the same bits as any other correct
+elimination gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 
 class PreconditionError(ValueError):
@@ -92,57 +103,69 @@ class F2Matrix:
         return out
 
     def matmul(self, other: "F2Matrix") -> "F2Matrix":
+        """Row i of the product is the XOR of the rows of `other` picked by
+        the set bits of row i of self: O(nnz) row operations."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        ot = other.transpose()
+        od = other.data
         data = []
         for r in self.data:
-            bits = 0
-            for j, col in enumerate(ot.data):
-                if (r & col).bit_count() & 1:
-                    bits |= 1 << j
-            data.append(bits)
+            acc = 0
+            while r:
+                low = r & -r
+                acc ^= od[low.bit_length() - 1]
+                r ^= low
+            data.append(acc)
         return F2Matrix(self.rows, other.cols, data)
 
     def rref(self) -> Tuple["F2Matrix", List[int]]:
-        """Reduced row echelon form; returns (matrix, pivot column list)."""
-        work = list(self.data)
-        pivots: List[int] = []
-        r = 0
-        for c in range(self.cols):
-            sel = None
-            for i in range(r, len(work)):
-                if (work[i] >> c) & 1:
-                    sel = i
+        """Reduced row echelon form; returns (matrix, pivot column list).
+
+        Pivot rows come first in increasing pivot order, zero rows last.
+        """
+        by_pivot: Dict[int, int] = {}
+        for r in self.data:
+            while r:
+                p = (r & -r).bit_length() - 1
+                q = by_pivot.get(p)
+                if q is None:
+                    by_pivot[p] = r
                     break
-            if sel is None:
-                continue
-            work[r], work[sel] = work[sel], work[r]
-            for i in range(len(work)):
-                if i != r and ((work[i] >> c) & 1):
-                    work[i] ^= work[r]
-            pivots.append(c)
-            r += 1
-            if r == len(work):
-                break
-        return F2Matrix(self.rows, self.cols, work), pivots
+                r ^= q
+        pivots = sorted(by_pivot)
+        pivot_mask = sum(1 << p for p in pivots)
+        # A reduced pivot row holds no other pivot bit, so XOR-ing it in
+        # clears one pivot bit of r and sets none.
+        for p in reversed(pivots):
+            r = by_pivot[p]
+            hits = (r & pivot_mask) >> (p + 1)
+            while hits:
+                low = hits & -hits
+                r ^= by_pivot[low.bit_length() + p]
+                hits ^= low
+            by_pivot[p] = r
+        data = [by_pivot[p] for p in pivots]
+        data += [0] * (self.rows - len(data))
+        return F2Matrix(self.rows, self.cols, data), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def nullspace(self) -> List[int]:
-        """Basis (as column bitmasks) of {v : M v = 0}."""
+        """Basis (as column bitmasks) of {v : M v = 0}, one vector per free
+        column in increasing order: the free bit plus the pivots whose
+        reduced row holds that free column."""
         red, pivots = self.rref()
+        vecs = [0] * self.cols
+        for row, p in zip(red.data, pivots):
+            pbit = 1 << p
+            free = row ^ pbit
+            while free:
+                low = free & -free
+                vecs[low.bit_length() - 1] |= pbit
+                free ^= low
         pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            v = 1 << f
-            for i, p in enumerate(pivots):
-                if (red.data[i] >> f) & 1:
-                    v |= 1 << p
-            basis.append(v)
-        return basis
+        return [vecs[f] | (1 << f) for f in range(self.cols) if f not in pivot_set]
 
     def row_space_basis(self) -> List[int]:
         red, pivots = self.rref()

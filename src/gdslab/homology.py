@@ -87,11 +87,17 @@ def semicharacteristic_of_cells(
     return semicharacteristic(betti_of_cells(c, closed_cells), k, start)
 
 
-def cycle_space_basis(c: CellComplex, p: int) -> List[int]:
-    """Basis of ker boundary_p as bitmasks over p-cells."""
-    if p == 0:
-        return [1 << i for i in range(c.n_cells(0))]
-    return c.incidence(p).transpose().nullspace()
+def cycle_space_basis(c: CellComplex, p: int) -> Tuple[int, ...]:
+    """Basis of ker boundary_p as bitmasks over p-cells, computed once per
+    complex and dimension."""
+    basis = c._cycle_bases.get(p)
+    if basis is None:
+        if p == 0:
+            basis = tuple(1 << i for i in range(c.n_cells(0)))
+        else:
+            basis = tuple(c.incidence(p).transpose().nullspace())
+        c._cycle_bases[p] = basis
+    return basis
 
 
 def boundary_space_rref(c: CellComplex, p: int) -> List[int]:

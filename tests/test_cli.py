@@ -2,6 +2,7 @@
 
 import pytest
 
+from gdslab import ed as ed_mod
 from gdslab.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, build_manifold, dispatch
 from gdslab.complexes import CellComplex
 
@@ -170,13 +171,25 @@ def test_byte_identical_reruns(capsys):
     assert out1 == out2
 
 
-def test_threads_env_honored(monkeypatch, capsys):
-    monkeypatch.setenv("GDS_LAB_THREADS", "4")
-    rc, out, _ = run(["gsd", "--manifold", "sphere:2"], capsys)
-    assert rc == EXIT_OK and out == "1\n"
-    monkeypatch.setenv("GDS_LAB_THREADS", "zero")
-    with pytest.raises(SystemExit):
-        dispatch(["gsd", "--manifold", "sphere:2"])
+@pytest.mark.parametrize("dense_max_dim", [4096, 0], ids=["dense", "eigsh"])
+def test_plain_ed_reruns_identical(monkeypatch, capsys, dense_max_dim):
+    # with the dense cutoff at 0 the 64-state space goes through eigsh,
+    # whose start and restart vectors must not come from OS entropy
+    monkeypatch.setattr(ed_mod, "_DENSE_SPECTRUM_MAX_DIM", dense_max_dim)
+    args = ["ed", "--variant", "plain", "--manifold", "sphere:2"]
+    rc1, out1, _ = run(args, capsys)
+    rc2, out2, _ = run(args, capsys)
+    assert rc1 == rc2 == EXIT_OK
+    assert out1 == out2 and out1.endswith(" degeneracy 1\n")
+
+
+@pytest.mark.parametrize("kind", ["file", "tri"])
+def test_missing_input_file_exits_2(capsys, kind):
+    rc, out, err = run(["gsd", "--manifold", f"{kind}:/nonexistent"], capsys)
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and "/nonexistent" in err
+    assert "Traceback" not in err
 
 
 def test_build_manifold_helper():

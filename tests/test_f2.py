@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gdslab.cli import build_manifold
 from gdslab.f2 import (
     F2Matrix,
     ParityCheck,
@@ -22,6 +23,125 @@ from gdslab.f2 import (
     subspace_intersection_dim,
     triple_intersection_parity,
 )
+from gdslab.homology import cycle_space_basis
+
+
+# -- dense reference eliminator ---------------------------------------------
+# The column-by-column dense elimination the sparse core replaced. It is
+# O(rows x cols) but obviously right, so the sparse methods must match it bit
+# for bit.
+
+
+def reference_rref(m: F2Matrix):
+    work = list(m.data)
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        sel = None
+        for i in range(r, len(work)):
+            if (work[i] >> c) & 1:
+                sel = i
+                break
+        if sel is None:
+            continue
+        work[r], work[sel] = work[sel], work[r]
+        for i in range(len(work)):
+            if i != r and ((work[i] >> c) & 1):
+                work[i] ^= work[r]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return F2Matrix(m.rows, m.cols, work), pivots
+
+
+def reference_matmul(a: F2Matrix, b: F2Matrix) -> F2Matrix:
+    bt = b.transpose()
+    data = []
+    for r in a.data:
+        bits = 0
+        for j, col in enumerate(bt.data):
+            if (r & col).bit_count() & 1:
+                bits |= 1 << j
+        data.append(bits)
+    return F2Matrix(a.rows, b.cols, data)
+
+
+def reference_nullspace(m: F2Matrix):
+    red, pivots = reference_rref(m)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
+        v = 1 << f
+        for i, p in enumerate(pivots):
+            if (red.data[i] >> f) & 1:
+                v |= 1 << p
+        basis.append(v)
+    return basis
+
+
+def assert_matches_reference(m: F2Matrix):
+    red, pivots = m.rref()
+    ref_red, ref_pivots = reference_rref(m)
+    assert red == ref_red
+    assert pivots == ref_pivots
+    assert m.rank() == len(ref_pivots)
+    assert m.nullspace() == reference_nullspace(m)
+
+
+@st.composite
+def f2_matrices(draw, rows=None, max_dim=12, max_cols=70):
+    """Random matrices up to 70 columns (past two 30-bit int digits), with
+    zero and repeated rows drawn often; any side may be 0."""
+    if rows is None:
+        rows = draw(st.integers(0, max_dim))
+    cols = draw(st.integers(0, draw(st.sampled_from([max_dim, max_cols]))))
+    entry = st.integers(0, (1 << cols) - 1)
+    pool = draw(st.lists(entry, min_size=1, max_size=3)) + [0]
+    data = draw(
+        st.lists(st.one_of(entry, st.sampled_from(pool)), min_size=rows, max_size=rows)
+    )
+    return F2Matrix(rows, cols, data)
+
+
+@given(f2_matrices())
+@settings(max_examples=300, deadline=None)
+def test_sparse_elimination_matches_dense_reference(m):
+    assert_matches_reference(m)
+    assert_matches_reference(m.transpose())
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_sparse_matmul_matches_dense_reference(data):
+    a = data.draw(f2_matrices())
+    b = data.draw(f2_matrices(rows=a.cols))
+    assert a.matmul(b) == reference_matmul(a, b)
+
+
+SHIPPED_COMPLEXES = [
+    "sphere:1", "sphere:2", "sphere:3", "sphere:4", "torus:2:3", "torus:3:3",
+    "tP:1", "tP:2", "tP:3", "tP:4", "tP:5", "tP:6", "genus:2", "klein",
+    "torus-voronoi:2",
+]
+
+
+@pytest.mark.parametrize("spec", SHIPPED_COMPLEXES)
+def test_shipped_incidences_match_dense_reference(spec):
+    c = build_manifold(spec, 60, 1)
+    for k in range(1, c.dim + 1):
+        assert_matches_reference(c.incidence(k))
+        assert_matches_reference(c.incidence(k).transpose())
+    for k in range(2, c.dim + 1):
+        a, b = c.incidence(k), c.incidence(k - 1)
+        assert a.matmul(b) == reference_matmul(a, b)
+        at, bt = b.transpose(), a.transpose()
+        assert at.matmul(bt) == reference_matmul(at, bt)
+    basis = cycle_space_basis(c, c.dim - 1)
+    assert basis == tuple(reference_nullspace(c.incidence(c.dim - 1).transpose()))
+    assert cycle_space_basis(c, c.dim - 1) is basis
 
 
 def brute_force_rank(rows, n_cols):
