@@ -21,6 +21,7 @@ from .voronoi import PointSet, torus_voronoi
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def build_manifold(spec: str, points: Optional[int], seed: Optional[int]) -> CellComplex:
@@ -38,6 +39,8 @@ def build_manifold(spec: str, points: Optional[int], seed: Optional[int]) -> Cel
 
         return dual_of_triangulation(Triangulation.load(":".join(params)))
     params = [int(p) for p in params]
+    if name == "sphere" and (len(params) != 1 or params[0] < 1):
+        raise ValueError("sphere:d needs d >= 1, e.g. sphere:2")
     if name == "torus-voronoi":
         if len(params) != 1:
             raise ValueError("torus-voronoi needs a dimension, e.g. torus-voronoi:2")
@@ -328,6 +331,10 @@ def dispatch(argv: Sequence[str]) -> int:
     except (ValueError, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (RuntimeError, AssertionError) as exc:
+        # a broken internal invariant, told apart from a failed property
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -94,13 +94,6 @@ class DenseOperator:
             out.append((y, Fraction(-self._sign(x), 2)))
         return out
 
-    def apply(self, vec: Dict[int, Fraction]) -> Dict[int, Fraction]:
-        out: Dict[int, Fraction] = {}
-        for x, a in vec.items():
-            for y, b in self.apply_basis(x):
-                out[y] = out.get(y, Fraction(0)) + a * b
-        return {k: v for k, v in out.items() if v}
-
     def matrix(self) -> Dict[Tuple[int, int], Fraction]:
         """Full matrix as a sparse dict; only for small qubit counts."""
         if self.n_qubits > 14:

@@ -41,19 +41,6 @@ class F2Matrix:
             self.data = [r & mask for r in data]
 
     @classmethod
-    def from_dense(cls, entries: Sequence[Sequence[int]]) -> "F2Matrix":
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        data = []
-        for row in entries:
-            bits = 0
-            for j, v in enumerate(row):
-                if v & 1:
-                    bits |= 1 << j
-            data.append(bits)
-        return cls(rows, cols, data)
-
-    @classmethod
     def identity(cls, n: int) -> "F2Matrix":
         return cls(n, n, [1 << i for i in range(n)])
 
@@ -212,9 +199,6 @@ class Subspace:
         for b in self.basis:
             out += [v ^ b for v in out]
         return out
-
-    def basis_matrix(self) -> F2Matrix:
-        return F2Matrix(self.dim, self.ambient_dim, list(self.basis))
 
 
 def rank_nullspace(m: F2Matrix) -> Tuple[int, Subspace]:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 _REPR = {0: "+1", 1: "+i", 2: "-1", 3: "-i"}
-_COMPLEX = {0: 1 + 0j, 1: 1j, 2: -1 + 0j, 3: -1j}
 
 
 @dataclass(frozen=True)
@@ -49,9 +48,6 @@ class Phase:
         if self.exp == 2:
             return -1
         raise ValueError(f"phase {self} is not real")
-
-    def as_complex(self) -> complex:
-        return _COMPLEX[self.exp]
 
     def __str__(self) -> str:
         return _REPR[self.exp]

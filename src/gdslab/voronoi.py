@@ -2,21 +2,23 @@
 
 Points are replicated into the 3^d neighboring boxes, triangulated, and the
 quotient complex is rebuilt from translation classes.  Construction uses
-floating-point Delaunay; every accepted simplex is then certified with exact
-integer determinant predicates, so degenerate inputs are detected rather than
-silently perturbed.
+floating-point Delaunay, but every certificate decision is exact: each
+accepted simplex gets an integer orientation and an exact circumcentre, a
+kd-tree with a safety margin collects the patch points that could lie in or
+on its circumsphere, and each of those is decided by the integer `in_sphere`
+predicate.  Degenerate inputs are detected rather than silently perturbed.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, cKDTree
 
 from .complexes import CellComplex, validate_generic
 
@@ -57,9 +59,6 @@ class PointSet:
         while len(coords) < n:
             coords.add(tuple(rng.randrange(SCALE) for _ in range(dim)))
         return cls(dim, tuple(sorted(coords)), seed)
-
-    def as_fractions(self) -> List[Tuple[Fraction, ...]]:
-        return [tuple(Fraction(x, SCALE) for x in p) for p in self.coords]
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -219,72 +218,82 @@ def torus_voronoi(d: int, points: PointSet) -> CellComplex:
 
 
 def _certify(d, points, patch, coords_arr, kept) -> None:
-    """Exact nondegeneracy and empty-circumsphere checks for kept simplices."""
-    n_patch = len(patch)
-    lifted = np.concatenate(
-        [coords_arr, (coords_arr**2).sum(axis=1, keepdims=True)], axis=1
-    )
+    """Exact nondegeneracy and empty-circumsphere checks for kept simplices.
 
-    def int_coords(pv: PatchVertex) -> Tuple[int, ...]:
-        pid, off = pv
-        return tuple(x + SCALE * o for x, o in zip(points.coords[pid], off))
+    Each kept simplex gets its exact orientation and exact circumcentre
+    (integer offsets from its first vertex over 2^d * orient) and r^2.  One
+    kd-tree query then returns, for every simplex, the patch points within
+    r * (1 + 1e-9) + 1e-9 of its centre, and each of those that is not a
+    vertex is decided by the exact `in_sphere`.  No patch point is judged by
+    floating point alone.
 
-    for cls, patch_ids in kept.items():
-        simplex_pts = [int_coords(patch[i]) for i in patch_ids]
-        if _orient_det(simplex_pts) == 0:
+    Why the query misses nothing inside or on a sphere: patch coordinates
+    are k / 2^20 with |k| < 2^21, so they are exact in a double.  The float
+    centre is the exact rational rounded once per coordinate, and the
+    radius is sqrt of the correctly rounded r^2, so both are within a few
+    ulps (about 1e-15 on a box of side 3) of the truth, as is the distance
+    the tree computes.  The margin, 1e-9 in unit-box units, dwarfs that
+    error, so every point left out of the query result is strictly outside
+    the circumsphere.
+    """
+    centres = np.empty((len(kept), d))
+    radii = np.empty(len(kept))
+    simplices = []
+    for row, patch_ids in enumerate(kept.values()):
+        simplex_pts = [_int_coords(points, patch[i]) for i in patch_ids]
+        orient = _orient_det(simplex_pts)
+        if orient == 0:
             raise GeneralPositionError(
                 "degenerate Delaunay simplex", [patch[i] for i in patch_ids]
             )
-        # circumsphere must stay inside the patch for the periodic argument
-        center, radius = _circumsphere(coords_arr[list(patch_ids)])
-        if np.any(center - radius < -1.0 - 1e-9) or np.any(
-            center + radius > 2.0 + 1e-9
-        ):
-            raise ValueError(
-                "point set too sparse: a circumsphere leaves the 3^d patch"
-            )
-        # float prefilter, exact confirmation near zero
-        rows = lifted[list(patch_ids)]
-        dets = _insphere_float(rows, lifted, d)
-        suspicious = np.nonzero(np.abs(dets) < 1e-7)[0]
-        member = set(int(i) for i in patch_ids)
-        for q in suspicious:
-            if int(q) in member:
+        p0 = simplex_pts[0]
+        num, den = _circumcentre_offsets(simplex_pts, orient)
+        scale = den * SCALE
+        centres[row] = [(x * den + c) / scale for x, c in zip(p0, num)]
+        radii[row] = math.sqrt(sum(c * c for c in num) / (scale * scale))
+        simplices.append((patch_ids, simplex_pts))
+    # circumspheres must stay inside the patch for the periodic argument
+    if np.any(centres - radii[:, None] < -1.0 - 1e-9) or np.any(
+        centres + radii[:, None] > 2.0 + 1e-9
+    ):
+        raise ValueError("point set too sparse: a circumsphere leaves the 3^d patch")
+
+    tree = cKDTree(coords_arr)
+    near = tree.query_ball_point(centres, radii * (1 + 1e-9) + 1e-9)
+    for (patch_ids, simplex_pts), candidates in zip(simplices, near):
+        member = set(patch_ids)
+        for q in candidates:
+            if q in member:
                 continue
-            side = in_sphere(simplex_pts, int_coords(patch[int(q)]))
+            side = in_sphere(simplex_pts, _int_coords(points, patch[q]))
             if side == 0:
                 raise GeneralPositionError(
                     "cospherical points",
-                    [patch[i] for i in patch_ids] + [patch[int(q)]],
+                    [patch[i] for i in patch_ids] + [patch[q]],
                 )
             if side > 0:
                 raise RuntimeError("triangulation is not Delaunay (exact check)")
-        orient_sign = np.sign(_orient_float(coords_arr[list(patch_ids)]))
-        inside = ((-1) ** d) * dets * orient_sign > 1e-7
-        inside[list(member)] = False
-        if np.any(inside):
-            raise RuntimeError("triangulation is not Delaunay (float check)")
 
 
-def _insphere_float(simplex_rows: np.ndarray, lifted: np.ndarray, d: int) -> np.ndarray:
-    """Lifted determinant of (simplex, q) for every patch point q."""
-    n = len(lifted)
-    mat = np.empty((n, d + 2, d + 2))
-    mat[:, : d + 1, : d + 1] = simplex_rows
-    mat[:, : d + 1, d + 1] = 1.0
-    mat[:, d + 1, : d + 1] = lifted
-    mat[:, d + 1, d + 1] = 1.0
-    return np.linalg.det(mat)
+def _int_coords(points: PointSet, pv: PatchVertex) -> Tuple[int, ...]:
+    pid, off = pv
+    return tuple(x + SCALE * o for x, o in zip(points.coords[pid], off))
 
 
-def _orient_float(simplex: np.ndarray) -> float:
-    return float(np.linalg.det(simplex[1:] - simplex[0]))
+def _circumcentre_offsets(
+    simplex: Sequence[Sequence[int]], orient: int
+) -> Tuple[List[int], int]:
+    """Circumcentre minus the first vertex, as integer numerators over den.
 
-
-def _circumsphere(simplex: np.ndarray) -> Tuple[np.ndarray, float]:
+    Cramer's rule on 2 (p_i - p_0) . c = |p_i - p_0|^2, with
+    den = det(2 (p_i - p_0)) = 2^d * orient.
+    """
     p0 = simplex[0]
-    a = 2.0 * (simplex[1:] - p0)
-    b = (simplex[1:] ** 2).sum(axis=1) - (p0**2).sum()
-    center = np.linalg.solve(a, b)
-    radius = float(np.linalg.norm(center - p0))
-    return center, radius
+    edges = [[x - y for x, y in zip(p, p0)] for p in simplex[1:]]
+    a = [[2 * x for x in e] for e in edges]
+    b = [sum(x * x for x in e) for e in edges]
+    num = [
+        _det_bareiss([r[:j] + [bj] + r[j + 1 :] for r, bj in zip(a, b)])
+        for j in range(len(p0))
+    ]
+    return num, (1 << len(p0)) * orient

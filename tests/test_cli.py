@@ -3,7 +3,15 @@
 import pytest
 
 from gdslab import ed as ed_mod
-from gdslab.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, build_manifold, dispatch
+from gdslab import model as model_mod
+from gdslab.cli import (
+    EXIT_FAIL,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    build_manifold,
+    dispatch,
+)
 from gdslab.complexes import CellComplex
 
 
@@ -190,6 +198,26 @@ def test_missing_input_file_exits_2(capsys, kind):
     assert out == ""
     assert err.startswith("error: ") and "/nonexistent" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["sphere:0", "sphere:-1", "sphere"])
+def test_degenerate_sphere_spec_exits_2(capsys, spec):
+    rc, out, err = run(["gsd", "--manifold", spec], capsys)
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert err == "error: sphere:d needs d >= 1, e.g. sphere:2\n"
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, AssertionError])
+def test_internal_invariant_exits_3(monkeypatch, capsys, exc):
+    def broken(c, model):
+        raise exc("sweep did not return to its starting cycle")
+
+    monkeypatch.setattr(model_mod, "ground_degeneracy", broken)
+    rc, out, err = run(["gsd", "--manifold", "sphere:2"], capsys)
+    assert rc == EXIT_INTERNAL
+    assert out == ""
+    assert err == "internal error: sweep did not return to its starting cycle\n"
 
 
 def test_build_manifold_helper():

@@ -1,7 +1,11 @@
 """Periodic Voronoi generator and its exact predicates."""
 
+from itertools import product
+
+import numpy as np
 import pytest
 
+from gdslab import voronoi
 from gdslab.homology import betti
 from gdslab.voronoi import (
     SCALE,
@@ -93,3 +97,89 @@ def test_generator_is_deterministic():
 def test_dimension_guard():
     with pytest.raises(ValueError):
         torus_voronoi(4, PointSet.random(4, 5, seed=0))
+
+
+# (d, n, seed) of every point set the tests and acceptance criteria build
+SHIPPED_POINT_SETS = [
+    (2, 2, 0), (2, 4, 2), (2, 5, 11), (2, 6, 4), (2, 25, 7), (3, 8, 3), (3, 14, 0),
+]
+
+
+def _patch(points):
+    """The 3^d patch as torus_voronoi lays it out: vertices, integer coords."""
+    offsets = sorted(product((-1, 0, 1), repeat=points.dim))
+    patch = [(pid, off) for pid in range(len(points)) for off in offsets]
+    coords = [
+        tuple(x + SCALE * o for x, o in zip(points.coords[pid], off))
+        for pid, off in patch
+    ]
+    return patch, coords
+
+
+def _certify_args(monkeypatch, d, n, seed):
+    """Build a complex and return the arguments torus_voronoi gave _certify."""
+    calls = []
+    real = voronoi._certify
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(voronoi, "_certify", spy)
+    torus_voronoi(d, PointSet.random(d, n, seed=seed))
+    (args,) = calls
+    return args
+
+
+@pytest.mark.parametrize("d,n,seed", SHIPPED_POINT_SETS)
+def test_certified_simplices_match_all_patch_oracle(monkeypatch, d, n, seed):
+    # oracle: exact in_sphere of every kept simplex against every patch point
+    _, points, patch, _, kept = _certify_args(monkeypatch, d, n, seed)
+    layout, coords = _patch(points)
+    assert layout == patch
+    for patch_ids in kept.values():
+        simplex = [coords[i] for i in patch_ids]
+        for q, pt in enumerate(coords):
+            side = in_sphere(simplex, pt)
+            if q in patch_ids:
+                assert side == 0
+            else:
+                assert side == -1, (patch_ids, q)
+
+
+def _hand_built(points, simplex_coords):
+    """_certify arguments for a single kept simplex given by its coords."""
+    patch, coords = _patch(points)
+    ids = tuple(coords.index(p) for p in simplex_coords)
+    coords_arr = np.asarray(coords, dtype=float) / SCALE
+    return patch, coords_arr, {tuple(patch[i] for i in ids): ids}
+
+
+def test_certify_rejects_non_delaunay_simplex():
+    q = SCALE // 4
+    # (1.5q, 1.5q) lies inside the circumcircle of the other three
+    ps = PointSet(2, ((q, q), (3 * q, q), (q, 3 * q), (3 * q // 2, 3 * q // 2)))
+    patch, coords_arr, kept = _hand_built(ps, ps.coords[:3])
+    with pytest.raises(RuntimeError, match="not Delaunay"):
+        voronoi._certify(2, ps, patch, coords_arr, kept)
+
+
+def test_certify_decides_margin_points_exactly(monkeypatch):
+    q, a = SCALE // 4, SCALE // 8
+    # circumcircle: centre (q + a, q + a), radius a * sqrt(2); (q + 2a, q + 2a)
+    # would be on it, one unit along the tangent puts it just outside, by
+    # 2 / (2 a sqrt(2)) units, far inside the kd-tree query margin
+    near = (q + 2 * a + 1, q + 2 * a - 1)
+    ps = PointSet(2, ((q, q), (q + 2 * a, q), (q, q + 2 * a), near))
+    patch, coords_arr, kept = _hand_built(ps, ps.coords[:3])
+    seen = []
+    real = voronoi.in_sphere
+
+    def counting(simplex, pt):
+        side = real(simplex, pt)
+        seen.append((tuple(pt), side))
+        return side
+
+    monkeypatch.setattr(voronoi, "in_sphere", counting)
+    voronoi._certify(2, ps, patch, coords_arr, kept)
+    assert seen == [(near, -1)]
