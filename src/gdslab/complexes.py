@@ -189,7 +189,7 @@ class CellComplex:
         an odd number of times among its faces."""
         if k not in self._incidence:
             rows = []
-            for fl in self._faces[k] if k <= self.dim else []:
+            for fl in self._faces[k] if 0 <= k <= self.dim else []:
                 bits = 0
                 for f in set(fl):
                     if fl.count(f) & 1:
@@ -333,6 +333,13 @@ class CellComplex:
                     raise ValueError(f"bad complex line: {line!r}")
         if dim is None:
             raise ValueError("missing dim header")
+        if dim < 0:
+            raise ValueError(f"{path}: dim must be >= 0, got {dim}")
+        outside = sorted(k for k in rows if not 0 <= k <= dim)
+        if outside:
+            raise ValueError(f"{path}: {outside[0]}-cells outside dimensions 0..{dim}")
+        if not rows.get(dim):
+            raise ValueError(f"{path}: dim {dim} but no {dim}-cells")
         faces = []
         for k in range(dim + 1):
             table = rows.get(k, {})
@@ -513,7 +520,13 @@ def validate_generic(c: CellComplex, heritability_samples: int = 4) -> Genericit
 
 
 def ensure_validated(c: CellComplex) -> None:
-    """Validate once and cache; model operations require a generic cellulation."""
+    """Validate once and cache; model operations require a generic cellulation
+    of dimension >= 1, whose (d-1)-cells carry the qubits."""
+    if c.dim < 1:
+        raise ValueError(
+            f"the models need a complex of dimension >= 1 to put qubits on its "
+            f"(d-1)-cells; this one has dimension {c.dim}"
+        )
     if c.meta.get("generic_validated"):
         return
     report = validate_generic(c)

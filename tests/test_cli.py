@@ -1,6 +1,13 @@
 """Command-line interface: outputs, exit codes, reproducibility."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import gdslab
 
 from gdslab import ed as ed_mod
 from gdslab import model as model_mod
@@ -206,6 +213,52 @@ def test_degenerate_sphere_spec_exits_2(capsys, spec):
     assert rc == EXIT_USAGE
     assert out == ""
     assert err == "error: sphere:d needs d >= 1, e.g. sphere:2\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("dim -1\n", "dim must be >= 0, got -1"),
+    ("dim 2\nc 0 0 :\nc 1 0 :\nc 0 1 : 0 1\n", "dim 2 but no 2-cells"),
+    ("dim 1\nc 0 0 :\nc 1 0 :\nc 0 1 : 0 1\nc 0 2 : 0\n",
+     "2-cells outside dimensions 0..1"),
+])
+def test_malformed_complex_dim_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.cplx"
+    path.write_text(text)
+    rc, out, err = run(["gsd", "--manifold", f"file:{path}"], capsys)
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["gsd", "ed"])
+def test_zero_dimensional_complex_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "points.cplx"
+    path.write_text("dim 0\nc 0 0 :\nc 1 0 :\n")
+    rc, out, err = run([command, "--manifold", f"file:{path}"], capsys)
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert err == ("error: the models need a complex of dimension >= 1 to put "
+                   "qubits on its (d-1)-cells; this one has dimension 0\n")
+
+
+@pytest.mark.parametrize("model", ["gds", "gtc"])
+def test_circle_keeps_both_parity_sectors(capsys, model):
+    # a 1-complex has no (d-2)-cells, hence no vertex terms: every state is a
+    # cycle and the count is 2^{b_0} = 2
+    rc, out, _ = run(["gsd", "--manifold", "sphere:1", "--model", model], capsys)
+    assert rc == EXIT_OK and out == "2\n"
+    rc, out, _ = run(["ed", "--manifold", "sphere:1", "--model", model], capsys)
+    assert rc == EXIT_OK and out == "energy 0 degeneracy 2\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(gdslab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gdslab", "gsd", "--manifold", "sphere:2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == "1\n"
 
 
 @pytest.mark.parametrize("exc", [RuntimeError, AssertionError])
