@@ -11,7 +11,7 @@ from .complexes import (
     subset_boundary_manifold_check,
     validate_generic,
 )
-from .homology import betti, euler_char, homology_sector_reps, semicharacteristic, two_sidedness_d2
+from .homology import betti, homology_sector_reps, semicharacteristic, two_sidedness_d2
 from .manifolds import builtin_manifold, square_grid_torus
 from .model import GDS, GTC, flip, ground_degeneracy, sweep_sign
 from .phases import Phase
@@ -30,7 +30,6 @@ __all__ = [
     "builtin_manifold",
     "closed_subcomplex",
     "dual_of_triangulation",
-    "euler_char",
     "flip",
     "ground_degeneracy",
     "homology_sector_reps",

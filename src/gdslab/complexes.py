@@ -11,9 +11,41 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
-from .f2 import F2Matrix
+from .f2 import F2Matrix, _set_bits
 
 CellKey = Tuple[int, int]  # (dimension, id)
+
+
+class DisjointSet:
+    """Union-find over a fixed set of hashable items, with path halving."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, items: Iterable):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b) -> None:
+        """Merge the set of b into the set of a; a's root stays the root."""
+        root = self.find(a)
+        self.parent[self.find(b)] = root
+
+
+def _ints(tokens: Iterable[str], where: str) -> List[int]:
+    """Parse integer tokens of a saved file, naming the place of a bad one."""
+    out = []
+    for tok in tokens:
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise ValueError(f"{where}: expected an integer, got {tok!r}") from None
+    return out
 
 
 class Triangulation:
@@ -56,14 +88,7 @@ class Triangulation:
             for v in s:
                 star.setdefault(v, []).append(idx)
         for v, idxs in star.items():
-            parent = {i: i for i in idxs}
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
+            link = DisjointSet(idxs)
             by_ridge: Dict[Tuple[int, ...], List[int]] = {}
             for i in idxs:
                 s = self.simplices[i]
@@ -73,8 +98,8 @@ class Triangulation:
                         by_ridge.setdefault(ridge, []).append(i)
             for members in by_ridge.values():
                 for other in members[1:]:
-                    parent[find(other)] = find(members[0])
-            if len({find(i) for i in idxs}) != 1:
+                    link.union(members[0], other)
+            if len({link.find(i) for i in idxs}) != 1:
                 problems.append(f"vertex {v} has a disconnected link")
         return problems
 
@@ -93,18 +118,19 @@ class Triangulation:
         dim = None
         simplices = []
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
+                where = f"{path}:{lineno}"
                 if line.startswith("dim "):
-                    dim = int(line.split()[1])
+                    dim = _ints(line.split()[1:2], where)[0]
                 elif line.startswith("s "):
-                    simplices.append([int(tok) for tok in line.split()[1:]])
+                    simplices.append(_ints(line.split()[1:], where))
                 else:
-                    raise ValueError(f"bad triangulation line: {line!r}")
+                    raise ValueError(f"{where}: bad triangulation line: {line!r}")
         if dim is None:
-            raise ValueError("missing dim header")
+            raise ValueError(f"{path}: missing dim header")
         return cls(dim, simplices)
 
     def __eq__(self, other) -> bool:
@@ -149,6 +175,8 @@ class CellComplex:
         self._incidence: Dict[int, F2Matrix] = {}
         # kernel bases of the boundary maps, kept by homology.cycle_space_basis
         self._cycle_bases: Dict[int, Tuple[int, ...]] = {}
+        self._vertex_roots: Tuple[int, ...] | None = None
+        self._n_components = 0
 
     # -- basic queries -----------------------------------------------------
 
@@ -284,23 +312,21 @@ class CellComplex:
         cells = self.closure_of_cell(self.dim, cell) - {(self.dim, cell)}
         return self.subcomplex(cells)
 
+    def vertex_roots(self) -> Tuple[int, ...]:
+        """Component label of every vertex: its union-find root under the
+        edges, computed once per complex (the cell tables never change)."""
+        if self._vertex_roots is None:
+            ds = DisjointSet(range(self.n_cells(0)))
+            for fl in self._faces[1] if self.dim >= 1 else []:
+                for other in fl[1:]:
+                    ds.union(fl[0], other)
+            self._vertex_roots = tuple(ds.find(v) for v in range(self.n_cells(0)))
+            self._n_components = len(set(self._vertex_roots))
+        return self._vertex_roots
+
     def is_connected(self) -> bool:
-        n = self.n_cells(0)
-        if n == 0:
-            return True
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for fl in self._faces[1] if self.dim >= 1 else []:
-            vs = list(fl)
-            for other in vs[1:]:
-                parent[find(other)] = find(vs[0])
-        return len({find(v) for v in range(n)}) == 1
+        self.vertex_roots()
+        return self._n_components <= 1
 
     # -- persistence ---------------------------------------------------------
 
@@ -317,22 +343,24 @@ class CellComplex:
         dim = None
         rows: Dict[int, Dict[int, Tuple[int, ...]]] = {}
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
+                where = f"{path}:{lineno}"
                 if line.startswith("dim "):
-                    dim = int(line.split()[1])
+                    dim = _ints(line.split()[1:2], where)[0]
                 elif line.startswith("c "):
                     head, _, tail = line[2:].partition(":")
-                    idx, k = (int(tok) for tok in head.split())
-                    rows.setdefault(k, {})[idx] = tuple(
-                        int(tok) for tok in tail.split()
-                    )
+                    key = _ints(head.split(), where)
+                    if len(key) != 2:
+                        raise ValueError(f"{where}: expected 'c <id> <dim> : <faces>'")
+                    idx, k = key
+                    rows.setdefault(k, {})[idx] = tuple(_ints(tail.split(), where))
                 else:
-                    raise ValueError(f"bad complex line: {line!r}")
+                    raise ValueError(f"{where}: bad complex line: {line!r}")
         if dim is None:
-            raise ValueError("missing dim header")
+            raise ValueError(f"{path}: missing dim header")
         if dim < 0:
             raise ValueError(f"{path}: dim must be >= 0, got {dim}")
         outside = sorted(k for k in rows if not 0 <= k <= dim)
@@ -344,7 +372,7 @@ class CellComplex:
         for k in range(dim + 1):
             table = rows.get(k, {})
             if sorted(table) != list(range(len(table))):
-                raise ValueError(f"non-dense ids in dimension {k}")
+                raise ValueError(f"{path}: non-dense ids in dimension {k}")
             faces.append([table[i] for i in range(len(table))])
         return cls(dim, faces, provenance="loaded")
 
@@ -381,13 +409,7 @@ class Chain:
         return cls(complex, dim, 0)
 
     def cells(self) -> List[int]:
-        out = []
-        b = self.bits
-        while b:
-            low = b & -b
-            out.append(low.bit_length() - 1)
-            b ^= low
-        return out
+        return _set_bits(self.bits)
 
     def count(self) -> int:
         return self.bits.bit_count()
@@ -569,21 +591,14 @@ def resolve_union(c: CellComplex, k: int, cells: Iterable[int]) -> CellComplex:
     # sheet index per (cell, top): components under adjacency through ridges
     sheet_of: Dict[CellKey, Dict[int, int]] = {}
     for key, members in containing.items():
-        parent = {f: f for f in members}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        sheets = DisjointSet(members)
         for ridge in touches.get(key, []):
             mem = ridge_members[ridge]
             for other in mem[1:]:
-                parent[find(other)] = find(mem[0])
-        roots = sorted({find(f) for f in members})
+                sheets.union(mem[0], other)
+        roots = sorted({sheets.find(f) for f in members})
         root_index = {r: i for i, r in enumerate(roots)}
-        sheet_of[key] = {f: root_index[find(f)] for f in members}
+        sheet_of[key] = {f: root_index[sheets.find(f)] for f in members}
     new_ids: Dict[Tuple[CellKey, int], int] = {}
     per_dim: List[List[Tuple[CellKey, int]]] = [[] for _ in range(k + 1)]
     for key in sorted(containing):
@@ -649,14 +664,7 @@ def subset_boundary_manifold_check(c: CellComplex, top_cells: Iterable[int]) -> 
                 for e in range(c.n_cells(1))
                 if (0, v) in c.closure_of_cell(1, e)
             }
-            parent = {f: f for f in incident}
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
+            link = DisjointSet(incident)
             degree = {f: 0 for f in incident}
             for e in edges_at_v:
                 sharing = [f for f in incident if e in c.faces(2, f)]
@@ -664,11 +672,11 @@ def subset_boundary_manifold_check(c: CellComplex, top_cells: Iterable[int]) -> 
                     a, b = sharing
                     degree[a] += 1
                     degree[b] += 1
-                    parent[find(a)] = find(b)
+                    link.union(a, b)
                 elif len(sharing) > 2:
                     return False
             if any(deg != 2 for deg in degree.values()):
                 return False
-            if len({find(f) for f in incident}) != 1:
+            if len({link.find(f) for f in incident}) != 1:
                 return False
     return True

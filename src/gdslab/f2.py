@@ -74,11 +74,9 @@ class F2Matrix:
     def transpose(self) -> "F2Matrix":
         out = [0] * self.cols
         for i, r in enumerate(self.data):
-            while r:
-                low = r & -r
-                j = low.bit_length() - 1
-                out[j] |= 1 << i
-                r ^= low
+            bit = 1 << i
+            for j in _set_bits(r):
+                out[j] |= bit
         return F2Matrix(self.cols, self.rows, out)
 
     def matvec(self, v: int) -> int:
@@ -157,6 +155,19 @@ class F2Matrix:
     def row_space_basis(self) -> List[int]:
         red, pivots = self.rref()
         return [red.data[i] for i in range(len(pivots))]
+
+
+def _set_bits(x: int) -> List[int]:
+    """Indices of the set bits of x, lowest first.
+
+    The one bit-iterator of the package; `matmul`, `rref` and `nullspace`
+    keep their own loops because they fuse the walk with a row operation."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
 
 
 def reduce_by_rref(vec: int, rref_rows: Sequence[int]) -> int:
@@ -364,8 +375,10 @@ def enumerate_max_isotropics(q: F2Matrix, j: int) -> List[Subspace]:
             span = [0]
             for b in perp_basis:
                 span += [v ^ b for v in span]
+            # One candidate per coset of sub: its reduced representative.
+            # Any other vector of the coset spans the same extension.
             for v in span:
-                if v and not sub.contains(v):
+                if v and reduce_by_rref(v, sub.basis) == v:
                     nxt.add(Subspace.from_vectors(n, list(sub.basis) + [v]))
         level = nxt
     return sorted(level, key=lambda s: s.basis)

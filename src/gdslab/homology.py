@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 from .complexes import CellComplex, CellKey, Chain
-from .f2 import F2Matrix, in_span, reduce_by_rref
+from .f2 import F2Matrix, _set_bits, in_span, reduce_by_rref
 
 
 @dataclass(frozen=True)
@@ -49,12 +49,8 @@ def betti_of_cells(c: CellComplex, closed_cells: Iterable[CellKey]) -> BettiVect
         rows = []
         for pid in ids[k]:
             bits = 0
-            full = c.incidence(k).row(pid)
-            while full:
-                low = full & -full
-                f = low.bit_length() - 1
+            for f in _set_bits(c.incidence(k).row(pid)):
                 bits |= 1 << index[k - 1][f]
-                full ^= low
             rows.append(bits)
         ranks[k] = F2Matrix(len(rows), len(ids[k - 1]), rows).rank()
     out = []
@@ -62,15 +58,6 @@ def betti_of_cells(c: CellComplex, closed_cells: Iterable[CellKey]) -> BettiVect
         kernel = len(ids[k]) - ranks[k]
         out.append(kernel - ranks[k + 1])
     return BettiVector(tuple(out))
-
-
-def euler_char(c: CellComplex | Iterable[CellKey]) -> int:
-    if isinstance(c, CellComplex):
-        return c.euler_characteristic()
-    total = 0
-    for k, _ in c:
-        total += 1 if k % 2 == 0 else -1
-    return total
 
 
 def semicharacteristic(b: BettiVector, k: int, start: int = 0) -> int:
@@ -197,9 +184,14 @@ class SideReport:
     w1_eval: int
 
 
-def _loop_components(c: CellComplex, e: Chain) -> List[List[int]]:
-    """Split a 1-cycle on a trivalent surface into its loops (edge id lists)."""
-    edges = set(e.cells())
+def _loop_components(c: CellComplex, e: Chain) -> List[Tuple[List[int], List[int]]]:
+    """Split a 1-cycle into its loops, each as (edges, verts).
+
+    verts[i] is the vertex between edges[i] and edges[i+1] (cyclically).
+    Each loop starts at its lowest edge id e and walks from faces(1, e)[0]
+    toward faces(1, e)[1]; loops come in order of their lowest edge.
+    """
+    edges = e.cells()
     at_vertex: Dict[int, List[int]] = {}
     for edge in edges:
         for v in c.faces(1, edge):
@@ -209,21 +201,23 @@ def _loop_components(c: CellComplex, e: Chain) -> List[List[int]]:
             raise ValueError(f"not a disjoint union of loops at vertex {v}")
     components = []
     remaining = set(edges)
-    while remaining:
-        start = min(remaining)
-        loop = [start]
+    for start in edges:
+        if start not in remaining:
+            continue
+        loop, verts = [start], []
         remaining.discard(start)
-        v_prev, v_cur = c.faces(1, start)
+        v_cur = c.faces(1, start)[1]
         while True:
-            nxt = [x for x in at_vertex[v_cur] if x != loop[-1]]
-            edge = nxt[0]
+            verts.append(v_cur)
+            a, b = at_vertex[v_cur]
+            edge = b if a == loop[-1] else a
             if edge == start:
                 break
             loop.append(edge)
             remaining.discard(edge)
             a, b = c.faces(1, edge)
             v_cur = b if a == v_cur else a
-        components.append(loop)
+        components.append((loop, verts))
     return components
 
 
@@ -251,16 +245,7 @@ def two_sidedness_d2(c: CellComplex, e: Chain) -> SideReport:
     if not e.is_cycle():
         raise ValueError("chain is not a cycle")
     flags = []
-    for loop in _loop_components(c, e):
-        # orient the loop as a vertex sequence
-        verts = []
-        a, b = c.faces(1, loop[0])
-        verts.append(a)
-        cur = b
-        for edge in loop[1:]:
-            verts.append(cur)
-            x, y = c.faces(1, edge)
-            cur = y if x == cur else x
+    for loop, verts in _loop_components(c, e):
         # side = one of the two cofaces of the current edge
         side = c.cofaces(1, loop[0])[0]
         start_side = side
@@ -268,7 +253,7 @@ def two_sidedness_d2(c: CellComplex, e: Chain) -> SideReport:
         for i in range(n):
             edge = loop[i]
             nxt_edge = loop[(i + 1) % n]
-            v = verts[(i + 1) % n]
+            v = verts[i]
             third = [
                 x for x in set(c.cofaces(0, v)) if x not in (edge, nxt_edge)
             ][0]

@@ -10,7 +10,14 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Dict, List, Sequence, Tuple
 
-from .complexes import CellComplex, Chain, Triangulation, dual_of_triangulation, validate_generic
+from .complexes import (
+    CellComplex,
+    Chain,
+    DisjointSet,
+    Triangulation,
+    dual_of_triangulation,
+    validate_generic,
+)
 
 # Antipodal quotient of the icosahedron: the unique 6-vertex closed surface
 # with chi = 1.  Validated on construction.
@@ -116,18 +123,8 @@ def surface_from_word(word: List[Tuple[int, int]], m: int = 3, rings: int = 2) -
         raise ValueError("resolution too small to triangulate without degenerate identifications")
     perimeter = k * m
 
-    # Union-find over boundary positions 0..perimeter-1.
-    parent = list(range(perimeter))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        parent[find(a)] = find(b)
-
+    # Glued boundary positions 0..perimeter-1 share a vertex.
+    glued = DisjointSet(range(perimeter))
     occurrences: Dict[int, List[Tuple[int, int]]] = {}
     for side, (letter, sign) in enumerate(word):
         occurrences.setdefault(letter, []).append((side, sign))
@@ -141,14 +138,14 @@ def surface_from_word(word: List[Tuple[int, int]], m: int = 3, rings: int = 2) -
                 b = (s2 * m + t) % perimeter
             else:
                 b = (s2 * m + (m - t)) % perimeter
-            union(a, b)
+            glued.union(a, b)
 
     labels: Dict[int, int] = {}
     next_id = 0
 
     def boundary_vertex(pos: int) -> int:
         nonlocal next_id
-        root = find(pos % perimeter)
+        root = glued.find(pos % perimeter)
         if root not in labels:
             labels[root] = next_id
             next_id = next_id + 1

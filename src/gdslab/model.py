@@ -186,23 +186,12 @@ def ground_degeneracy(
 
 
 def _components(c: CellComplex) -> List[CellComplex]:
-    """Connected components as standalone complexes."""
-    n = c.n_cells(0)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in range(c.n_cells(1)):
-        vs = c.faces(1, e)
-        for other in vs[1:]:
-            parent[find(other)] = find(vs[0])
+    """Connected components as standalone complexes, in order of their
+    union-find roots."""
+    roots = c.vertex_roots()
     by_root: dict = {}
     for cell in range(c.n_cells(c.dim)):
-        root = find(min(i for k, i in c.closure_of_cell(c.dim, cell) if k == 0))
+        root = roots[min(i for k, i in c.closure_of_cell(c.dim, cell) if k == 0)]
         by_root.setdefault(root, []).append(cell)
     pieces = []
     for root in sorted(by_root):

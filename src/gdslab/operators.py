@@ -3,12 +3,13 @@ linking term, dual Wilson loops and arcs, and open-balloon excitations."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .complexes import CellComplex, Chain, ensure_validated, resolve_union
-from .f2 import in_span
-from .homology import betti, betti_of_cells, semicharacteristic
+from .complexes import CellComplex, Chain, DisjointSet, ensure_validated, resolve_union
+from .f2 import _set_bits, in_span
+from .homology import _loop_components, betti, betti_of_cells, semicharacteristic
 from .phases import MINUS_ONE, Phase
 
 
@@ -167,34 +168,6 @@ def apply_balloon(c: CellComplex, l: Balloon, alpha: Chain) -> Tuple[Chain, Phas
     return alpha ^ l.support, sign
 
 
-def _single_loop_order(c: CellComplex, l: Chain) -> Tuple[List[int], List[int]]:
-    """Ordered edges and vertices of a single embedded loop."""
-    edges = set(l.cells())
-    at_vertex = {}
-    for e in edges:
-        for v in c.faces(1, e):
-            at_vertex.setdefault(v, []).append(e)
-    if any(len(es) != 2 for es in at_vertex.values()):
-        raise ValueError("support is not a disjoint union of loops")
-    start = min(edges)
-    loop = [start]
-    verts = [c.faces(1, start)[0]]
-    cur = c.faces(1, start)[1]
-    while True:
-        nxt = [e for e in at_vertex[cur] if e != loop[-1]][0]
-        if nxt == start:
-            break
-        verts.append(cur)
-        loop.append(nxt)
-        a, b = c.faces(1, nxt)
-        cur = b if a == cur else a
-    if len(loop) != len(edges):
-        raise ValueError("support has more than one loop component")
-    # verts[i] is the vertex between loop[i] and loop[i+1]
-    verts = verts[1:] + [cur]
-    return loop, verts
-
-
 @dataclass
 class WilsonData:
     phase: Phase
@@ -214,9 +187,10 @@ def ds2_wilson_data(c: CellComplex, l: Chain, alpha: Chain) -> WilsonData:
         raise ValueError("ambient complex must be a 2-sphere cellulation")
     if not alpha.is_cycle():
         raise ValueError("state must be a cycle")
-    loop_edges, loop_verts = _single_loop_order(c, l)
-    if not Chain.from_cells(c, 1, loop_edges).is_cycle():
-        raise ValueError("loop is not a cycle")
+    loops = _loop_components(c, l)
+    if len(loops) != 1:
+        raise ValueError(f"support must be one loop, got {len(loops)}")
+    loop_verts = loops[0][1]
 
     b_bits = l.bits & alpha.bits
     endpoints = set(Chain(c, 1, b_bits).boundary().cells())
@@ -225,40 +199,23 @@ def ds2_wilson_data(c: CellComplex, l: Chain, alpha: Chain) -> WilsonData:
     if not all(v in position for v in endpoints):
         raise AssertionError("overlap endpoints must lie on the loop")
 
-    # pair endpoints by the off-loop arcs of the state
-    c_only = alpha.bits & ~l.bits
+    # pair endpoints by the off-loop arcs of the state: the ends of an arc
+    # are its degree-1 vertices, grouped by the arc's component
+    arcs = DisjointSet(range(c.n_cells(0)))
+    degree: Counter = Counter()
+    for e in Chain(c, 1, alpha.bits & ~l.bits).cells():
+        a, b = c.faces(1, e)
+        arcs.union(a, b)
+        degree.update((a, b))
+    ends: Dict[int, List[int]] = {}
+    for v, n in degree.items():
+        if n == 1:
+            ends.setdefault(arcs.find(v), []).append(position[v])
     pairs = []
-    remaining = set(Chain(c, 1, c_only).cells())
-    adj = {}
-    for e in remaining:
-        for v in c.faces(1, e):
-            adj.setdefault(v, []).append(e)
-    visited = set()
-    for e0 in sorted(remaining):
-        if e0 in visited:
-            continue
-        component = {e0}
-        frontier = [e0]
-        visited.add(e0)
-        while frontier:
-            e = frontier.pop()
-            for v in c.faces(1, e):
-                for e2 in adj[v]:
-                    if e2 not in visited:
-                        visited.add(e2)
-                        component.add(e2)
-                        frontier.append(e2)
-        ends = [
-            v
-            for v in set(
-                v for e in component for v in c.faces(1, e)
-            )
-            if sum(1 for e in component for w in c.faces(1, e) if w == v) == 1
-        ]
-        if len(ends) == 2:
-            pairs.append((position[ends[0]], position[ends[1]]))
-        elif ends:
+    for arc_ends in ends.values():
+        if len(arc_ends) != 2:
             raise AssertionError("off-loop arc with a bad endpoint count")
+        pairs.append((arc_ends[0], arc_ends[1]))
 
     link = interleave_parity(pairs)
     chi_points = len(endpoints)
@@ -292,10 +249,7 @@ def dual_wilson_phase(c: CellComplex, loop: DualLoop, state: Chain) -> int:
 
 
 def dual_crossing_chain(c: CellComplex, loop: DualLoop) -> Chain:
-    bits = 0
-    for f in loop.cells:
-        bits ^= 1 << f
-    return Chain(c, c.dim - 1, bits)
+    return Chain.from_cells(c, c.dim - 1, loop.cells)
 
 
 def is_dual_nullhomologous(c: CellComplex, loop: DualLoop) -> bool:
@@ -318,21 +272,12 @@ def open_dual_arc_excite(c: CellComplex, arc: DualLoop, sector_reps: Sequence[Ch
         raise ValueError("arc must be open")
     _walk_shared_cells(c, arc)
     d_chain = dual_crossing_chain(c, arc)
-    violated = frozenset(_bits_to_cells(c.incidence(c.dim).matvec(d_chain.bits)))
+    violated = frozenset(_set_bits(c.incidence(c.dim).matvec(d_chain.bits)))
     phases = tuple(
         (-1) ** (sum(1 for f in arc.cells if rep.contains(f)) % 2)
         for rep in sector_reps
     )
     return ArcExcitation(violated, phases)
-
-
-def _bits_to_cells(bits: int) -> Tuple[int, ...]:
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return tuple(out)
 
 
 def open_balloon_apply(

@@ -217,6 +217,8 @@ def test_degenerate_sphere_spec_exits_2(capsys, spec):
 
 @pytest.mark.parametrize("text,message", [
     ("dim -1\n", "dim must be >= 0, got -1"),
+    ("c 0 0 :\n", "missing dim header"),
+    ("dim 1\nc 0 0 :\nc 2 0 :\nc 0 1 : 0 2\n", "non-dense ids in dimension 0"),
     ("dim 2\nc 0 0 :\nc 1 0 :\nc 0 1 : 0 1\n", "dim 2 but no 2-cells"),
     ("dim 1\nc 0 0 :\nc 1 0 :\nc 0 1 : 0 1\nc 0 2 : 0\n",
      "2-cells outside dimensions 0..1"),
@@ -228,6 +230,22 @@ def test_malformed_complex_dim_exits_2(tmp_path, capsys, text, message):
     assert rc == EXIT_USAGE
     assert out == ""
     assert err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("kind,text,line,token", [
+    ("file", "dim x\n", 1, "x"),
+    ("file", "dim 1\nc 0 0 :\nc 0 x :\n", 3, "x"),
+    ("file", "# two vertices\ndim 1\nc 0 0 :\nc 1 0 :\nc 0 1 : 0 y\n", 5, "y"),
+    ("tri", "dim z\n", 1, "z"),
+    ("tri", "dim 2\ns 0 1 2\ns 0 x 2\n", 3, "x"),
+])
+def test_non_integer_token_names_file_and_line(tmp_path, capsys, kind, text, line, token):
+    path = tmp_path / f"bad.{kind}"
+    path.write_text(text)
+    rc, out, err = run(["gsd", "--manifold", f"{kind}:{path}"], capsys)
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {path}:{line}: expected an integer, got {token!r}\n"
 
 
 @pytest.mark.parametrize("command", ["gsd", "ed"])

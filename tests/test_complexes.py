@@ -161,6 +161,23 @@ def test_resolve_union_plain_cycle_matches_closure(torus3):
         counts[k] += 1
     assert list(resolved.cell_counts) == counts
     assert resolved.euler_characteristic() == 2
+    # Golden face tables: sheet numbering follows the union-find roots.
+    assert resolved._faces[0] == [()] * 24
+    assert resolved._faces[1] == [
+        (0, 1), (2, 3), (2, 4), (0, 4), (1, 5), (3, 5), (6, 7), (8, 9), (8, 10),
+        (6, 10), (7, 11), (9, 11), (12, 13), (6, 14), (12, 14), (13, 15), (7, 15),
+        (0, 12), (1, 13), (16, 17), (16, 18), (2, 18), (3, 19), (17, 19), (8, 16),
+        (9, 17), (18, 20), (10, 21), (20, 21), (4, 20), (14, 21), (15, 22), (5, 23),
+        (22, 23), (11, 22), (19, 23),
+    ]
+    assert resolved._faces[2] == [
+        (0, 1, 2, 3, 4, 5), (6, 7, 8, 9, 10, 11), (6, 12, 13, 14, 15, 16),
+        (0, 12, 17, 18), (1, 19, 20, 21, 22, 23), (7, 19, 24, 25),
+        (8, 20, 24, 26, 27, 28), (2, 21, 26, 29), (9, 13, 27, 30),
+        (3, 14, 17, 28, 29, 30), (4, 15, 18, 31, 32, 33), (10, 16, 31, 34),
+        (5, 22, 32, 35), (11, 23, 25, 33, 34, 35),
+    ]
+    assert resolved.meta["source_cells"] == [(2, i) for i in range(14)]
 
 
 def test_resolve_union_splits_tangent_wedges():
@@ -171,6 +188,28 @@ def test_resolve_union_splits_tangent_wedges():
     assert resolved.n_cells(2) == 2
     # the shared corner is duplicated, one copy per wedge
     assert resolved.euler_characteristic() == 2
+    assert resolved._faces == [
+        [()] * 8,
+        [(0, 2), (1, 3), (4, 6), (5, 7), (0, 1), (2, 3), (4, 5), (6, 7)],
+        [(0, 1, 4, 5), (2, 3, 6, 7)],
+    ]
+    assert resolved.meta["source_cells"] == [(2, 0), (2, 4)]
+
+
+def test_resolve_union_numbers_sheets_by_union_find_root():
+    # two fans of two triangles pinched at vertex 0: fan A is faces {0, 3},
+    # fan B is faces {1, 2}, so the sheet order at the pinch follows the roots
+    c = CellComplex(2, [
+        [()] * 7,
+        [(0, 1), (1, 2), (0, 2), (2, 3), (0, 3), (0, 4), (4, 5), (0, 5), (5, 6), (0, 6)],
+        [(0, 1, 2), (5, 6, 7), (7, 8, 9), (2, 3, 4)],
+    ])
+    resolved = resolve_union(c, 2, range(4))
+    assert resolved._faces == [
+        [()] * 8,
+        [(0, 2), (2, 3), (0, 3), (3, 4), (0, 4), (1, 5), (5, 6), (1, 6), (6, 7), (1, 7)],
+        [(0, 1, 2), (5, 6, 7), (7, 8, 9), (2, 3, 4)],
+    ]
 
 
 def test_subset_boundary_single_cell(voronoi2, voronoi3):

@@ -289,6 +289,48 @@ def test_enumerate_max_isotropics_small_counts():
     assert len(enumerate_max_isotropics(q, 0)) == 1
 
 
+def reference_enumerate_max_isotropics(q: F2Matrix, j: int):
+    """The enumeration before coset representatives: every nonzero vector of
+    the orthogonal complement outside the subspace extends it, so each
+    extension is built once per vector of its coset."""
+    n = q.rows
+    level = {Subspace.from_vectors(n, [])}
+    for _ in range(j):
+        nxt = set()
+        for sub in level:
+            if sub.dim == 0:
+                perp_basis = [1 << i for i in range(n)]
+            else:
+                constraint = F2Matrix(sub.dim, n, [q.matvec(b) for b in sub.basis])
+                perp_basis = constraint.nullspace()
+            span = [0]
+            for b in perp_basis:
+                span += [v ^ b for v in span]
+            for v in span:
+                if v and not sub.contains(v):
+                    nxt.add(Subspace.from_vectors(n, list(sub.basis) + [v]))
+        level = nxt
+    return sorted(level, key=lambda s: s.basis)
+
+
+def random_zero_diagonal_form(n: int, rng: random.Random) -> F2Matrix:
+    m = F2Matrix.zeros(n, n)
+    for i, k in combinations(range(n), 2):
+        if rng.getrandbits(1):
+            m.data[i] |= 1 << k
+            m.data[k] |= 1 << i
+    return m
+
+
+def test_enumerate_max_isotropics_matches_reference():
+    rng = random.Random(12)
+    forms = [hyperbolic_form(j) for j in (1, 2, 3)]
+    forms += [random_zero_diagonal_form(n, rng) for n in (3, 4, 5, 6) for _ in range(2)]
+    for q in forms:
+        for j in range(1, min(3, q.rows) + 1):
+            assert enumerate_max_isotropics(q, j) == reference_enumerate_max_isotropics(q, j)
+
+
 def test_enumerate_guard():
     with pytest.raises(ValueError):
         enumerate_max_isotropics(hyperbolic_form(5), 5)

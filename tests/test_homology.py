@@ -9,15 +9,16 @@ from gdslab.homology import (
     betti,
     betti_of_cells,
     bounding_cells,
-    euler_char,
     homology_sector_reps,
     is_boundary,
     is_homologous,
     semicharacteristic,
     semicharacteristic_of_cells,
     two_sidedness_d2,
+    _loop_components,
 )
 from gdslab.manifolds import builtin_manifold
+from gdslab.model import random_cycle
 
 
 def test_classical_betti_vectors(torus2, klein, sphere4, torus3, rp2):
@@ -41,8 +42,9 @@ def test_euler_char_additivity_on_random_subcomplexes(torus2):
         b_cells = rng.sample(range(n), rng.randint(1, n))
         cl_a = torus2.closure((2, i) for i in a_cells)
         cl_b = torus2.closure((2, i) for i in b_cells)
-        lhs = euler_char(cl_a | cl_b) + euler_char(cl_a & cl_b)
-        rhs = euler_char(cl_a) + euler_char(cl_b)
+        chi = torus2.chi_of_cells
+        lhs = chi(cl_a | cl_b) + chi(cl_a & cl_b)
+        rhs = chi(cl_a) + chi(cl_b)
         assert lhs == rhs
 
 
@@ -143,6 +145,30 @@ def test_two_sidedness_guards(torus3, torus2):
         two_sidedness_d2(torus3, Chain.empty(torus3, 2))
     with pytest.raises(ValueError):
         two_sidedness_d2(torus2, Chain.from_cells(torus2, 1, [0]))
+
+
+@pytest.mark.parametrize("spec", [("sphere", 2), ("klein",), ("genus", 2), ("tP", 3)])
+def test_loop_walker_orders_edges_and_vertices(spec):
+    c = builtin_manifold(*spec)
+    rng = random.Random(21)
+    walked = 0
+    for _ in range(30):
+        e = random_cycle(c, rng)
+        loops = _loop_components(c, e)
+        assert sorted(x for edges, _ in loops for x in edges) == e.cells()
+        assert [edges[0] for edges, _ in loops] == sorted(min(edges) for edges, _ in loops)
+        for edges, verts in loops:
+            n = len(edges)
+            assert len(verts) == n == len(set(edges))
+            assert edges[0] == min(edges)
+            # walked from faces(1, start)[0] toward faces(1, start)[1]
+            assert verts[0] == c.faces(1, edges[0])[1]
+            assert verts[-1] == c.faces(1, edges[0])[0]
+            for i in range(n):
+                shared = set(c.faces(1, edges[i])) & set(c.faces(1, edges[(i + 1) % n]))
+                assert verts[i] in shared
+            walked += 1
+    assert walked > 0
 
 
 def test_bounding_manifold_chi_even(torus3):

@@ -197,6 +197,23 @@ def test_disconnected_complex_factorizes():
     c = dual_of_triangulation(merged)
     assert ground_degeneracy(c, GDS)[0] == 4 * 1
     assert ground_degeneracy(c, GTC)[0] == 4 * 2
+    # Reports come per component, the torus (lowest vertex ids) first.
+    torus, rp2 = (18, 27, 9), (10, 15, 6)
+    golden = {
+        GDS: [(torus, 0, 0, 1, True, 0), (torus, 1, 16121856, 1, True, 0),
+              (torus, 2, 68628544, 1, True, 0), (torus, 3, 81866816, 1, True, 0),
+              (rp2, 0, 0, -1, False, 0), (rp2, 1, 11456, 1, True, 1)],
+        GTC: [(torus, 0, 0, 1, True, 0), (torus, 1, 16121856, 1, True, 0),
+              (torus, 2, 68628544, 1, True, 0), (torus, 3, 81866816, 1, True, 0),
+              (rp2, 0, 0, 1, True, 1), (rp2, 1, 11456, 1, True, 1)],
+    }
+    for model, expected in golden.items():
+        reports = ground_degeneracy(c, model)[1]
+        assert [
+            (r.rep.complex.cell_counts, r.sector, r.rep.bits, r.sweep_sign,
+             r.survives, r.epsilon)
+            for r in reports
+        ] == expected
     with pytest.raises(ValueError):
         sweep_sign(c, Chain.empty(c, 1))
 

@@ -183,6 +183,20 @@ def test_ds2_wilson_matches_loop_count_oracle(fine_sphere):
     assert checked > 300
 
 
+def test_ds2_wilson_refuses_two_loops(fine_sphere):
+    c = fine_sphere
+    first = c.boundary_bits(2, 0)
+    near = c.closure_of_cell(2, 0)
+    far = next(
+        cell for cell in range(1, c.n_cells(2))
+        if not c.closure_of_cell(2, cell) & near
+    )
+    l = Chain(c, 1, first ^ c.boundary_bits(2, far))
+    assert len(_loop_components(c, l)) == 2
+    with pytest.raises(ValueError):
+        ds2_wilson_data(c, l, Chain.empty(c, 1))
+
+
 def test_ds2_wilson_figure_instance(fine_sphere):
     """A configuration with four crossing points and linking number one gives
     (-1) * i^4 * (-1) = +1."""
