@@ -156,13 +156,18 @@ def _suite_commutation(c: CellComplex, rng: random.Random) -> List[str]:
 def _suite_sweep_order(c: CellComplex, rng: random.Random) -> List[str]:
     problems = []
     reps = model_mod.sector_reps(c).reps
-    base = [model_mod.sweep_sign(c, r) for r in reps]
-    for _ in range(20):
+    base = model_mod.sweep_signs(c, reps)
+    rounds = 20
+    for round_no in range(1, rounds + 1):
         order = list(range(c.n_cells(c.dim)))
         rng.shuffle(order)
-        got = [model_mod.sweep_sign(c, r, order) for r in reps]
+        got = model_mod.sweep_signs(c, reps, order)
         if got != base:
-            problems.append("sweep sign depends on the flip order")
+            sector = next(j for j, (a, b) in enumerate(zip(got, base)) if a != b)
+            problems.append(
+                f"sweep sign depends on the flip order "
+                f"(round {round_no} of {rounds}, sector {sector})"
+            )
     return problems
 
 

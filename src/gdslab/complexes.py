@@ -175,6 +175,10 @@ class CellComplex:
         self._incidence: Dict[int, F2Matrix] = {}
         # kernel bases of the boundary maps, kept by homology.cycle_space_basis
         self._cycle_bases: Dict[int, Tuple[int, ...]] = {}
+        # per top cell chi_up tables, kept by model._chi_table
+        self._chi_tables: Dict[int, tuple] = {}
+        # Betti vector, kept by homology.betti
+        self._betti = None
         self._vertex_roots: Tuple[int, ...] | None = None
         self._n_components = 0
 

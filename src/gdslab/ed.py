@@ -47,9 +47,9 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .complexes import CellComplex, Chain, ensure_validated
+from .complexes import CellComplex, ensure_validated
 from .homology import cycle_space_basis
-from .model import GDS, GTC, chi_up
+from .model import GDS, GTC, _chi_of_pattern, _chi_table
 
 QUBIT_LIMIT = 20
 # Largest Hilbert space diagonalized densely; bigger ones go to eigsh.
@@ -77,18 +77,10 @@ def _pattern_table(c: CellComplex, cell: int, model: str) -> Tuple[Tuple[int, ..
     m = len(faces)
     if m > 12:
         raise ValueError("top cell has too many faces for a pattern table")
-    signs = []
-    for pat in range(1 << m):
-        if model == GTC:
-            signs.append(1)
-            continue
-        bits = 0
-        for i, f in enumerate(faces):
-            if (pat >> i) & 1:
-                bits |= 1 << f
-        chi = chi_up(c, cell, Chain(c, c.dim - 1, bits))
-        signs.append(-((-1) ** chi))
-    return faces, signs
+    if model == GTC:
+        return faces, [1] * (1 << m)
+    masks = _chi_table(c, cell)[1]
+    return faces, [-((-1) ** _chi_of_pattern(masks, pat)) for pat in range(1 << m)]
 
 
 def _odd(x: np.ndarray, mask: int) -> np.ndarray:

@@ -23,13 +23,16 @@ class BettiVector:
 
 
 def betti(c: CellComplex) -> BettiVector:
-    """b_k = dim ker boundary_k - rank boundary_{k+1}, all over F2."""
-    ranks = [c.incidence(k).rank() if 1 <= k <= c.dim else 0 for k in range(c.dim + 2)]
-    out = []
-    for k in range(c.dim + 1):
-        kernel = c.n_cells(k) - ranks[k]
-        out.append(kernel - ranks[k + 1])
-    return BettiVector(tuple(out))
+    """b_k = dim ker boundary_k - rank boundary_{k+1}, all over F2; computed
+    once per complex."""
+    if c._betti is None:
+        ranks = [c.incidence(k).rank() if 1 <= k <= c.dim else 0 for k in range(c.dim + 2)]
+        out = []
+        for k in range(c.dim + 1):
+            kernel = c.n_cells(k) - ranks[k]
+            out.append(kernel - ranks[k + 1])
+        c._betti = BettiVector(tuple(out))
+    return c._betti
 
 
 def betti_of_cells(c: CellComplex, closed_cells: Iterable[CellKey]) -> BettiVector:
@@ -134,13 +137,6 @@ class SectorSet:
     def canonical_bits(self, chain_bits: int) -> int:
         return reduce_by_rref(chain_bits, self.boundary_rref)
 
-    def sector_index(self, chain: Chain) -> int:
-        key = self.canonical_bits(chain.bits)
-        for i, rep in enumerate(self.reps):
-            if rep.bits == key:
-                return i
-        raise ValueError("chain is not a cycle in a known sector")
-
 
 def homology_sector_reps(c: CellComplex, p: int, max_rank: int = 12) -> SectorSet:
     """One canonical cycle per Z2 homology class of dimension p.
@@ -165,16 +161,15 @@ def homology_sector_reps(c: CellComplex, p: int, max_rank: int = 12) -> SectorSe
     b_p = len(homology_basis)
     if b_p > max_rank:
         raise ValueError(f"2^{b_p} sectors exceed the enumeration guard")
-    reps = []
-    for bits in range(1 << b_p):
-        z = 0
-        for i in range(b_p):
-            if (bits >> i) & 1:
-                z ^= homology_basis[i]
-        reps.append(Chain(c, p, reduce_by_rref(z, bound_rref)))
-    reps.sort(key=lambda ch: (ch.bits.bit_count(), ch.bits))
-    assert reps[0].bits == 0
-    return SectorSet(c, p, reps, bound_rref)
+    # reduction against the boundary RREF is linear, so the representative
+    # of a sum of generators is the sum of their reduced forms: one XOR each
+    reduced = [reduce_by_rref(z, bound_rref) for z in homology_basis]
+    rep_bits = [0]
+    for g in reduced:
+        rep_bits += [bits ^ g for bits in rep_bits]
+    rep_bits.sort(key=lambda bits: (bits.bit_count(), bits))
+    assert rep_bits[0] == 0
+    return SectorSet(c, p, [Chain(c, p, bits) for bits in rep_bits], bound_rref)
 
 
 @dataclass

@@ -4,16 +4,33 @@ States put one qubit on every (d-1)-cell.  Vertex terms check the even-count
 condition at (d-2)-cells; a plaquette flip NOTs the boundary of a top cell and,
 in the semion model, carries a sign fixed by the Euler characteristic of the
 up-labelled part of the cell boundary.
+
+chi_up is read from a table kept per top cell: its face tuple and, for every
+cell sigma in the closure of its boundary, grouped by dim sigma, the mask of
+the face positions whose closure contains sigma.  A state's local pattern
+(bit i set iff face i is up) meets mask_sigma exactly when sigma lies in the
+closed up-part, so chi_up = sum over sigma of (-1)^dim sigma
+[pattern & mask_sigma != 0].
+
+The flip phase -(-1)^chi_up depends on chi_up only mod 2, and mod 2 every
+cell counts +1 whatever its dimension: the phase is -1 exactly when an even
+number of sigma meet the pattern.  `sweep_signs` uses this to flip every
+sector at once, bit-sliced: the states are stored transposed, one int per
+(d-1)-cell whose bit j says whether sector j's state contains that cell.
+OR-ing the columns of the faces selected by mask_sigma gives, for all
+sectors in one int, whether sigma is up; XOR-ing those over sigma gives the
+parity of chi_up, and a flip XORs the all-sectors mask into the columns of
+the cell boundary.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .complexes import CellComplex, Chain, ensure_validated
-from .f2 import PreconditionError
+from .complexes import CellComplex, CellKey, Chain, ensure_validated
+from .f2 import F2Matrix, PreconditionError, _set_bits
 from .homology import SectorSet, homology_sector_reps
 
 GDS = "gds"
@@ -54,6 +71,38 @@ def is_cycle_state(c: CellComplex, s: Chain) -> bool:
     return not hplus_violations(c, s)
 
 
+# (face tuple of a top cell, masks by dimension): masks[k] holds, for every
+# k-cell sigma in the closure of the cell boundary, the mask of the face
+# positions whose closure contains sigma
+ChiTable = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]
+
+
+def _chi_table(c: CellComplex, cell: int) -> ChiTable:
+    """The chi_up table of one top cell, built once per complex."""
+    table = c._chi_tables.get(cell)
+    if table is None:
+        faces = c.faces(c.dim, cell)
+        masks: Dict[CellKey, int] = {}
+        for pos, f in enumerate(faces):
+            for key in c.closure_of_cell(c.dim - 1, f):
+                masks[key] = masks.get(key, 0) | (1 << pos)
+        by_dim: List[List[int]] = [[] for _ in range(c.dim)]
+        for (k, _), m in masks.items():
+            by_dim[k].append(m)
+        table = (faces, tuple(tuple(ms) for ms in by_dim))
+        c._chi_tables[cell] = table
+    return table
+
+
+def _chi_of_pattern(masks: Tuple[Tuple[int, ...], ...], pattern: int) -> int:
+    """chi_up of a local up-pattern over a table's face positions."""
+    chi = 0
+    for k, ms in enumerate(masks):
+        up = sum(1 for m in ms if pattern & m)
+        chi += -up if k % 2 else up
+    return chi
+
+
 def chi_up(c: CellComplex, cell: int, s: Chain) -> int:
     """Euler characteristic of the closed up-part of a top cell's boundary.
 
@@ -62,8 +111,13 @@ def chi_up(c: CellComplex, cell: int, s: Chain) -> int:
     """
     _check_state(c, s)
     ensure_validated(c)
-    up = [f for f in c.faces(c.dim, cell) if s.contains(f)]
-    return c.chi_of_cells(c.closure((c.dim - 1, f) for f in up))
+    faces, masks = _chi_table(c, cell)
+    bits = s.bits
+    pattern = 0
+    for pos, f in enumerate(faces):
+        if (bits >> f) & 1:
+            pattern |= 1 << pos
+    return _chi_of_pattern(masks, pattern)
 
 
 def flip(c: CellComplex, cell: int, s: Chain, model: str = GDS) -> Tuple[Chain, SignedFlip]:
@@ -75,11 +129,6 @@ def flip(c: CellComplex, cell: int, s: Chain, model: str = GDS) -> Tuple[Chain, 
     phase = -((-1) ** chi) if model == GDS else 1
     new_bits = s.bits ^ c.boundary_bits(c.dim, cell)
     return Chain(c, c.dim - 1, new_bits), SignedFlip(cell, chi, phase, model)
-
-
-def morse_parity(c: CellComplex, cell: int, s: Chain) -> int:
-    """Number of elementary transitions realizing the flip, mod 2."""
-    return (chi_up(c, cell, s) + 1) % 2
 
 
 def verify_projector(c: CellComplex, cell: int, s: Chain) -> bool:
@@ -123,22 +172,56 @@ def sweep_sign(c: CellComplex, e: Chain, order: Optional[Sequence[int]] = None) 
     """Accumulated semion phase of flipping every top cell once, starting and
     ending at the given cycle.  +1 means the sector admits a zero-energy state.
     """
+    return sweep_signs(c, [e], order)[0]
+
+
+def sweep_signs(
+    c: CellComplex, reps: Sequence[Chain], order: Optional[Sequence[int]] = None
+) -> List[int]:
+    """`sweep_sign` of every given cycle, all swept together bit-sliced."""
     ensure_validated(c)
     if not c.is_connected():
         raise ValueError("sweep is defined per connected component")
-    if not is_cycle_state(c, e):
+    d = c.dim
+    for e in reps:
+        _check_state(c, e)
+    # bit j of cols[f]: does reps[j] contain (d-1)-cell f
+    cols = F2Matrix(len(reps), c.n_cells(d - 1), [e.bits for e in reps]).transpose().data
+    # the boundaries of all reps at once, one int per (d-2)-cell
+    ridge_sums = [0] * c.n_cells(d - 2)
+    inc = c.incidence(d - 1)
+    for f, col in enumerate(cols):
+        if col:
+            for r in _set_bits(inc.row(f)):
+                ridge_sums[r] ^= col
+    if any(ridge_sums):
         raise ValueError("sweep must start from a cycle")
-    cells = list(order) if order is not None else list(range(c.n_cells(c.dim)))
-    if sorted(cells) != list(range(c.n_cells(c.dim))):
+    n_top = c.n_cells(d)
+    cells = list(order) if order is not None else list(range(n_top))
+    if sorted(cells) != list(range(n_top)):
         raise ValueError("order must visit every top cell exactly once")
-    state = e
-    sign = 1
+    start = list(cols)
+    full = (1 << len(reps)) - 1
+    negative = 0
     for cell in cells:
-        state, sf = flip(c, cell, state, GDS)
-        sign *= sf.phase
-    if state.bits != e.bits:
+        faces, masks = _chi_table(c, cell)
+        face_cols = [cols[f] for f in faces]
+        parity = 0
+        for ms in masks:
+            for m in ms:
+                up = 0
+                while m:
+                    low = m & -m
+                    up |= face_cols[low.bit_length() - 1]
+                    m ^= low
+                parity ^= up
+        # an even chi_up gives the phase -1
+        negative ^= parity ^ full
+        for f in _set_bits(c.boundary_bits(d, cell)):
+            cols[f] ^= full
+    if cols != start:
         raise AssertionError("sweep did not return to its starting cycle")
-    return sign
+    return [-1 if (negative >> j) & 1 else 1 for j in range(len(reps))]
 
 
 def sector_reps(c: CellComplex) -> SectorSet:
@@ -167,12 +250,12 @@ def ground_degeneracy(
         return gsd, reports
     sectors = sector_reps(c)
     chi = c.euler_characteristic()
+    if model == GTC:
+        signs = [1] * len(sectors.reps)
+    else:
+        signs = sweep_signs(c, sectors.reps)
     reports = []
-    for idx, rep in enumerate(sectors.reps):
-        if model == GTC:
-            sign = 1
-        else:
-            sign = sweep_sign(c, rep)
+    for idx, (rep, sign) in enumerate(zip(sectors.reps, signs)):
         survives = sign == 1
         eps = None
         kind = None

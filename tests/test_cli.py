@@ -131,6 +131,27 @@ def test_verify_sweep_and_flip_suites(capsys):
     assert rc == EXIT_FAIL
 
 
+def test_sweep_order_failure_names_round_and_sector(monkeypatch, capsys):
+    real = model_mod.sweep_signs
+    calls = []
+
+    def flaky(c, reps, order=None):
+        signs = real(c, reps, order)
+        calls.append(order)
+        if len(calls) == 4:  # the third shuffled order
+            signs[1] = -signs[1]
+        return signs
+
+    monkeypatch.setattr(model_mod, "sweep_signs", flaky)
+    rc, out, _ = run(
+        ["verify", "--suite", "sweep-order", "--manifold", "tP:2", "--seed", "2"],
+        capsys,
+    )
+    assert rc == EXIT_FAIL
+    assert out == "FAIL sweep sign depends on the flip order (round 3 of 20, sector 1)\n"
+    assert len(calls) == 21
+
+
 def test_verify_voronoi_commutation(capsys):
     rc, out, _ = run(
         [

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from gdslab.complexes import Chain
-from gdslab.f2 import PreconditionError
+from gdslab.cli import build_manifold
+from gdslab.complexes import Chain, ensure_validated
+from gdslab.f2 import F2Matrix, PreconditionError
 from gdslab.manifolds import builtin_manifold
 from gdslab.model import (
     GDS,
@@ -15,13 +16,49 @@ from gdslab.model import (
     flip,
     ground_degeneracy,
     hplus_violations,
-    morse_parity,
     random_cycle,
     sector_reps,
     sweep_sign,
+    sweep_signs,
     verify_commutation,
     verify_projector,
 )
+
+
+def closure_chi_up(c, cell, s):
+    """Reference chi_up: the Euler characteristic of the closure of the up
+    faces, built as a cell set."""
+    up = [f for f in c.faces(c.dim, cell) if s.contains(f)]
+    return c.chi_of_cells(c.closure((c.dim - 1, f) for f in up))
+
+
+def reference_sweep_sign(c, e, order=None):
+    """Reference sweep: one state, one flip at a time, closure-based chi_up."""
+    cells = list(order) if order is not None else list(range(c.n_cells(c.dim)))
+    bits = e.bits
+    sign = 1
+    for cell in cells:
+        sign *= -((-1) ** closure_chi_up(c, cell, Chain(c, c.dim - 1, bits)))
+        bits ^= c.boundary_bits(c.dim, cell)
+    assert bits == e.bits
+    return sign
+
+
+# every shipped small complex: (spec, --points, --seed)
+SMALL_COMPLEXES = [
+    ("sphere:2", None, None), ("sphere:3", None, None), ("sphere:4", None, None),
+    ("torus:2:3", None, None), ("torus:3:3", None, None),
+    ("tP:1", None, None), ("tP:2", None, None), ("tP:3", None, None),
+    ("tP:4", None, None), ("tP:5", None, None), ("tP:6", None, None),
+    ("genus:2", None, None), ("klein", None, None), ("torus-voronoi:2", 60, 1),
+]
+
+
+@pytest.fixture(scope="module", params=SMALL_COMPLEXES, ids=lambda p: p[0])
+def small_complex(request):
+    c = build_manifold(*request.param)
+    ensure_validated(c)
+    return c
 
 
 def test_hplus_violations_examples(torus2):
@@ -49,7 +86,8 @@ def test_flip_phases(torus2, sphere3):
     all_down = Chain.empty(torus2, 1)
     _, sf = flip(torus2, 0, all_down, GDS)
     assert sf.phase == -1  # birth of a loop
-    assert morse_parity(torus2, 0, all_down) == 1
+    # one elementary transition: the Morse parity (chi_up + 1) mod 2 is odd
+    assert (chi_up(torus2, 0, all_down) + 1) % 2 == 1
     state = Chain(torus2, 1, torus2.boundary_bits(2, 0))
     back, sf2 = flip(torus2, 0, state, GDS)
     assert back.bits == 0 and sf2.phase == -1  # death of the same loop
@@ -250,3 +288,78 @@ def test_odd_d_flip_changes_chi_by_even(torus3):
         # i^chi flips sign exactly when the flip phase is -1
         assert Phase.i_power(delta).sign() == sf.phase
         f_state = new_state
+
+
+def test_chi_up_matches_closure_chi_on_random_states(small_complex):
+    c = small_complex
+    rng = random.Random(31)
+    n_states, n_top = c.n_cells(c.dim - 1), c.n_cells(c.dim)
+    for _ in range(40):
+        s = Chain(c, c.dim - 1, rng.getrandbits(n_states))
+        cell = rng.randrange(n_top)
+        assert chi_up(c, cell, s) == closure_chi_up(c, cell, s)
+    for cell in range(n_top):
+        s = random_cycle(c, rng)
+        assert chi_up(c, cell, s) == closure_chi_up(c, cell, s)
+
+
+def test_sweep_signs_match_reference_sweep(small_complex):
+    c = small_complex
+    reps = sector_reps(c).reps
+    rng = random.Random(32)
+    orders = [None]
+    for _ in range(3):
+        order = list(range(c.n_cells(c.dim)))
+        rng.shuffle(order)
+        orders.append(order)
+    for order in orders:
+        expected = [reference_sweep_sign(c, e, order) for e in reps]
+        assert sweep_signs(c, reps, order) == expected
+        assert [sweep_sign(c, e, order) for e in reps] == expected
+
+
+def test_sweep_signs_error_messages(torus2):
+    reps = sector_reps(torus2).reps
+    bad = Chain.from_cells(torus2, 1, [0])
+    with pytest.raises(ValueError, match="^sweep must start from a cycle$"):
+        sweep_signs(torus2, reps + [bad])
+    with pytest.raises(ValueError, match="^state must be a \\(d-1\\)-chain on this complex$"):
+        sweep_signs(torus2, [Chain.empty(torus2, 2)])
+    n = torus2.n_cells(2)
+    for order in ([0] * n, list(range(n - 1)), list(range(n + 1))):
+        with pytest.raises(ValueError, match="^order must visit every top cell exactly once$"):
+            sweep_signs(torus2, reps, order)
+
+
+def test_sweep_signs_rejects_disconnected():
+    from gdslab.complexes import Triangulation, dual_of_triangulation
+    from gdslab.manifolds import nonorientable_surface
+
+    t_rp2 = nonorientable_surface(1)
+    shift = t_rp2.n_vertices
+    c = dual_of_triangulation(Triangulation(
+        2, t_rp2.simplices + [tuple(v + shift for v in s) for s in t_rp2.simplices]
+    ))
+    with pytest.raises(ValueError, match="^sweep is defined per connected component$"):
+        sweep_signs(c, [Chain.empty(c, 1)])
+
+
+def test_sweep_that_does_not_return_is_an_internal_error(monkeypatch, capsys):
+    from gdslab import cli
+
+    # A copy on which flipping cell 0 flips the boundaries of cells 0 and 1:
+    # the boundary space and the sectors are unchanged, but the flips of all
+    # top cells no longer cancel, so no sweep comes back.
+    c = builtin_manifold("torus", 2, 3)
+    ensure_validated(c)
+    inc = c.incidence(2)
+    rows = list(inc.data)
+    rows[0] ^= rows[1]
+    c._incidence[2] = F2Matrix(inc.rows, inc.cols, rows)
+    with pytest.raises(AssertionError, match="^sweep did not return to its starting cycle$"):
+        sweep_signs(c, [Chain.empty(c, 1)])
+    monkeypatch.setattr(cli, "build_manifold", lambda spec, points, seed: c)
+    assert cli.dispatch(["gsd", "--manifold", "torus:2:3"]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err == (
+        "internal error: sweep did not return to its starting cycle\n"
+    )

@@ -197,6 +197,20 @@ def test_ds2_wilson_refuses_two_loops(fine_sphere):
         ds2_wilson_data(c, l, Chain.empty(c, 1))
 
 
+def test_ds2_wilson_data_computes_betti_once(monkeypatch):
+    from gdslab.f2 import F2Matrix
+
+    c = dual_of_triangulation(barycentric_subdivision(simplex_boundary(2)))
+    c.meta["generic_validated"] = True
+    l = Chain(c, 1, c.boundary_bits(2, 0))
+    first = ds2_wilson_data(c, l, Chain.empty(c, 1))
+    calls = []
+    rref = F2Matrix.rref
+    monkeypatch.setattr(F2Matrix, "rref", lambda self: calls.append(self) or rref(self))
+    assert ds2_wilson_data(c, l, Chain.empty(c, 1)) == first
+    assert calls == []
+
+
 def test_ds2_wilson_figure_instance(fine_sphere):
     """A configuration with four crossing points and linking number one gives
     (-1) * i^4 * (-1) = +1."""
