@@ -24,11 +24,23 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
+# The least and most integer parameters of each built-in spec, and its usage.
+_SPEC_FORMS = {
+    "sphere": (1, 1, "sphere:d needs d >= 1, e.g. sphere:2"),
+    "torus": (1, 2, "torus:d[:n] needs integers d and n, e.g. torus:3:4"),
+    "tP": (1, 1, "tP:t needs an integer t, e.g. tP:3"),
+    "genus": (1, 1, "genus:g needs an integer g, e.g. genus:2"),
+    "klein": (0, 0, "klein takes no parameters, e.g. klein"),
+    "torus-voronoi": (1, 1, "torus-voronoi:d needs an integer d, e.g. torus-voronoi:2"),
+    "square-grid": (0, 1, "square-grid[:n] needs an integer n, e.g. square-grid:2"),
+}
+
+
 def build_manifold(spec: str, points: Optional[int], seed: Optional[int]) -> CellComplex:
     """Parse a name:params spec into a complex.
 
     `file:PATH` loads a saved complex; `tri:PATH` loads a triangulation and
-    dualizes it.
+    dualizes it. Every other name takes the parameters `_SPEC_FORMS` lists.
     """
     parts = spec.split(":")
     name, params = parts[0], parts[1:]
@@ -38,18 +50,20 @@ def build_manifold(spec: str, points: Optional[int], seed: Optional[int]) -> Cel
         from .complexes import Triangulation, dual_of_triangulation
 
         return dual_of_triangulation(Triangulation.load(":".join(params)))
+    if name not in _SPEC_FORMS:
+        raise ValueError(f"unknown manifold name: {name}")
+    least, most, usage = _SPEC_FORMS[name]
+    ok = least <= len(params) <= most and all(p.removeprefix("-").isdecimal() for p in params)
+    if not ok or (name == "sphere" and int(params[0]) < 1):
+        raise ValueError(usage)
     params = [int(p) for p in params]
-    if name == "sphere" and (len(params) != 1 or params[0] < 1):
-        raise ValueError("sphere:d needs d >= 1, e.g. sphere:2")
     if name == "torus-voronoi":
-        if len(params) != 1:
-            raise ValueError("torus-voronoi needs a dimension, e.g. torus-voronoi:2")
         if seed is None:
             raise ValueError("torus-voronoi requires --seed for reproducibility")
         n = points if points is not None else (25 if params[0] == 2 else 14)
         return torus_voronoi(params[0], PointSet.random(params[0], n, seed))
     if name == "square-grid":
-        return square_grid_torus(*params) if params else square_grid_torus()
+        return square_grid_torus(*params)
     return builtin_manifold(name, *params)
 
 
@@ -62,10 +76,10 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _cmd_gen(args) -> int:
-    c = build_manifold(args.manifold, args.points, args.seed)
     if not args.out:
         print("--out is required for gen", file=sys.stderr)
         return EXIT_USAGE
+    c = build_manifold(args.manifold, args.points, args.seed)
     c.save(args.out)
     print(f"wrote {args.out}: dim {c.dim}, cells {list(c.cell_counts)}")
     return EXIT_OK

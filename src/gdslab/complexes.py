@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
-from .f2 import F2Matrix, _set_bits
+from .f2 import F2Matrix, Subspace, _set_bits
 
 CellKey = Tuple[int, int]  # (dimension, id)
 
@@ -177,8 +177,8 @@ class CellComplex:
         self._cycle_bases: Dict[int, Tuple[int, ...]] = {}
         # per top cell chi_up tables, kept by model._chi_table
         self._chi_tables: Dict[int, tuple] = {}
-        # Betti vector, kept by homology.betti
-        self._betti = None
+        # reduced boundary spaces, kept by homology.boundary_space
+        self._boundary_spaces: Dict[int, Subspace] = {}
         self._vertex_roots: Tuple[int, ...] | None = None
         self._n_components = 0
 
@@ -489,7 +489,10 @@ class GenericityReport:
         return self.passed
 
 
-def validate_generic(c: CellComplex, heritability_samples: int = 4) -> GenericityReport:
+HERITABILITY_SAMPLES = 4  # evenly spaced top cells whose boundary spheres are validated
+
+
+def validate_generic(c: CellComplex) -> GenericityReport:
     """Check the local combinatorics of a generic cellulation.
 
     (a) every j-cell (j < d) has exactly d - j + 1 cofaces, in particular
@@ -518,7 +521,7 @@ def validate_generic(c: CellComplex, heritability_samples: int = 4) -> Genericit
             violations.append(f"boundary of boundary nonzero in dimension {k}")
     if d >= 1 and not violations:
         n_top = c.n_cells(d)
-        step = max(1, n_top // max(1, heritability_samples))
+        step = max(1, n_top // HERITABILITY_SAMPLES)
         for cell in range(0, n_top, step):
             try:
                 sphere = c.boundary_sphere(cell)

@@ -40,7 +40,6 @@ smoke layer for the unprojected variant.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -360,19 +359,3 @@ def verify_full_commutation(c: CellComplex, variant: str = "projected", model: s
                 return False
     return True
 
-
-def offkernel_projector_survey(c: CellComplex, trials: int = 200, seed: int = 0) -> Tuple[int, int]:
-    """How often the unprojected plaquette term squares to itself on random
-    (possibly vertex-violating) basis states.  Informative only."""
-    n = _check_size(c)
-    rng = random.Random(seed)
-    holds = 0
-    for _ in range(trials):
-        x = rng.getrandbits(n)
-        cell = rng.randrange(c.n_cells(c.dim))
-        t = build_term(c, H_C, cell, GDS)
-        # O_c must be an involution: signs at x and flipped x agree
-        s1 = t.sign(x)
-        s2 = t.sign(x ^ t.flip_mask)
-        holds += int(s1 == s2)
-    return holds, trials

@@ -13,11 +13,19 @@ rows x cols. The reduced row echelon form of a matrix is unique: it depends on
 the row space only, never on the elimination order. So `rref`, its pivot list
 and the nullspace basis read off it are the same bits as any other correct
 elimination gives.
+
+Every span question goes through `Subspace`, an RREF basis with a pivot ->
+row map and a pivot mask. `reduce_by_rref` XORs in the row of each pivot set
+in `vec & mask`, read once from the original vec: O(popcount(vec & mask)) row
+XORs, not one test per row. That is exact because an RREF row holds no pivot
+but its own, so each XOR clears its own pivot and touches no other. The
+result has no pivot bit set, the one such element of its coset. `Subspace`
+rejects a basis that is not in RREF, so this invariant always holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
@@ -170,27 +178,41 @@ def _set_bits(x: int) -> List[int]:
     return out
 
 
-def reduce_by_rref(vec: int, rref_rows: Sequence[int]) -> int:
-    """Canonical (lexicographically least) coset representative of vec + span(rows)."""
-    for row in rref_rows:
-        if row == 0:
-            continue
-        pivot = row & -row
-        if vec & pivot:
-            vec ^= row
+def reduce_by_rref(vec: int, space: "Subspace") -> int:
+    """Canonical (lexicographically least) coset representative of vec + space,
+    in O(popcount(vec & pivot mask)) row XORs."""
+    rows = space._pivot_rows
+    hits = vec & space._pivot_mask
+    while hits:
+        low = hits & -hits
+        vec ^= rows[low.bit_length() - 1]
+        hits ^= low
     return vec
 
 
-def in_span(vec: int, rref_rows: Sequence[int]) -> bool:
-    return reduce_by_rref(vec, rref_rows) == 0
+def in_span(vec: int, space: "Subspace") -> bool:
+    return reduce_by_rref(vec, space) == 0
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of F2^n held as a canonical RREF basis, so equality is bitwise."""
+    """A subspace of F2^n held as its canonical RREF basis, so equality is
+    bitwise; the derived pivot -> row map and pivot mask are not compared."""
 
     ambient_dim: int
     basis: Tuple[int, ...]
+    _pivot_rows: Dict[int, int] = field(init=False, compare=False, repr=False)
+    _pivot_mask: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        pivots = [row & -row for row in self.basis]
+        mask = sum(pivots)
+        increasing = all(a < b for a, b in zip([0] + pivots, pivots))
+        if not increasing or any(row & mask != p for row, p in zip(self.basis, pivots)):
+            raise ValueError("basis is not in RREF")
+        rows = {p.bit_length() - 1: row for row, p in zip(self.basis, pivots)}
+        object.__setattr__(self, "_pivot_rows", rows)
+        object.__setattr__(self, "_pivot_mask", mask)
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[int]) -> "Subspace":
@@ -202,7 +224,18 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v: int) -> bool:
-        return in_span(v, self.basis)
+        return in_span(v, self)
+
+    def extend(self, v: int) -> "Subspace":
+        """The span of this subspace and v in O(dim) row XORs: reduced v is a
+        new pivot row, cleared from the rows that hold its pivot."""
+        r = reduce_by_rref(v, self)
+        if not r:
+            return self
+        low = r & -r
+        rows = [b ^ r if b & low else b for b in self.basis] + [r]
+        rows.sort(key=lambda b: b & -b)
+        return Subspace(self.ambient_dim, tuple(rows))
 
     def vectors(self) -> List[int]:
         """All 2^dim elements; only sensible for small subspaces."""
@@ -212,31 +245,12 @@ class Subspace:
         return out
 
 
-def rank_nullspace(m: F2Matrix) -> Tuple[int, Subspace]:
-    """Rank and a canonical basis of the right null space of m."""
-    ns = m.nullspace()
-    return m.cols - len(ns), Subspace.from_vectors(m.cols, ns)
-
-
-def subspace_intersection(u: Subspace, v: Subspace) -> Subspace:
+def subspace_intersection_dim(u: Subspace, v: Subspace) -> int:
+    """dim U + dim V - dim(U + V)."""
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    # Coefficient vectors (a | b) with a.U + b.V = 0 give intersection elements a.U.
-    stacked = F2Matrix(
-        u.dim + v.dim, u.ambient_dim, list(u.basis) + list(v.basis)
-    ).transpose()
-    vecs = []
-    for coeff in stacked.nullspace():
-        x = 0
-        for i in range(u.dim):
-            if (coeff >> i) & 1:
-                x ^= u.basis[i]
-        vecs.append(x)
-    return Subspace.from_vectors(u.ambient_dim, vecs)
-
-
-def subspace_intersection_dim(u: Subspace, v: Subspace) -> int:
-    return subspace_intersection(u, v).dim
+    total = F2Matrix(u.dim + v.dim, u.ambient_dim, u.basis + v.basis).rank()
+    return u.dim + v.dim - total
 
 
 def bilinear(q: F2Matrix, x: int, y: int) -> int:
@@ -378,8 +392,8 @@ def enumerate_max_isotropics(q: F2Matrix, j: int) -> List[Subspace]:
             # One candidate per coset of sub: its reduced representative.
             # Any other vector of the coset spans the same extension.
             for v in span:
-                if v and reduce_by_rref(v, sub.basis) == v:
-                    nxt.add(Subspace.from_vectors(n, list(sub.basis) + [v]))
+                if v and reduce_by_rref(v, sub) == v:
+                    nxt.add(sub.extend(v))
         level = nxt
     return sorted(level, key=lambda s: s.basis)
 

@@ -7,7 +7,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 from .complexes import CellComplex, CellKey, Chain
-from .f2 import F2Matrix, _set_bits, in_span, reduce_by_rref
+from .f2 import F2Matrix, Subspace, _set_bits, in_span, reduce_by_rref
+
+MAX_SECTOR_RANK = 12  # largest b_p whose 2^b_p sector representatives are listed
 
 
 @dataclass(frozen=True)
@@ -23,16 +25,10 @@ class BettiVector:
 
 
 def betti(c: CellComplex) -> BettiVector:
-    """b_k = dim ker boundary_k - rank boundary_{k+1}, all over F2; computed
-    once per complex."""
-    if c._betti is None:
-        ranks = [c.incidence(k).rank() if 1 <= k <= c.dim else 0 for k in range(c.dim + 2)]
-        out = []
-        for k in range(c.dim + 1):
-            kernel = c.n_cells(k) - ranks[k]
-            out.append(kernel - ranks[k + 1])
-        c._betti = BettiVector(tuple(out))
-    return c._betti
+    """b_k = dim ker boundary_k - rank boundary_{k+1}, all over F2; the ranks
+    are the dimensions of the cached boundary spaces."""
+    ranks = [0] + [boundary_space(c, k).dim for k in range(c.dim + 1)]
+    return BettiVector(tuple(c.n_cells(k) - ranks[k] - ranks[k + 1] for k in range(c.dim + 1)))
 
 
 def betti_of_cells(c: CellComplex, closed_cells: Iterable[CellKey]) -> BettiVector:
@@ -71,12 +67,6 @@ def semicharacteristic(b: BettiVector, k: int, start: int = 0) -> int:
     return sum(b[i] for i in range(start, k + 1)) % 2
 
 
-def semicharacteristic_of_cells(
-    c: CellComplex, closed_cells: Iterable[CellKey], k: int, start: int = 0
-) -> int:
-    return semicharacteristic(betti_of_cells(c, closed_cells), k, start)
-
-
 def cycle_space_basis(c: CellComplex, p: int) -> Tuple[int, ...]:
     """Basis of ker boundary_p as bitmasks over p-cells, computed once per
     complex and dimension."""
@@ -90,15 +80,17 @@ def cycle_space_basis(c: CellComplex, p: int) -> Tuple[int, ...]:
     return basis
 
 
-def boundary_space_rref(c: CellComplex, p: int) -> List[int]:
-    """RREF basis of the space of boundaries inside the p-chains."""
-    if p + 1 > c.dim:
-        return []
-    return c.incidence(p + 1).row_space_basis()
+def boundary_space(c: CellComplex, p: int) -> Subspace:
+    """The boundaries inside the p-chains (the row space of boundary_{p+1}),
+    computed once per complex and dimension."""
+    if p not in c._boundary_spaces:
+        rows = c.incidence(p + 1).row_space_basis() if p < c.dim else []
+        c._boundary_spaces[p] = Subspace(c.n_cells(p), tuple(rows))
+    return c._boundary_spaces[p]
 
 
 def is_boundary(c: CellComplex, chain: Chain) -> bool:
-    return in_span(chain.bits, boundary_space_rref(c, chain.dim))
+    return in_span(chain.bits, boundary_space(c, chain.dim))
 
 
 def is_homologous(c: CellComplex, a: Chain, b: Chain) -> bool:
@@ -128,48 +120,42 @@ class SectorSet:
     complex: CellComplex
     p: int
     reps: List[Chain]
-    boundary_rref: Tuple[int, ...]
+    boundaries: Subspace
 
     @property
     def class_count(self) -> int:
         return len(self.reps)
 
     def canonical_bits(self, chain_bits: int) -> int:
-        return reduce_by_rref(chain_bits, self.boundary_rref)
+        return reduce_by_rref(chain_bits, self.boundaries)
 
 
-def homology_sector_reps(c: CellComplex, p: int, max_rank: int = 12) -> SectorSet:
+def homology_sector_reps(c: CellComplex, p: int) -> SectorSet:
     """One canonical cycle per Z2 homology class of dimension p.
 
     Representatives are reduced against the boundary space in lexicographic
     pivot order, so the empty chain represents the trivial class and the
     choice is reproducible.
     """
-    cycles = cycle_space_basis(c, p)
-    bound_rref = tuple(boundary_space_rref(c, p))
-    homology_basis = []
-    seen_rref: List[int] = list(bound_rref)
-    for z in cycles:
-        reduced = reduce_by_rref(z, seen_rref)
-        if reduced:
-            homology_basis.append(z)
-            seen_rref.append(reduced)
-            # keep seen_rref triangular for the reduction helper
-            seen_rref = F2Matrix(
-                len(seen_rref), c.n_cells(p), seen_rref
-            ).row_space_basis()
-    b_p = len(homology_basis)
-    if b_p > max_rank:
-        raise ValueError(f"2^{b_p} sectors exceed the enumeration guard")
-    # reduction against the boundary RREF is linear, so the representative
-    # of a sum of generators is the sum of their reduced forms: one XOR each
-    reduced = [reduce_by_rref(z, bound_rref) for z in homology_basis]
+    bounds = boundary_space(c, p)
+    # Reduction is linear with kernel the boundaries: a cycle is a new class
+    # iff its reduced form is outside the span of the earlier ones.
+    generators = Subspace(c.n_cells(p), ())
+    reduced = []
+    for z in cycle_space_basis(c, p):
+        r = reduce_by_rref(z, bounds)
+        if not in_span(r, generators):
+            reduced.append(r)
+            generators = generators.extend(r)
+    if len(reduced) > MAX_SECTOR_RANK:
+        raise ValueError(f"2^{len(reduced)} sectors exceed the enumeration guard")
+    # the representative of a sum of generators is the sum of their reduced forms
     rep_bits = [0]
     for g in reduced:
         rep_bits += [bits ^ g for bits in rep_bits]
     rep_bits.sort(key=lambda bits: (bits.bit_count(), bits))
     assert rep_bits[0] == 0
-    return SectorSet(c, p, [Chain(c, p, bits) for bits in rep_bits], bound_rref)
+    return SectorSet(c, p, [Chain(c, p, bits) for bits in rep_bits], bounds)
 
 
 @dataclass

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .complexes import CellComplex, Chain, DisjointSet, ensure_validated, resolve_union
-from .f2 import _set_bits, in_span
+from .f2 import Subspace, _set_bits, in_span
 from .homology import _loop_components, betti, betti_of_cells, semicharacteristic
 from .phases import MINUS_ONE, Phase
 
@@ -255,7 +255,8 @@ def dual_crossing_chain(c: CellComplex, loop: DualLoop) -> Chain:
 def is_dual_nullhomologous(c: CellComplex, loop: DualLoop) -> bool:
     """True iff the loop bounds in the dual 2-skeleton, i.e. its crossing
     chain is a sum of coface triples of (d-2)-cells."""
-    cols = c.incidence(c.dim - 1).transpose().row_space_basis()
+    coface_triples = c.incidence(c.dim - 1).transpose().data
+    cols = Subspace.from_vectors(c.n_cells(c.dim - 1), coface_triples)
     return in_span(dual_crossing_chain(c, loop).bits, cols)
 
 

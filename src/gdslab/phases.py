@@ -37,10 +37,6 @@ class Phase:
     def __pow__(self, n: int) -> "Phase":
         return Phase(self.exp * n)
 
-    @property
-    def is_real(self) -> bool:
-        return self.exp % 2 == 0
-
     def sign(self) -> int:
         """Return +1 or -1; raises if the phase is imaginary."""
         if self.exp == 0:

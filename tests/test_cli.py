@@ -236,6 +236,40 @@ def test_degenerate_sphere_spec_exits_2(capsys, spec):
     assert err == "error: sphere:d needs d >= 1, e.g. sphere:2\n"
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("tP", "tP:t needs an integer t, e.g. tP:3"),
+    ("tP:x", "tP:t needs an integer t, e.g. tP:3"),
+    ("tP:1:2", "tP:t needs an integer t, e.g. tP:3"),
+    ("genus", "genus:g needs an integer g, e.g. genus:2"),
+    ("genus:2.5", "genus:g needs an integer g, e.g. genus:2"),
+    ("torus", "torus:d[:n] needs integers d and n, e.g. torus:3:4"),
+    ("torus:3:4:5", "torus:d[:n] needs integers d and n, e.g. torus:3:4"),
+    ("klein:3", "klein takes no parameters, e.g. klein"),
+    ("torus-voronoi:2:9", "torus-voronoi:d needs an integer d, e.g. torus-voronoi:2"),
+    ("torus-voronoi:two", "torus-voronoi:d needs an integer d, e.g. torus-voronoi:2"),
+    ("square-grid:2:2", "square-grid[:n] needs an integer n, e.g. square-grid:2"),
+    ("sphere:x", "sphere:d needs d >= 1, e.g. sphere:2"),
+    ("bogus:1", "unknown manifold name: bogus"),
+])
+def test_malformed_spec_exits_2_naming_its_form(capsys, spec, message):
+    rc, out, err = run(["gsd", "--manifold", spec, "--seed", "1"], capsys)
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_gen_checks_out_before_building(monkeypatch, capsys):
+    import gdslab.cli as cli_mod
+
+    def no_build(*args):
+        raise AssertionError("gen built the complex before checking --out")
+
+    monkeypatch.setattr(cli_mod, "build_manifold", no_build)
+    rc, out, err = run(["gen", "--manifold", "torus:3:8"], capsys)
+    assert rc == EXIT_USAGE
+    assert out == "" and err == "--out is required for gen\n"
+
+
 @pytest.mark.parametrize("text,message", [
     ("dim -1\n", "dim must be >= 0, got -1"),
     ("c 0 0 :\n", "missing dim header"),

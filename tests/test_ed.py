@@ -20,7 +20,6 @@ from gdslab.ed import (
     build_term,
     exact_zero_space,
     ground_degeneracy_ed,
-    offkernel_projector_survey,
     verify_full_commutation,
 )
 from gdslab.homology import cycle_space_basis
@@ -315,7 +314,6 @@ def test_kernel_amplitudes_match_reference_phase(sphere3, sphere4, sphere2):
         scale = None
         for amp, s in zip(vec, states):
             ref = reference_phase(f, Chain(c, c.dim - 1, s))
-            assert ref.is_real
             ratio = amp / ref.sign()
             if scale is None and amp:
                 scale = ratio
@@ -438,8 +436,13 @@ def test_qubit_guard():
 
 
 def test_offkernel_projector_survey(sphere2, sphere3):
-    # informative: the double-flip sign identity holds even off the kernel
+    # the double-flip sign identity holds even off the kernel: on random,
+    # possibly vertex-violating, states a plaquette flip and its reverse
+    # carry the same sign, so the unprojected term is an involution
+    rng = random.Random(5)
     for c in (sphere2, sphere3):
-        holds, trials = offkernel_projector_survey(c, trials=300, seed=5)
-        assert trials == 300
-        assert holds == trials
+        n = c.n_cells(c.dim - 1)
+        for _ in range(300):
+            x = rng.getrandbits(n)
+            t = build_term(c, H_C, rng.randrange(c.n_cells(c.dim)), GDS)
+            assert t.sign(x) == t.sign(x ^ t.flip_mask)

@@ -17,9 +17,10 @@ from gdslab.f2 import (
     enumerate_max_isotropics,
     exists_nonsingular_alternating,
     hyperbolic_form,
+    in_span,
     is_isotropic,
     no_twist_holds,
-    rank_nullspace,
+    reduce_by_rref,
     subspace_intersection_dim,
     triple_intersection_parity,
 )
@@ -160,25 +161,25 @@ def span_set(sub: Subspace):
 
 
 def test_rank_identity_3x3():
-    rank, ns = rank_nullspace(F2Matrix.identity(3))
-    assert rank == 3
-    assert ns.dim == 0
+    m = F2Matrix.identity(3)
+    assert m.rank() == 3
+    assert m.nullspace() == []
 
 
 def test_rank_zero_2x5():
-    rank, ns = rank_nullspace(F2Matrix.zeros(2, 5))
-    assert rank == 0
-    assert ns.dim == 5
+    m = F2Matrix.zeros(2, 5)
+    assert m.rank() == 0
+    assert len(m.nullspace()) == 5
 
 
 @given(st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=6))
 @settings(max_examples=200)
 def test_rank_matches_brute_force_span(rows):
     m = F2Matrix(len(rows), 6, rows)
-    rank, ns = rank_nullspace(m)
-    assert rank == brute_force_rank(rows, 6)
-    assert rank + ns.dim == 6
-    for v in ns.basis:
+    ns = m.nullspace()
+    assert m.rank() == brute_force_rank(rows, 6)
+    assert m.rank() + len(ns) == 6  # rank-nullity
+    for v in ns:
         assert m.matvec(v) == 0
 
 
@@ -187,10 +188,93 @@ def test_nullspace_vectors_annihilated():
     for _ in range(50):
         rows = [rng.getrandbits(8) for _ in range(5)]
         m = F2Matrix(5, 8, rows)
-        rank, ns = rank_nullspace(m)
+        ns = Subspace.from_vectors(8, m.nullspace())
         for v in ns.vectors():
             assert m.matvec(v) == 0
-        assert rank + ns.dim == 8
+        assert m.rank() + ns.dim == 8
+
+
+# -- the pivot-keyed reduction ------------------------------------------------
+
+
+def list_scan_reduce(vec, rref_rows):
+    """Oracle: test every RREF row's pivot in turn, in row order."""
+    for row in rref_rows:
+        if vec & row & -row:
+            vec ^= row
+    return vec
+
+
+@given(
+    st.integers(min_value=1, max_value=70).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=12),
+        st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), min_size=1, max_size=8),
+    ))
+)
+@settings(max_examples=300)
+def test_pivot_keyed_reduction_matches_list_scan(case):
+    n, rows, vecs = case
+    rows = rows + rows[:2] + [0]  # repeated and zero rows
+    space = Subspace.from_vectors(n, rows)
+    rref_rows = F2Matrix(len(rows), n, rows).row_space_basis()
+    assert list(space.basis) == rref_rows
+    for v in vecs + rows:
+        got = reduce_by_rref(v, space)
+        assert got == list_scan_reduce(v, rref_rows)
+        assert reduce_by_rref(got, space) == got
+        assert in_span(v ^ got, space)
+
+
+@given(
+    st.integers(min_value=1, max_value=8).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=6),
+    ))
+)
+@settings(max_examples=200)
+def test_in_span_matches_brute_force_span(case):
+    n, rows = case
+    span = {0}
+    for r in rows:
+        span |= {v ^ r for v in span}
+    space = Subspace.from_vectors(n, rows)
+    for v in range(1 << n):
+        assert in_span(v, space) == (v in span) == space.contains(v)
+    assert set(space.vectors()) == span
+
+
+def test_subspace_equality_ignores_generator_order():
+    rng = random.Random(17)
+    for _ in range(100):
+        rows = [rng.getrandbits(40) for _ in range(rng.randint(0, 7))]
+        shuffled = rows[::-1] + [a ^ b for a, b in zip(rows, rows[1:])]
+        u = Subspace.from_vectors(40, rows)
+        v = Subspace.from_vectors(40, shuffled)
+        assert u == v and hash(u) == hash(v) and repr(u) == repr(v)
+        assert len({u, v}) == 1
+
+
+@pytest.mark.parametrize("basis,reason", [
+    ((0b10, 0), "zero row"),
+    ((0b100, 0b10), "pivots not increasing"),
+    ((0b10, 0b10), "pivots not increasing"),
+    ((0b011, 0b010), "a row holds another pivot"),
+    ((0b01, 0b110, 0b1100), "a row holds another pivot"),
+])
+def test_non_rref_basis_is_rejected(basis, reason):
+    with pytest.raises(ValueError, match="not in RREF"):
+        Subspace(4, basis)
+
+
+def test_extend_matches_from_vectors():
+    rng = random.Random(23)
+    for _ in range(200):
+        rows = [rng.getrandbits(12) for _ in range(rng.randint(0, 6))]
+        v = rng.getrandbits(12)
+        space = Subspace.from_vectors(12, rows)
+        assert space.extend(v) == Subspace.from_vectors(12, rows + [v])
+        if space.contains(v):
+            assert space.extend(v) is space
 
 
 def test_intersection_dim_trivial_cases():
