@@ -7,7 +7,6 @@ from .complexes import (
     Triangulation,
     closed_subcomplex,
     dual_of_triangulation,
-    resolve_union,
     subset_boundary_manifold_check,
     validate_generic,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "flip",
     "ground_degeneracy",
     "homology_sector_reps",
-    "resolve_union",
     "semicharacteristic",
     "square_grid_torus",
     "subset_boundary_manifold_check",

@@ -213,11 +213,16 @@ def _suite_appendix(c: CellComplex, rng: random.Random) -> List[str]:
     if not validate_generic(c).passed:
         problems.append("complex fails genericity validation")
     n = c.n_cells(c.dim)
-    for _ in range(100):
+    trials = 100
+    for trial in range(1, trials + 1):
         k = rng.randint(1, n - 1)
         subset = rng.sample(range(n), k)
         if not subset_boundary_manifold_check(c, subset):
-            problems.append(f"subset boundary not a manifold: {sorted(subset)[:8]}")
+            bits = sum(1 << i for i in subset)
+            problems.append(
+                f"subset boundary not a manifold "
+                f"(trial {trial} of {trials}, top cells {bits:#x})"
+            )
     return problems
 
 
@@ -233,17 +238,22 @@ def _suite_balloon(c: CellComplex, rng: random.Random) -> List[str]:
     fn = None
     if c.dim % 2:
         fn = wf_mod.PhaseFn(wf_mod.ODD_CHI, c)
-    for _ in range(50):
+    trials = 50
+    for trial in range(1, trials + 1):
         balloon, alpha = op_mod.sample_clean_pair(c, rng, reps)
+        witness = (f"(trial {trial} of {trials}, support {balloon.support.bits:#x}, "
+                   f"state {alpha.bits:#x})")
         out, phase = op_mod.apply_balloon(c, balloon, alpha)
         if model_mod.hplus_violations(c, out):
-            problems.append("balloon application broke the vertex terms")
+            problems.append(f"balloon application broke the vertex terms {witness}")
         if fn is not None:
             lhs = wf_mod.reference_phase(fn, out)
             if lhs != phase * wf_mod.reference_phase(fn, alpha):
-                problems.append("balloon sign does not preserve the reference phase")
+                problems.append(
+                    f"balloon sign does not preserve the reference phase {witness}"
+                )
         if not op_mod.semichar_delta_check(c, balloon, alpha).holds:
-            problems.append("bookkeeping identity failed")
+            problems.append(f"bookkeeping identity failed {witness}")
     return problems
 
 

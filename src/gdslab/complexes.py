@@ -574,67 +574,48 @@ def closed_subcomplex(c: CellComplex, top_cells: Chain) -> CellComplex:
     return c.subcomplex(c.closure((top_cells.dim, i) for i in top_cells.cells()))
 
 
-def resolve_union(c: CellComplex, k: int, cells: Iterable[int]) -> CellComplex:
-    """Normalization of a union of k-cells: tangential touchings split apart.
+def is_embedded_union(c: CellComplex, k: int, cells: Iterable[int]) -> bool:
+    """True iff a union of closed k-cells has one sheet at every cell.
 
-    Cells of the result are (cell, sheet) pairs, where the sheets at a face
-    are the components of the incident k-cells under codimension-1 adjacency.
-    Two k-cells count as locally connected at a face only when they share a
-    (k-1)-cell containing it, which is exactly the perturbed picture of a
-    union of closed cells.
+    At every cell of the union's closure that lies in two or more of the
+    k-cells, those k-cells must be connected through the union's (k-1)-cells
+    whose closure contains it. Otherwise the k-cells only touch there
+    tangentially, a contact the continuum picture perturbs away.
     """
-    tops = sorted(set(cells))
     containing: Dict[CellKey, List[int]] = {}
-    for f in tops:
+    for f in set(cells):
         for key in c.closure_of_cell(k, f):
             containing.setdefault(key, []).append(f)
-    ridge_members: Dict[CellKey, List[int]] = {
-        key: mem for key, mem in containing.items() if key[0] == k - 1
-    }
-    touches: Dict[CellKey, List[CellKey]] = {}
-    for ridge in ridge_members:
-        for key in c.closure_of_cell(*ridge):
-            touches.setdefault(key, []).append(ridge)
-    # sheet index per (cell, top): components under adjacency through ridges
-    sheet_of: Dict[CellKey, Dict[int, int]] = {}
+    # (k-1)-cells shared by two or more k-cells, listed under each closure cell
+    ridges_at: Dict[CellKey, List[List[int]]] = {}
+    for ridge, members in containing.items():
+        if ridge[0] == k - 1 and len(members) > 1:
+            for key in c.closure_of_cell(*ridge):
+                ridges_at.setdefault(key, []).append(members)
     for key, members in containing.items():
+        if len(members) < 2:
+            continue
         sheets = DisjointSet(members)
-        for ridge in touches.get(key, []):
-            mem = ridge_members[ridge]
-            for other in mem[1:]:
-                sheets.union(mem[0], other)
-        roots = sorted({sheets.find(f) for f in members})
-        root_index = {r: i for i, r in enumerate(roots)}
-        sheet_of[key] = {f: root_index[sheets.find(f)] for f in members}
-    new_ids: Dict[Tuple[CellKey, int], int] = {}
-    per_dim: List[List[Tuple[CellKey, int]]] = [[] for _ in range(k + 1)]
-    for key in sorted(containing):
-        for sheet in sorted(set(sheet_of[key].values())):
-            new_ids[(key, sheet)] = len(per_dim[key[0]])
-            per_dim[key[0]].append((key, sheet))
-    faces: List[List[Tuple[int, ...]]] = [[] for _ in range(k + 1)]
-    for dim in range(k + 1):
-        for key, sheet in per_dim[dim]:
-            if dim == 0:
-                faces[0].append(())
-                continue
-            rep = next(f for f, s in sheet_of[key].items() if s == sheet)
-            fl = []
-            for fid in c.faces(*key):
-                face_key = (dim - 1, fid)
-                fl.append(new_ids[(face_key, sheet_of[face_key][rep])])
-            faces[dim].append(tuple(fl))
-    return CellComplex(
-        k,
-        faces,
-        provenance=f"resolved-union-of-{c.provenance}",
-        meta={"source_cells": [key for key, _ in per_dim[k]]},
-    )
+        for ridge_members in ridges_at.get(key, ()):
+            for other in ridge_members[1:]:
+                sheets.union(ridge_members[0], other)
+        root = sheets.find(members[0])
+        if any(sheets.find(f) != root for f in members[1:]):
+            return False
+    return True
 
 
 def subset_boundary_manifold_check(c: CellComplex, top_cells: Iterable[int]) -> bool:
     """True iff the boundary of a union of closed top cells is a closed
-    (d-1)-manifold, verified by link conditions (supported for d <= 3)."""
+    (d-1)-manifold, verified by link conditions (supported for d <= 3).
+
+    The boundary is the set of (d-1)-cells with exactly one coface in the
+    union. For d >= 2 every (d-2)-cell of its closure must lie in exactly
+    two boundary cells. For d = 3 the link of every boundary vertex must be
+    one circle: each boundary 2-cell through the vertex has exactly two
+    edges through it that appear once in the 2-cell's face list, and the
+    boundary 2-cells are an embedded union (`is_embedded_union`).
+    """
     d = c.dim
     if d > 3:
         raise NotImplementedError("link checks implemented for dimension <= 3")
@@ -657,33 +638,13 @@ def subset_boundary_manifold_check(c: CellComplex, top_cells: Iterable[int]) -> 
             if n != 2:
                 return False
     if d == 3:
-        # vertex links inside the boundary surface must be single circles
-        for k, v in closure:
-            if k != 0:
-                continue
-            incident = [
-                f
-                for f in bset
-                if (0, v) in c.closure_of_cell(2, f)
-            ]
-            edges_at_v = {
-                e
-                for e in range(c.n_cells(1))
-                if (0, v) in c.closure_of_cell(1, e)
-            }
-            link = DisjointSet(incident)
-            degree = {f: 0 for f in incident}
-            for e in edges_at_v:
-                sharing = [f for f in incident if e in c.faces(2, f)]
-                if len(sharing) == 2:
-                    a, b = sharing
-                    degree[a] += 1
-                    degree[b] += 1
-                    link.union(a, b)
-                elif len(sharing) > 2:
+        # an edge repeated in a face list is not shared with another boundary
+        # cell, so it is no step of the vertex link
+        for f in boundary_cells:
+            fl = c.faces(2, f)
+            once = [e for e in fl if fl.count(e) == 1]
+            for k, v in c.closure_of_cell(2, f):
+                if k == 0 and sum((0, v) in c.closure_of_cell(1, e) for e in once) != 2:
                     return False
-            if any(deg != 2 for deg in degree.values()):
-                return False
-            if len({link.find(f) for f in incident}) != 1:
-                return False
+        return is_embedded_union(c, 2, boundary_cells)
     return True

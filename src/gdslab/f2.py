@@ -379,7 +379,6 @@ def enumerate_max_isotropics(q: F2Matrix, j: int) -> List[Subspace]:
             # Candidates must be Q-orthogonal to the whole subspace; with a
             # zero diagonal every vector is isotropic by itself.
             if sub.dim == 0:
-                perp = list(range(n))
                 perp_basis = [1 << i for i in range(n)]
             else:
                 constraint = F2Matrix(

@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .complexes import CellComplex, Chain, DisjointSet, ensure_validated, resolve_union
+from .complexes import CellComplex, Chain, DisjointSet, ensure_validated, is_embedded_union
 from .f2 import Subspace, _set_bits, in_span
 from .homology import _loop_components, betti, betti_of_cells, semicharacteristic
 from .phases import MINUS_ONE, Phase
@@ -74,19 +74,6 @@ class OverlapPieces:
     boundary_cells: frozenset
 
 
-def _is_embedded_union(c: CellComplex, k: int, bits: int) -> bool:
-    """A union of k-cells is embedded when normalizing it splits nothing."""
-    cells = Chain(c, k, bits).cells()
-    if not cells:
-        return True
-    resolved = resolve_union(c, k, cells)
-    closure = c.closure((k, i) for i in cells)
-    counts = [0] * (k + 1)
-    for dim, _ in closure:
-        counts[dim] += 1
-    return list(resolved.cell_counts) == counts
-
-
 def overlap_pieces(c: CellComplex, l_bits: int, a_bits: int) -> OverlapPieces:
     """Decompose supports and certify that they intersect cleanly.
 
@@ -113,9 +100,9 @@ def overlap_pieces(c: CellComplex, l_bits: int, a_bits: int) -> OverlapPieces:
         (cl_a & cl_b) == m_cells
         and (cl_b & cl_c) == m_cells
         and (cl_a & cl_c) == m_cells
-        and _is_embedded_union(c, d1, a_bits_only)
-        and _is_embedded_union(c, d1, b_bits)
-        and _is_embedded_union(c, d1, c_bits_only)
+        and is_embedded_union(c, d1, _set_bits(a_bits_only))
+        and is_embedded_union(c, d1, _set_bits(b_bits))
+        and is_embedded_union(c, d1, _set_bits(c_bits_only))
     )
     return OverlapPieces(
         a_bits_only,
@@ -295,7 +282,7 @@ def open_balloon_apply(
     if not alpha.is_cycle():
         raise ValueError("state must be a cycle")
     k = (d - 2) // 2
-    if not _is_embedded_union(c, d - 1, l.support.bits):
+    if not is_embedded_union(c, d - 1, l.support.cells()):
         raise TangentialOverlapError("open balloon support is not embedded")
     s_l = semicharacteristic(betti_of_cells(c, l.support.closure()), k, start=1)
     pieces = overlap_pieces(c, l.support.bits, alpha.bits)

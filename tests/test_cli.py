@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, reproducibility."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import gdslab
 
 from gdslab import ed as ed_mod
 from gdslab import model as model_mod
+from gdslab import operators as op_mod
 from gdslab.cli import (
     EXIT_FAIL,
     EXIT_INTERNAL,
@@ -186,6 +188,47 @@ def test_balloon_command(capsys):
     rc, out, _ = run(["balloon", "--manifold", "torus:3:3", "--seed", "5"], capsys)
     assert rc == EXIT_OK
     assert "bookkeeping ok" in out
+
+
+def test_appendix_fail_lines_replay_the_subset(capsys):
+    rc, out, err = run(
+        ["verify", "--suite", "appendix", "--manifold", "square-grid:3", "--seed", "2"],
+        capsys,
+    )
+    assert rc == EXIT_FAIL and err == ""
+    assert out == (
+        "FAIL complex fails genericity validation\n"
+        "FAIL subset boundary not a manifold (trial 3 of 100, top cells 0x159)\n"
+        "FAIL subset boundary not a manifold (trial 5 of 100, top cells 0x1d5)\n"
+        "FAIL subset boundary not a manifold (trial 7 of 100, top cells 0x109)\n"
+        "FAIL subset boundary not a manifold (trial 9 of 100, top cells 0x1dc)\n"
+        "FAIL subset boundary not a manifold (trial 10 of 100, top cells 0x1ea)\n"
+        "FAIL subset boundary not a manifold (trial 13 of 100, top cells 0x166)\n"
+        "FAIL subset boundary not a manifold (trial 15 of 100, top cells 0x33)\n"
+        "FAIL subset boundary not a manifold (trial 17 of 100, top cells 0xc6)\n"
+        "FAIL subset boundary not a manifold (trial 18 of 100, top cells 0x129)\n"
+    )
+
+
+def test_balloon_fail_lines_replay_the_pair(monkeypatch, capsys):
+    monkeypatch.setattr(
+        op_mod, "semichar_delta_check", lambda c, l, alpha: op_mod.DeltaCheck(False, 0, 1)
+    )
+    rc, out, _ = run(["verify", "--suite", "balloon", "--manifold", "sphere:3", "--seed", "3"],
+                     capsys)
+    assert rc == EXIT_FAIL
+    # the trials draw their pairs in order from the seeded generator
+    c = build_manifold("sphere:3", None, 3)
+    rng = random.Random(3)
+    reps = model_mod.sector_reps(c).reps
+    expected = []
+    for trial in range(1, 11):
+        balloon, alpha = op_mod.sample_clean_pair(c, rng, reps)
+        expected.append(
+            f"FAIL bookkeeping identity failed (trial {trial} of 50, "
+            f"support {balloon.support.bits:#x}, state {alpha.bits:#x})"
+        )
+    assert out.splitlines() == expected
 
 
 def test_usage_errors(capsys):

@@ -1,25 +1,198 @@
 """Face-poset machinery: duals, validation, subcomplexes, persistence."""
 
+import itertools
 import random
+from typing import Dict, Iterable, List, Tuple
 
 import pytest
 
 from gdslab.complexes import (
     CellComplex,
+    CellKey,
     Chain,
+    DisjointSet,
     Triangulation,
     closed_subcomplex,
     dual_of_triangulation,
-    resolve_union,
+    is_embedded_union,
     subset_boundary_manifold_check,
     validate_generic,
 )
+from gdslab.f2 import _set_bits
 from gdslab.manifolds import (
+    builtin_manifold,
     freudenthal_torus,
     projective_plane,
     simplex_boundary,
     square_grid_torus,
 )
+from gdslab.model import sector_reps
+from gdslab.operators import random_sparse_cycle
+
+
+def resolve_union(c: CellComplex, k: int, cells: Iterable[int]) -> CellComplex:
+    """Normalization of a union of k-cells: tangential touchings split apart.
+
+    Cells of the result are (cell, sheet) pairs, where the sheets at a face
+    are the components of the incident k-cells under codimension-1 adjacency.
+    Two k-cells count as locally connected at a face only when they share a
+    (k-1)-cell containing it, which is exactly the perturbed picture of a
+    union of closed cells.
+
+    Oracle for `is_embedded_union`: the union is embedded iff its
+    normalization has as many cells as its closure.
+    """
+    tops = sorted(set(cells))
+    containing: Dict[CellKey, List[int]] = {}
+    for f in tops:
+        for key in c.closure_of_cell(k, f):
+            containing.setdefault(key, []).append(f)
+    ridge_members: Dict[CellKey, List[int]] = {
+        key: mem for key, mem in containing.items() if key[0] == k - 1
+    }
+    touches: Dict[CellKey, List[CellKey]] = {}
+    for ridge in ridge_members:
+        for key in c.closure_of_cell(*ridge):
+            touches.setdefault(key, []).append(ridge)
+    # sheet index per (cell, top): components under adjacency through ridges
+    sheet_of: Dict[CellKey, Dict[int, int]] = {}
+    for key, members in containing.items():
+        sheets = DisjointSet(members)
+        for ridge in touches.get(key, []):
+            mem = ridge_members[ridge]
+            for other in mem[1:]:
+                sheets.union(mem[0], other)
+        roots = sorted({sheets.find(f) for f in members})
+        root_index = {r: i for i, r in enumerate(roots)}
+        sheet_of[key] = {f: root_index[sheets.find(f)] for f in members}
+    new_ids: Dict[Tuple[CellKey, int], int] = {}
+    per_dim: List[List[Tuple[CellKey, int]]] = [[] for _ in range(k + 1)]
+    for key in sorted(containing):
+        for sheet in sorted(set(sheet_of[key].values())):
+            new_ids[(key, sheet)] = len(per_dim[key[0]])
+            per_dim[key[0]].append((key, sheet))
+    faces: List[List[Tuple[int, ...]]] = [[] for _ in range(k + 1)]
+    for dim in range(k + 1):
+        for key, sheet in per_dim[dim]:
+            if dim == 0:
+                faces[0].append(())
+                continue
+            rep = next(f for f, s in sheet_of[key].items() if s == sheet)
+            fl = []
+            for fid in c.faces(*key):
+                face_key = (dim - 1, fid)
+                fl.append(new_ids[(face_key, sheet_of[face_key][rep])])
+            faces[dim].append(tuple(fl))
+    return CellComplex(
+        k,
+        faces,
+        provenance=f"resolved-union-of-{c.provenance}",
+        meta={"source_cells": [key for key, _ in per_dim[k]]},
+    )
+
+
+def resolved_counts_match_closure(c: CellComplex, k: int, cells: List[int]) -> bool:
+    """The oracle's embeddedness: normalizing the union splits nothing."""
+    if not cells:
+        return True
+    counts = [0] * (k + 1)
+    for dim, _ in c.closure((k, i) for i in cells):
+        counts[dim] += 1
+    return list(resolve_union(c, k, cells).cell_counts) == counts
+
+
+def subset_boundary_link_walk(c: CellComplex, top_cells: Iterable[int]) -> bool:
+    """Oracle for `subset_boundary_manifold_check`: the same counts, with the
+    d = 3 vertex links walked over every edge through each vertex and joined
+    by their own union-find."""
+    d = c.dim
+    if d > 3:
+        raise NotImplementedError("link checks implemented for dimension <= 3")
+    tset = set(top_cells)
+    boundary_cells = [
+        i
+        for i in range(c.n_cells(d - 1))
+        if sum(1 for cf in c.cofaces(d - 1, i) if cf in tset) == 1
+    ]
+    if not boundary_cells:
+        return True
+    bset = set(boundary_cells)
+    closure = c.closure((d - 1, i) for i in boundary_cells)
+    if d >= 2:
+        # every (d-2)-cell of the boundary must sit in exactly 2 boundary cells
+        for k, i in closure:
+            if k != d - 2:
+                continue
+            n = sum(1 for cf in c.cofaces(d - 2, i) if cf in bset)
+            if n != 2:
+                return False
+    if d == 3:
+        # vertex links inside the boundary surface must be single circles
+        for k, v in closure:
+            if k != 0:
+                continue
+            incident = [
+                f
+                for f in bset
+                if (0, v) in c.closure_of_cell(2, f)
+            ]
+            edges_at_v = {
+                e
+                for e in range(c.n_cells(1))
+                if (0, v) in c.closure_of_cell(1, e)
+            }
+            link = DisjointSet(incident)
+            degree = {f: 0 for f in incident}
+            for e in edges_at_v:
+                sharing = [f for f in incident if e in c.faces(2, f)]
+                if len(sharing) == 2:
+                    a, b = sharing
+                    degree[a] += 1
+                    degree[b] += 1
+                    link.union(a, b)
+                elif len(sharing) > 2:
+                    return False
+            if any(deg != 2 for deg in degree.values()):
+                return False
+            if len({link.find(f) for f in incident}) != 1:
+                return False
+    return True
+
+
+def cubical_torus3(n: int = 3) -> CellComplex:
+    """The cubical 3-torus with n^3 cubes: six edges at every vertex, so it
+    is not generic. Cube (x, y, z) has id 9x + 3y + z for n = 3."""
+    points = list(itertools.product(range(n), repeat=3))
+
+    def idx(p):
+        return sum((p[a] % n) * n ** (2 - a) for a in range(3))
+
+    def step(p, a):
+        return tuple(x + (i == a) for i, x in enumerate(p))
+
+    def edge(p, a):
+        return a * n ** 3 + idx(p)
+
+    planes = [(0, 1), (0, 2), (1, 2)]
+
+    def square(p, plane):
+        return plane * n ** 3 + idx(p)
+
+    edges = [(idx(p), idx(step(p, a))) for a in range(3) for p in points]
+    squares = [
+        (edge(p, a), edge(step(p, b), a), edge(p, b), edge(step(p, a), b))
+        for a, b in planes
+        for p in points
+    ]
+    cubes = [
+        tuple(
+            sq
+            for plane, (a, b) in enumerate(planes)
+            for sq in (square(p, plane), square(step(p, 3 - a - b), plane))
+        )
+        for p in points
+    ]
+    return CellComplex(3, [[()] * n ** 3, edges, squares, cubes], provenance="cubical")
 
 
 def test_tetrahedron_dual_counts(sphere2):
@@ -230,3 +403,89 @@ def test_subset_boundary_random_voronoi(voronoi2, voronoi3):
         for _ in range(50):
             subset = rng.sample(range(n), rng.randint(1, n - 1))
             assert subset_boundary_manifold_check(c, subset)
+
+
+EMBEDDING_SPECS = [
+    ("sphere", 2), ("sphere", 3), ("sphere", 4), ("torus", 3, 3), ("torus", 3, 4),
+    ("tP", 3), ("klein",), ("genus", 2), ("torus", 2, 3),
+]
+
+
+@pytest.mark.parametrize("spec", EMBEDDING_SPECS, ids=lambda s: ":".join(map(str, s)))
+def test_is_embedded_union_matches_resolved_counts(spec):
+    c = builtin_manifold(*spec)
+    k = c.dim - 1
+    n = c.n_cells(k)
+    reps = sector_reps(c).reps
+    rng = random.Random(11)
+    outcomes = []
+    for _ in range(40):
+        unions = [rng.sample(range(n), rng.randint(1, min(n, 6)))]
+        # a cycle support and the three overlap pieces of a cycle pair
+        l_bits = random_sparse_cycle(c, rng, reps=reps).bits
+        a_bits = random_sparse_cycle(c, rng, reps=reps).bits
+        for bits in (l_bits, l_bits & ~a_bits, l_bits & a_bits, a_bits & ~l_bits):
+            unions.append(_set_bits(bits))
+        for cells in unions:
+            expected = resolved_counts_match_closure(c, k, cells)
+            assert is_embedded_union(c, k, cells) == expected, (spec, cells)
+            outcomes.append(expected)
+    assert True in outcomes
+    if c.dim >= 3:
+        assert False in outcomes  # tangential touchings occur and are caught
+
+
+def test_is_embedded_union_tangent_wedge():
+    sq = square_grid_torus(3)
+    assert not is_embedded_union(sq, 2, [0, 4])  # squares meeting at a corner
+    assert is_embedded_union(sq, 2, [0, 1])      # squares sharing an edge
+    assert is_embedded_union(sq, 2, [])
+
+
+def test_cubical_torus3_is_a_closed_3_manifold():
+    cube = cubical_torus3()
+    assert cube.cell_counts == (27, 81, 81, 27)
+    assert cube.euler_characteristic() == 0
+    for k in range(2, 4):
+        assert not any(cube.incidence(k).matmul(cube.incidence(k - 1)).data)
+    assert all(len(cube.cofaces(2, i)) == 2 for i in range(81))
+    assert not validate_generic(cube).passed
+
+
+def test_subset_boundary_corner_touching_cubes():
+    cube = cubical_torus3()
+    # cubes (0,0,0) and (1,1,1) share one corner, whose link is two circles
+    assert subset_boundary_link_walk(cube, [0, 13]) is False
+    assert subset_boundary_manifold_check(cube, [0, 13]) is False
+    assert subset_boundary_manifold_check(cube, [0])
+    assert subset_boundary_manifold_check(cube, [0, 1])  # sharing a square
+
+
+@pytest.mark.parametrize("boundary,expected", [
+    ([(0, 1), (0, 1)], True),                   # two bigons: a 2-sphere
+    ([(0, 1, 2, 3), (0, 1, 2, 3)], False),      # figure eights, pinched at v
+    ([(0, 1, 4, 4), (0, 1)], True),             # a loop edge folded into one face
+])
+def test_subset_boundary_edges_through_a_vertex(boundary, expected):
+    # one 3-cell bounded by two 2-cells; edges 0, 1 run v-a-v, edges 2, 3
+    # run v-b-v and edge 4 is a loop at v (vertices v, a, b = 0, 1, 2)
+    edges = [(0, 1), (1, 0), (0, 2), (2, 0), (0, 0)]
+    c = CellComplex(3, [[()] * 3, edges, boundary, [(0, 1)]])
+    assert subset_boundary_link_walk(c, [0]) is expected
+    assert subset_boundary_manifold_check(c, [0]) is expected
+
+
+def test_subset_boundary_matches_link_walk(voronoi2, voronoi3, torus3, sphere3):
+    rng = random.Random(21)
+    cube = cubical_torus3()
+    for c, trials in ((cube, 150), (voronoi3, 40), (torus3, 40), (sphere3, 20),
+                      (voronoi2, 20), (square_grid_torus(3), 40)):
+        n = c.n_cells(c.dim)
+        outcomes = []
+        for _ in range(trials):
+            subset = rng.sample(range(n), rng.randint(1, n - 1))
+            expected = subset_boundary_link_walk(c, subset)
+            assert subset_boundary_manifold_check(c, subset) == expected, subset
+            outcomes.append(expected)
+        if c is cube:
+            assert True in outcomes and False in outcomes

@@ -386,6 +386,21 @@ def test_open_balloon_guards(sphere4, torus3):
         )
 
 
+def test_open_balloon_rejects_non_embedded_support(sphere4):
+    # two 3-cells whose closures meet in cells but share no 2-cell touch
+    # tangentially, so their union is not embedded
+    def tangent(a, b):
+        shared = sphere4.closure_of_cell(3, a) & sphere4.closure_of_cell(3, b)
+        return shared and not set(sphere4.faces(3, a)) & set(sphere4.faces(3, b))
+
+    a, b = next(
+        (a, b) for a in range(15) for b in range(a + 1, 15) if tangent(a, b)
+    )
+    support = Balloon(Chain.from_cells(sphere4, 3, [a, b]), closed=False)
+    with pytest.raises(TangentialOverlapError, match="open balloon support is not embedded"):
+        open_balloon_apply(sphere4, support, Chain.empty(sphere4, 3))
+
+
 def test_balloon_dual_loop_commutation(torus2):
     rng = random.Random(8)
     h_cells, _ = torus_dual_loops(torus2)
