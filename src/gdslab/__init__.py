@@ -14,7 +14,20 @@ from .homology import betti, homology_sector_reps, semicharacteristic, two_sided
 from .manifolds import builtin_manifold, square_grid_torus
 from .model import GDS, GTC, flip, ground_degeneracy, sweep_sign
 from .phases import Phase
-from .voronoi import GeneralPositionError, PointSet, torus_voronoi
+
+# `voronoi` imports scipy, which costs more than the rest of the package;
+# its names resolve on first use (PEP 562) so other commands never load it.
+_VORONOI_NAMES = frozenset({"GeneralPositionError", "PointSet", "torus_voronoi"})
+
+
+def __getattr__(name):
+    # Not cached in these globals: every access returns what `voronoi`
+    # binds at that moment, also while perfbench/tracing.py wraps it.
+    if name in _VORONOI_NAMES:
+        from . import voronoi
+
+        return getattr(voronoi, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CellComplex",

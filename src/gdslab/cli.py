@@ -9,14 +9,12 @@ import sys
 from typing import Callable, Dict, List, Optional, Sequence
 
 from . import circuit as circuit_mod
-from . import ed as ed_mod
 from . import model as model_mod
 from . import operators as op_mod
 from . import wavefunction as wf_mod
 from .complexes import CellComplex, subset_boundary_manifold_check, validate_generic
 from .homology import betti, two_sidedness_d2
 from .manifolds import builtin_manifold, square_grid_torus
-from .voronoi import PointSet, torus_voronoi
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -60,6 +58,8 @@ def build_manifold(spec: str, points: Optional[int], seed: Optional[int]) -> Cel
     if name == "torus-voronoi":
         if seed is None:
             raise ValueError("torus-voronoi requires --seed for reproducibility")
+        from .voronoi import PointSet, torus_voronoi  # loads scipy
+
         n = points if points is not None else (25 if params[0] == 2 else 14)
         return torus_voronoi(params[0], PointSet.random(params[0], n, seed))
     if name == "square-grid":
@@ -136,6 +136,8 @@ def _cmd_circuit(args) -> int:
 
 
 def _cmd_ed(args) -> int:
+    from . import ed as ed_mod  # loads numpy
+
     c = build_manifold(args.manifold, args.points, args.seed)
     energy, deg = ed_mod.ground_degeneracy_ed(c, args.model, args.variant)
     _emit(f"energy {energy:g} degeneracy {deg}\n", args.out)
@@ -277,8 +279,12 @@ def _cmd_verify(args) -> int:
     rng = random.Random(args.seed or 0)
     problems = SUITES[args.suite](c, rng)
     if problems:
-        for p in problems[:10]:
+        shown = 10
+        for p in problems[:shown]:
             print(f"FAIL {p}")
+        if len(problems) > shown:
+            print(f"FAIL ... and {len(problems) - shown} more "
+                  f"({len(problems)} problems in total)")
         return EXIT_FAIL
     print("ok")
     return EXIT_OK

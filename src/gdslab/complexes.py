@@ -179,6 +179,9 @@ class CellComplex:
         self._chi_tables: Dict[int, tuple] = {}
         # reduced boundary spaces, kept by homology.boundary_space
         self._boundary_spaces: Dict[int, Subspace] = {}
+        # ((support bits, state bits), pieces) of the latest pair, kept by
+        # operators.overlap_pieces: one balloon trial asks three times
+        self._overlap_pieces: tuple | None = None
         self._vertex_roots: Tuple[int, ...] | None = None
         self._n_components = 0
 

@@ -61,7 +61,7 @@ class TangentialOverlapError(ValueError):
     assigned on the unrefined complex."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class OverlapPieces:
     """Support-only, shared, and state-only parts of a balloon application."""
 
@@ -80,8 +80,11 @@ def overlap_pieces(c: CellComplex, l_bits: int, a_bits: int) -> OverlapPieces:
     Clean means: the support-only, shared, and state-only pieces are each
     embedded, and all pairwise closures meet exactly in the boundary of the
     shared piece, so the Euler/Betti bookkeeping of the continuum picture
-    applies verbatim.
+    applies verbatim. The pieces of the latest pair are kept on `c`.
     """
+    key = (l_bits, a_bits)
+    if c._overlap_pieces is not None and c._overlap_pieces[0] == key:
+        return c._overlap_pieces[1]
     d1 = c.dim - 1
     b_bits = l_bits & a_bits
     a_bits_only = l_bits & ~a_bits
@@ -104,7 +107,7 @@ def overlap_pieces(c: CellComplex, l_bits: int, a_bits: int) -> OverlapPieces:
         and is_embedded_union(c, d1, _set_bits(b_bits))
         and is_embedded_union(c, d1, _set_bits(c_bits_only))
     )
-    return OverlapPieces(
+    pieces = OverlapPieces(
         a_bits_only,
         b_bits,
         c_bits_only,
@@ -113,6 +116,8 @@ def overlap_pieces(c: CellComplex, l_bits: int, a_bits: int) -> OverlapPieces:
         c.chi_of_cells(m_cells),
         m_cells,
     )
+    c._overlap_pieces = (key, pieces)
+    return pieces
 
 
 def balloon_sign(c: CellComplex, l: Balloon, alpha: Chain) -> Phase:

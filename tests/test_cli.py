@@ -207,6 +207,7 @@ def test_appendix_fail_lines_replay_the_subset(capsys):
         "FAIL subset boundary not a manifold (trial 15 of 100, top cells 0x33)\n"
         "FAIL subset boundary not a manifold (trial 17 of 100, top cells 0xc6)\n"
         "FAIL subset boundary not a manifold (trial 18 of 100, top cells 0x129)\n"
+        "FAIL ... and 28 more (38 problems in total)\n"
     )
 
 
@@ -228,6 +229,7 @@ def test_balloon_fail_lines_replay_the_pair(monkeypatch, capsys):
             f"FAIL bookkeeping identity failed (trial {trial} of 50, "
             f"support {balloon.support.bits:#x}, state {alpha.bits:#x})"
         )
+    expected.append("FAIL ... and 40 more (50 problems in total)")
     assert out.splitlines() == expected
 
 

@@ -1,0 +1,91 @@
+"""gdslab stays pure Python until a command needs numpy or scipy: only
+`torus-voronoi:*` specs load scipy, and only `ed` loads numpy."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gdslab
+from gdslab import voronoi
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+HEAVY = ("numpy", "scipy", "scipy.spatial")
+
+# Runs `python -m gdslab ARGV...` in the same interpreter as the report that
+# follows it, and fails on a non-zero exit code.
+RUN_CLI = """
+import runpy, sys
+sys.argv = ["gdslab", *{argv!r}]
+try:
+    runpy.run_module("gdslab", run_name="__main__")
+except SystemExit as exc:
+    if exc.code:
+        raise
+"""
+
+
+def _loaded_after(code: str):
+    """Run `code` in a fresh interpreter and return (stdout lines before the
+    report, heavy modules it loaded)."""
+    report = f"\nimport json, sys\nprint(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", code + report],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *out, last = proc.stdout.splitlines()
+    return out, set(json.loads(last))
+
+
+def test_cli_import_loads_neither_numpy_nor_scipy():
+    _, loaded = _loaded_after("import gdslab.cli")
+    assert loaded == set()
+
+
+def test_gsd_loads_neither_numpy_nor_scipy():
+    out, loaded = _loaded_after(RUN_CLI.format(argv=["gsd", "--model", "gds", "--manifold", "tP:3"]))
+    assert out == ["4"]
+    assert loaded == set()
+
+
+def test_ed_loads_numpy_but_not_scipy_spatial():
+    out, loaded = _loaded_after(
+        RUN_CLI.format(argv=["ed", "--variant", "projected", "--manifold", "sphere:2"])
+    )
+    assert out == ["energy 0 degeneracy 1"]
+    assert "numpy" in loaded and "scipy.spatial" not in loaded
+
+
+def test_voronoi_names_resolve_on_first_access():
+    out, loaded = _loaded_after(
+        "import sys, gdslab\n"
+        "print('gdslab.voronoi' in sys.modules)\n"
+        "from gdslab import torus_voronoi\n"
+        "print(torus_voronoi is sys.modules['gdslab.voronoi'].torus_voronoi)\n"
+    )
+    assert out == ["False", "True"]
+    assert "scipy.spatial" in loaded
+    assert gdslab.torus_voronoi is voronoi.torus_voronoi
+    assert gdslab.PointSet is voronoi.PointSet
+    assert gdslab.GeneralPositionError is voronoi.GeneralPositionError
+
+
+def test_star_import_binds_every_public_name():
+    out, _ = _loaded_after(
+        "import gdslab\n"
+        "from gdslab import *\n"
+        "print(sorted(n for n in gdslab.__all__ if n not in globals()))\n"
+    )
+    assert out == ["[]"]
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="nonexistent"):
+        gdslab.nonexistent
+    assert not hasattr(gdslab, "nonexistent")

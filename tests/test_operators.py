@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from gdslab import operators as op_mod
 from gdslab.complexes import Chain, dual_of_triangulation
 from gdslab.homology import _loop_components
 from gdslab.manifolds import (
     barycentric_subdivision,
+    builtin_manifold,
     simplex_boundary,
     torus_dual_loops,
 )
@@ -103,6 +105,28 @@ def test_balloon_tangential_overlap_raises(torus3):
         if raised >= 3:
             break
     assert raised >= 1
+
+
+def test_overlap_pieces_of_one_trial_are_computed_once(torus3, monkeypatch):
+    calls = []
+    real = op_mod.is_embedded_union
+    monkeypatch.setattr(op_mod, "is_embedded_union", lambda *a: calls.append(a) or real(*a))
+    rng = random.Random(5)
+    reps = sector_reps(torus3).reps
+    for _ in range(10):
+        L, alpha = sample_clean_pair(torus3, rng, reps)
+        pieces = overlap_pieces(torus3, L.support.bits, alpha.bits)
+        calls.clear()
+        apply_balloon(torus3, L, alpha)
+        assert semichar_delta_check(torus3, L, alpha).holds
+        assert overlap_pieces(torus3, L.support.bits, alpha.bits) is pieces
+        assert not calls
+        # the kept pieces equal a computation on a complex that kept nothing
+        assert pieces == overlap_pieces(builtin_manifold("torus", 3, 3), L.support.bits, alpha.bits)
+    # a new pair replaces the kept one
+    calls.clear()
+    swapped = overlap_pieces(torus3, alpha.bits, L.support.bits)
+    assert swapped is not pieces and calls
 
 
 def test_balloon_even_dimension_needs_tag(torus3, sphere4, torus2):
