@@ -1,15 +1,17 @@
 """Local phase circuit conjugating the semion model to the toric code (odd d).
 
-One gate per cell of dimension below d; a gate fires on a basis state when its
-cell lies in the closure of the up-set, contributing +i for even-dimensional
-cells and -i for odd.  The product telescopes to i to the Euler characteristic.
+One gate per cell of dimension below d.  Its support is the bitmask of the
+(d-1)-cells whose closure holds the cell, so it fires on a basis state iff
+`support & state.bits` is nonzero: its cell lies in the closure of the up-set.
+A firing gate gives +i for an even-dimensional cell and -i for an odd one, so
+the phase is i to (#even - #odd firing gates); it telescopes to i^chi.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .complexes import CellComplex, Chain, ensure_validated
 from .model import GDS, flip, random_cycle
@@ -20,11 +22,7 @@ from .phases import ONE, Phase
 class PhaseGate:
     dim: int
     cell: int
-    support: FrozenSet[int]   # (d-1)-cells whose state the gate reads
-    phase_if_present: Phase   # +i for even dim, -i for odd
-
-    def fires(self, state: Chain) -> bool:
-        return any(state.contains(f) for f in self.support)
+    support: int   # bitmask of the (d-1)-cells whose closure holds the cell
 
 
 def build_gates(c: CellComplex) -> List[PhaseGate]:
@@ -32,27 +30,18 @@ def build_gates(c: CellComplex) -> List[PhaseGate]:
         raise ValueError("the conjugating circuit exists in odd dimension")
     ensure_validated(c)
     d = c.dim
-    support: Dict[Tuple[int, int], set] = {}
+    support: Dict[Tuple[int, int], int] = {}
     for f in range(c.n_cells(d - 1)):
         for key in c.closure_of_cell(d - 1, f):
-            support.setdefault(key, set()).add(f)
-    gates = []
-    for j in range(d):
-        phase = Phase.i_power(1 if j % 2 == 0 else -1)
-        for i in range(c.n_cells(j)):
-            gates.append(
-                PhaseGate(j, i, frozenset(support.get((j, i), ())), phase)
-            )
-    return gates
+            support[key] = support.get(key, 0) | 1 << f
+    return [PhaseGate(j, i, support.get((j, i), 0))
+            for j in range(d) for i in range(c.n_cells(j))]
 
 
 def circuit_phase(gates: Sequence[PhaseGate], state: Chain) -> Phase:
     """Product of all firing gates, evaluated gate by gate."""
-    total = ONE
-    for g in gates:
-        if g.fires(state):
-            total = total * g.phase_if_present
-    return total
+    bits = state.bits
+    return Phase.i_power(sum(-1 if g.dim % 2 else 1 for g in gates if g.support & bits))
 
 
 @dataclass
@@ -72,34 +61,41 @@ class Schedule:
 def schedule(gates: Sequence[PhaseGate]) -> Schedule:
     """Greedy conflict coloring: gates with disjoint supports share a round.
 
-    Gates are processed per dimension in id order, so the result is a pure
-    function of the complex; the depth is bounded by one plus the largest
-    number of gates any single qubit supports, hence by local geometry only.
+    Each round keeps the OR of its gates' supports, and each gate, in order,
+    joins the first round whose mask misses its support.  A mask meets the
+    support iff a gate of that round shares a qubit, so each gate gets the
+    least color no conflicting earlier gate holds.  Gates come per dimension
+    in id order, so the result is a pure function of the complex; the depth is
+    bounded by one plus the largest number of gates any single qubit
+    supports, hence by local geometry only.
     """
-    by_qubit: Dict[int, List[int]] = {}
+    masks: List[int] = []
+    rounds: List[List[int]] = []
     for idx, g in enumerate(gates):
-        for f in g.support:
-            by_qubit.setdefault(f, []).append(idx)
-    color: Dict[int, int] = {}
-    n_colors = 0
-    for idx, g in enumerate(gates):
-        used = set()
-        for f in g.support:
-            for other in by_qubit[f]:
-                if other in color:
-                    used.add(color[other])
-        c0 = 0
-        while c0 in used:
-            c0 += 1
-        color[idx] = c0
-        n_colors = max(n_colors, c0 + 1)
-    rounds = [[] for _ in range(n_colors)]
-    for idx in range(len(gates)):
-        rounds[color[idx]].append(idx)
+        r = next((k for k, m in enumerate(masks) if not m & g.support), len(masks))
+        if r == len(masks):
+            masks.append(0)
+            rounds.append([])
+        masks[r] |= g.support
+        rounds[r].append(idx)
     return Schedule(rounds)
 
 
-def verify_conjugation(c: CellComplex, n_states: int = 20, seed: int = 0) -> bool:
+@dataclass(frozen=True)
+class ConjugationReport:
+    """Falsy on failure, naming the first failing flip: its trial (1-based),
+    the bits of the state before it and the flipped top cell."""
+
+    ok: bool
+    trial: int = 0
+    state: int = 0
+    cell: int = 0
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def verify_conjugation(c: CellComplex, n_states: int = 20, seed: int = 0) -> ConjugationReport:
     """Check that conjugating a flip by the phase circuit cancels its sign.
 
     For every top cell and sampled cycle states: the circuit phase after the
@@ -110,12 +106,12 @@ def verify_conjugation(c: CellComplex, n_states: int = 20, seed: int = 0) -> boo
         raise ValueError("the conjugating circuit exists in odd dimension")
     gates = build_gates(c)
     rng = random.Random(seed)
-    for _ in range(n_states):
+    for trial in range(1, n_states + 1):
         state = random_cycle(c, rng)
         before = circuit_phase(gates, state)
         for cell in range(c.n_cells(c.dim)):
             after_state, sf = flip(c, cell, state, GDS)
             after = circuit_phase(gates, after_state)
             if after * Phase.from_sign(sf.phase) * before.conj() != ONE:
-                return False
-    return True
+                return ConjugationReport(False, trial, state.bits, cell)
+    return ConjugationReport(True)

@@ -52,7 +52,7 @@ def build_manifold(spec: str, points: Optional[int], seed: Optional[int]) -> Cel
         raise ValueError(f"unknown manifold name: {name}")
     least, most, usage = _SPEC_FORMS[name]
     ok = least <= len(params) <= most and all(p.removeprefix("-").isdecimal() for p in params)
-    if not ok or (name == "sphere" and int(params[0]) < 1):
+    if not ok or (name in ("sphere", "torus") and int(params[0]) < 1):
         raise ValueError(usage)
     params = [int(p) for p in params]
     if name == "torus-voronoi":
@@ -89,7 +89,11 @@ def _cmd_validate(args) -> int:
     c = build_manifold(args.manifold, args.points, args.seed)
     report = validate_generic(c)
     lines = ["pass" if report.passed else "FAIL"]
-    lines += [f"  {v}" for v in report.violations[:20]]
+    shown = 20
+    lines += [f"  {v}" for v in report.violations[:shown]]
+    if len(report.violations) > shown:
+        lines.append(f"  ... and {len(report.violations) - shown} more "
+                     f"({len(report.violations)} violations in total)")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if report.passed else EXIT_FAIL
 
@@ -158,14 +162,16 @@ def _cmd_balloon(args) -> int:
 
 def _suite_commutation(c: CellComplex, rng: random.Random) -> List[str]:
     problems = []
-    for _ in range(200):
+    trials = 200
+    for trial in range(1, trials + 1):
         s = model_mod.random_cycle(c, rng)
         c1 = rng.randrange(c.n_cells(c.dim))
         c2 = rng.randrange(c.n_cells(c.dim))
+        witness = f"(trial {trial} of {trials}, state {s.bits:#x})"
         if not model_mod.verify_commutation(c, c1, c2, s):
-            problems.append(f"commutation fails at cells {c1},{c2}")
+            problems.append(f"commutation fails at cells {c1},{c2} {witness}")
         if not model_mod.verify_projector(c, c1, s):
-            problems.append(f"projector fails at cell {c1}")
+            problems.append(f"projector fails at cell {c1} {witness}")
     return problems
 
 
@@ -229,9 +235,12 @@ def _suite_appendix(c: CellComplex, rng: random.Random) -> List[str]:
 
 
 def _suite_circuit(c: CellComplex, rng: random.Random) -> List[str]:
-    if circuit_mod.verify_conjugation(c, n_states=20, seed=rng.randrange(1 << 30)):
+    trials = 20
+    report = circuit_mod.verify_conjugation(c, n_states=trials, seed=rng.randrange(1 << 30))
+    if report:
         return []
-    return ["circuit conjugation failed"]
+    return [f"circuit conjugation fails at top cell {report.cell} "
+            f"(trial {report.trial} of {trials}, state {report.state:#x})"]
 
 
 def _suite_balloon(c: CellComplex, rng: random.Random) -> List[str]:

@@ -120,6 +120,8 @@ class TableRow:
 def ds_tc_dimension_table(t_max: int) -> List[TableRow]:
     """Ground-space dimensions of both models on connected sums of projective
     planes, computed by the sector sweep."""
+    if t_max < 1:
+        raise ValueError(f"table needs t_max >= 1, got {t_max}")
     if t_max > 6:
         raise ValueError("table guard: t_max must be at most 6")
     rows = []

@@ -6,19 +6,24 @@ import pytest
 
 from gdslab.complexes import Chain
 from gdslab.circuit import build_gates, circuit_phase, schedule, verify_conjugation
+from gdslab.f2 import _set_bits
 from gdslab.manifolds import builtin_manifold
 from gdslab.model import random_cycle
 from gdslab.phases import I, MINUS_I, MINUS_ONE, ONE, Phase
+from gdslab.voronoi import PointSet, torus_voronoi
 
 
 def test_gate_census(torus3):
     gates = build_gates(torus3)
     expected = sum(torus3.n_cells(k) for k in range(3))
     assert len(gates) == expected
+    d = torus3.dim
     for g in gates:
-        if g.dim == torus3.dim - 1:
-            assert g.support == frozenset({g.cell})
-        assert g.phase_if_present == (I if g.dim % 2 == 0 else MINUS_I)
+        if g.dim == d - 1:
+            assert g.support == 1 << g.cell
+        # a lone gate fires on its own support with +i (even dim) or -i (odd)
+        alone = circuit_phase([g], Chain(torus3, d - 1, g.support))
+        assert alone == (I if g.dim % 2 == 0 else MINUS_I)
 
 
 def test_circuit_phase_examples(torus3):
@@ -62,11 +67,50 @@ def test_schedule_depth_bounded_by_local_geometry(torus3):
     sched = schedule(gates)
     per_qubit = {}
     for g in gates:
-        for f in g.support:
+        for f in _set_bits(g.support):
             per_qubit[f] = per_qubit.get(f, 0) + 1
     max_conflicts = max(per_qubit.values())
     # greedy coloring never needs more colors than the largest clique bound
     assert sched.depth <= 2 * max_conflicts
+
+
+def greedy_conflict_coloring(gates):
+    """Independent oracle for `schedule`: color each gate, in order, with the
+    least color that no earlier gate sharing one of its qubits holds."""
+    by_qubit = {}
+    for idx, g in enumerate(gates):
+        for f in _set_bits(g.support):
+            by_qubit.setdefault(f, []).append(idx)
+    color = {}
+    n_colors = 0
+    for idx, g in enumerate(gates):
+        used = set()
+        for f in _set_bits(g.support):
+            for other in by_qubit[f]:
+                if other in color:
+                    used.add(color[other])
+        c0 = 0
+        while c0 in used:
+            c0 += 1
+        color[idx] = c0
+        n_colors = max(n_colors, c0 + 1)
+    rounds = [[] for _ in range(n_colors)]
+    for idx in range(len(gates)):
+        rounds[color[idx]].append(idx)
+    return rounds
+
+
+@pytest.mark.parametrize("make", [
+    lambda: builtin_manifold("sphere", 1),
+    lambda: builtin_manifold("sphere", 3),
+    lambda: builtin_manifold("torus", 3, 3),
+    lambda: builtin_manifold("torus", 3, 4),
+    lambda: builtin_manifold("torus", 3, 8),
+    lambda: torus_voronoi(3, PointSet.random(3, 100, seed=1)),
+], ids=["sphere:1", "sphere:3", "torus:3:3", "torus:3:4", "torus:3:8", "torus-voronoi:3"])
+def test_schedule_matches_greedy_coloring_oracle(make):
+    gates = build_gates(make())
+    assert schedule(gates).rounds == greedy_conflict_coloring(gates)
 
 
 def test_schedule_depth_matches_across_resolutions():
@@ -90,3 +134,4 @@ def test_schedule_export(tmp_path, sphere3):
 def test_conjugation(torus3, sphere3):
     assert verify_conjugation(torus3, n_states=20, seed=0)
     assert verify_conjugation(sphere3, n_states=50, seed=1)
+

@@ -10,6 +10,7 @@ import pytest
 
 import gdslab
 
+from gdslab import circuit as circuit_mod
 from gdslab import ed as ed_mod
 from gdslab import model as model_mod
 from gdslab import operators as op_mod
@@ -21,7 +22,8 @@ from gdslab.cli import (
     build_manifold,
     dispatch,
 )
-from gdslab.complexes import CellComplex
+from gdslab.complexes import CellComplex, Chain
+from gdslab.phases import ONE
 
 
 def run(argv, capsys):
@@ -60,6 +62,18 @@ def test_table_text_aligned(capsys):
     assert "dim_ds" in out and " 1/2" in out
 
 
+@pytest.mark.parametrize("tmax,message", [
+    ("0", "table needs t_max >= 1, got 0"),
+    ("-2", "table needs t_max >= 1, got -2"),
+    ("7", "table guard: t_max must be at most 6"),
+])
+def test_table_out_of_range_exits_2(capsys, tmax, message):
+    rc, out, err = run(["table-thm-a", "--tmax", tmax], capsys)
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_homology_output(capsys):
     rc, out, _ = run(["homology", "--manifold", "torus:2:3"], capsys)
     assert rc == EXIT_OK
@@ -71,6 +85,17 @@ def test_validate_pass_and_fail(capsys):
     assert rc == EXIT_OK and out.startswith("pass")
     rc, out, _ = run(["validate", "--manifold", "square-grid:2"], capsys)
     assert rc == EXIT_FAIL and out.startswith("FAIL")
+
+
+def test_validate_counts_the_violations_it_drops(capsys):
+    # every vertex of the 8x8 square grid has 4 cofaces; 20 of 64 are listed
+    rc, out, _ = run(["validate", "--manifold", "square-grid:8"], capsys)
+    assert rc == EXIT_FAIL
+    assert out.splitlines() == (
+        ["FAIL"]
+        + [f"  0-cell {v} has 4 cofaces, expected 3" for v in range(20)]
+        + ["  ... and 44 more (64 violations in total)"]
+    )
 
 
 def test_gen_roundtrip(tmp_path, capsys):
@@ -233,6 +258,40 @@ def test_balloon_fail_lines_replay_the_pair(monkeypatch, capsys):
     assert out.splitlines() == expected
 
 
+def test_commutation_fail_lines_replay_the_state(monkeypatch, capsys):
+    monkeypatch.setattr(model_mod, "verify_commutation", lambda c, c1, c2, s: False)
+    monkeypatch.setattr(model_mod, "verify_projector", lambda c, cell, s: False)
+    rc, out, _ = run(["verify", "--suite", "commutation", "--manifold", "sphere:3",
+                      "--seed", "3"], capsys)
+    assert rc == EXIT_FAIL
+    assert out.splitlines() == [
+        "FAIL commutation fails at cells 2,4 (trial 1 of 200, state 0x1e3)",
+        "FAIL projector fails at cell 2 (trial 1 of 200, state 0x1e3)",
+        "FAIL commutation fails at cells 4,0 (trial 2 of 200, state 0x1e3)",
+        "FAIL projector fails at cell 4 (trial 2 of 200, state 0x1e3)",
+        "FAIL commutation fails at cells 4,1 (trial 3 of 200, state 0x7e)",
+        "FAIL projector fails at cell 4 (trial 3 of 200, state 0x7e)",
+        "FAIL commutation fails at cells 4,4 (trial 4 of 200, state 0x1e3)",
+        "FAIL projector fails at cell 4 (trial 4 of 200, state 0x1e3)",
+        "FAIL commutation fails at cells 1,1 (trial 5 of 200, state 0x336)",
+        "FAIL projector fails at cell 1 (trial 5 of 200, state 0x336)",
+        "FAIL ... and 390 more (400 problems in total)",
+    ]
+
+
+def test_circuit_fail_line_replays_the_flip(monkeypatch, capsys):
+    # a circuit that never fires leaves each semion flip sign uncancelled, so
+    # the first flip with sign -1 fails the conjugation check
+    monkeypatch.setattr(circuit_mod, "circuit_phase", lambda gates, state: ONE)
+    rc, out, _ = run(["verify", "--suite", "circuit", "--manifold", "sphere:3",
+                      "--seed", "3"], capsys)
+    assert rc == EXIT_FAIL
+    assert out == "FAIL circuit conjugation fails at top cell 1 (trial 4 of 20, state 0x71)\n"
+    c = build_manifold("sphere:3", None, 3)
+    _, sf = model_mod.flip(c, 1, Chain(c, 2, 0x71), model_mod.GDS)
+    assert sf.phase == -1
+
+
 def test_usage_errors(capsys):
     rc, _, _ = run(["definitely-not-a-command"], capsys)
     assert rc == EXIT_USAGE
@@ -289,6 +348,9 @@ def test_degenerate_sphere_spec_exits_2(capsys, spec):
     ("genus:2.5", "genus:g needs an integer g, e.g. genus:2"),
     ("torus", "torus:d[:n] needs integers d and n, e.g. torus:3:4"),
     ("torus:3:4:5", "torus:d[:n] needs integers d and n, e.g. torus:3:4"),
+    ("torus:-1:3", "torus:d[:n] needs integers d and n, e.g. torus:3:4"),
+    ("torus:0", "torus:d[:n] needs integers d and n, e.g. torus:3:4"),
+    ("torus:0:4", "torus:d[:n] needs integers d and n, e.g. torus:3:4"),
     ("klein:3", "klein takes no parameters, e.g. klein"),
     ("torus-voronoi:2:9", "torus-voronoi:d needs an integer d, e.g. torus-voronoi:2"),
     ("torus-voronoi:two", "torus-voronoi:d needs an integer d, e.g. torus-voronoi:2"),
