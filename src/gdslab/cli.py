@@ -56,6 +56,8 @@ def build_manifold(spec: str, points: Optional[int], seed: Optional[int]) -> Cel
         raise ValueError(usage)
     params = [int(p) for p in params]
     if name == "torus-voronoi":
+        if params[0] not in (2, 3):
+            raise ValueError("torus-voronoi:d needs d = 2 or 3, e.g. torus-voronoi:2")
         if seed is None:
             raise ValueError("torus-voronoi requires --seed for reproducibility")
         from .voronoi import PointSet, torus_voronoi  # loads scipy

@@ -32,7 +32,8 @@ table entry lies in {-1, 0, 1, 2}.  Each caller tabulates each term once:
   matrix; its entries are sums of halves, so they are exact in float.  It is
   diagonalized densely for small spaces and is the `eigsh` operator otherwise.
 - `exact_zero_space` tabulates the plaquette terms on the cycle states only,
-  and finds the kernel of the restricted matrix by `Fraction` elimination.
+  and finds the kernel of twice the restricted matrix, an integer matrix, by
+  fraction-free elimination; only the kernel vectors are `Fraction`s.
 
 Everything that feeds an assertion is exact.  The numeric eigensolve is a
 smoke layer for the unprojected variant.
@@ -40,6 +41,7 @@ smoke layer for the unprojected variant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -187,13 +189,17 @@ def _cycle_states(c: CellComplex) -> List[int]:
     return sorted(states)
 
 
-def _rational_kernel(rows: List[Dict[int, Fraction]]) -> List[List[Fraction]]:
-    """Kernel basis of a square rational matrix, given as one {column: value}
-    dict of nonzero entries per row, by Gauss-Jordan elimination.
+def _rational_kernel(rows: List[Dict[int, int]]) -> List[List[Fraction]]:
+    """Kernel basis of a square integer matrix, given as one {column: value}
+    dict of nonzero entries per row, by fraction-free Gauss-Jordan elimination.
 
     Pivots are taken column by column from the first remaining row that has
-    the column, so the basis is the one dense elimination in that order gives;
-    a row update only touches the pivot row's nonzero columns.
+    the column.  Eliminating with a pivot p multiplies the target row by p
+    and then divides it by its content, so every row stays a nonzero integer
+    multiple of the row rational elimination in that order would hold.  The
+    pivots, and the reduced row echelon form read off at the end, are
+    therefore those of the rational elimination, and so is the basis.  A
+    row update only touches the pivot row's nonzero columns.
     """
     n = len(rows)
     work = [dict(r) for r in rows]
@@ -204,19 +210,24 @@ def _rational_kernel(rows: List[Dict[int, Fraction]]) -> List[List[Fraction]]:
         if sel is None:
             continue
         work[row], work[sel] = work[sel], work[row]
-        inv = 1 / work[row][col]
-        pivot = {j: v * inv for j, v in work[row].items()}
-        work[row] = pivot
+        pivot = work[row]
+        p = pivot[col]
         for r, target in enumerate(work):
             factor = target.get(col)
             if r == row or factor is None:
                 continue
+            for j in target:
+                target[j] *= p
             for j, v in pivot.items():
                 new = target.get(j, 0) - factor * v
                 if new:
                     target[j] = new
                 else:
-                    target.pop(j, None)
+                    del target[j]
+            content = math.gcd(*target.values())
+            if content > 1:
+                for j in target:
+                    target[j] //= content
         pivots.append((row, col))
         row += 1
     pivot_cols = {col for _, col in pivots}
@@ -227,7 +238,7 @@ def _rational_kernel(rows: List[Dict[int, Fraction]]) -> List[List[Fraction]]:
         vec = [Fraction(0)] * n
         vec[free] = Fraction(1)
         for r, col in pivots:
-            vec[col] = -work[r].get(free, Fraction(0))
+            vec[col] = -Fraction(work[r].get(free, 0), work[r][col])
         basis.append(vec)
     return basis
 
@@ -255,8 +266,7 @@ def exact_zero_space(c: CellComplex, model: str) -> Tuple[List[int], List[List[F
                 if v:
                     entries = twice[dst]
                     entries[src] = entries.get(src, 0) + v
-    rows = [{j: Fraction(v, 2) for j, v in r.items() if v} for r in twice]
-    return states, _rational_kernel(rows)
+    return states, _rational_kernel([{j: v for j, v in r.items() if v} for r in twice])
 
 
 def ground_degeneracy_ed(

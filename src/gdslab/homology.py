@@ -4,7 +4,7 @@ representatives, and side analysis of curves on surfaces."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .complexes import CellComplex, CellKey, Chain
 from .f2 import F2Matrix, Subspace, _set_bits, in_span, reduce_by_rref
@@ -22,6 +22,12 @@ class BettiVector:
 
     def __getitem__(self, k: int) -> int:
         return self.b[k] if 0 <= k < len(self.b) else 0
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.b)
+
+    def __len__(self) -> int:
+        return len(self.b)
 
 
 def betti(c: CellComplex) -> BettiVector:

@@ -1,12 +1,20 @@
 """Periodic Voronoi cellulations of the flat torus, d = 2 or 3.
 
 Points are replicated into the 3^d neighboring boxes, triangulated, and the
-quotient complex is rebuilt from translation classes.  Construction uses
-floating-point Delaunay, but every certificate decision is exact: each
-accepted simplex gets an integer orientation and an exact circumcentre, a
-kd-tree with a safety margin collects the patch points that could lie in or
-on its circumsphere, and each of those is decided by the integer `in_sphere`
-predicate.  Degenerate inputs are detected rather than silently perturbed.
+quotient complex is rebuilt from translation classes by array operations.
+Each simplex gets one key row: the least, over its vertices, of the sorted
+vertex keys of the translate that puts that vertex at offset 0, where a
+vertex key packs the point id and the offset digits into one int that
+orders as the (point id, offset) tuple.  Rows compare as the sorted
+translates do, so the least row is the least sorted translate, and top
+cells, faces and their numbering come from sorting these rows.
+
+Construction uses floating-point Delaunay, but every certificate decision is
+exact: each accepted simplex gets an integer orientation and an exact
+circumcentre, a kd-tree with a safety margin collects the patch points that
+could lie in or on its circumsphere, and each of those is decided by the
+integer `in_sphere` predicate.  Degenerate inputs are detected rather than
+silently perturbed.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
@@ -54,6 +62,8 @@ class PointSet:
 
     @classmethod
     def random(cls, dim: int, n: int, seed: int) -> "PointSet":
+        if n > SCALE**dim:
+            raise ValueError(f"cannot draw {n} distinct points in dimension {dim}")
         rng = random.Random(seed)
         coords = set()
         while len(coords) < n:
@@ -116,26 +126,56 @@ def in_sphere(simplex: Sequence[Sequence[int]], q: Sequence[int]) -> int:
     return 1 if inside > 0 else -1
 
 
-def _canonical_class(verts: Sequence[PatchVertex]) -> Tuple[PatchVertex, ...]:
-    """Translation-canonical form of a set of patch vertices."""
+# A vertex key packs a point id and the d digits of a box offset into one
+# int64.  Offset differences within one patch simplex lie in [-2, 2], so the
+# digits are offset + 2 in radix 5.  Patch ids fit in scipy's int32 simplex
+# array, so point ids are below 2^31 / 3^d and keys below 2^31 * (5/3)^d.
+_RADIX = 5
+
+
+def _vertex_keys(pids: np.ndarray, offs: np.ndarray) -> np.ndarray:
+    """Keys of vertices (..., v) with offsets (..., v, d); the keys order
+    as the (pid, offset) tuples do."""
+    d = offs.shape[-1]
+    return pids * _RADIX**d + (offs + 2) @ (_RADIX ** np.arange(d - 1, -1, -1))
+
+
+def _decode_keys(keys: np.ndarray, d: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Point ids (..., v) and offsets (..., v, d) of vertex keys (..., v)."""
+    pids, digits = np.divmod(keys, _RADIX**d)
+    weights = _RADIX ** np.arange(d - 1, -1, -1)
+    return pids, digits[..., None] // weights % _RADIX - 2
+
+
+def _class_keys(pids: np.ndarray, offs: np.ndarray) -> np.ndarray:
+    """Translation-class key row of each of n simplices (n, v) with vertex
+    offsets (n, v, d).
+
+    Anchoring at vertex a subtracts a's offset from every vertex; the sorted
+    vertex keys of that translate compare as its sorted (pid, offset) tuple
+    does, so the least row over the v anchors is the least sorted translate.
+    """
     best = None
-    for _, shift in verts:
-        candidate = tuple(
-            sorted(
-                (pid, tuple(o - s for o, s in zip(off, shift)))
-                for pid, off in verts
-            )
-        )
-        if best is None or candidate < best:
-            best = candidate
+    for a in range(offs.shape[1]):
+        keys = np.sort(_vertex_keys(pids, offs - offs[:, a : a + 1]), axis=1)
+        if best is None:
+            best = keys
+            continue
+        rows = np.arange(len(keys))
+        first = (keys != best).argmax(axis=1)  # 0 where the rows are equal
+        less = keys[rows, first] < best[rows, first]
+        best[less] = keys[less]
     return best
 
 
-def _base_representative(cls: Tuple[PatchVertex, ...]) -> Tuple[PatchVertex, ...]:
-    """Shift a class so every offset coordinate starts at zero."""
-    dim = len(cls[0][1])
-    lows = [min(off[i] for _, off in cls) for i in range(dim)]
-    return tuple((pid, tuple(o - lo for o, lo in zip(off, lows))) for pid, off in cls)
+def _cofaces(incidence: np.ndarray, n_faces: int) -> List[Tuple[int, ...]]:
+    """Per face id, the sorted ids of the rows of `incidence` that list it,
+    once per listing."""
+    face_ids = incidence.ravel()
+    cells = np.repeat(np.arange(len(incidence)), incidence.shape[1])
+    ids = cells[np.argsort(face_ids, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(face_ids, minlength=n_faces)).tolist()
+    return [tuple(ids[a:b]) for a, b in zip([0] + ends[:-1], ends)]
 
 
 def torus_voronoi(d: int, points: PointSet) -> CellComplex:
@@ -144,6 +184,11 @@ def torus_voronoi(d: int, points: PointSet) -> CellComplex:
     The d-cells are the Voronoi cells of the input points; a j-cell is dual
     to a (d-j)-simplex of the periodic Delaunay triangulation.  Every kept
     simplex is certified nondegenerate with an exactly empty circumsphere.
+
+    Quotient simplices are keyed by `_class_keys`.  Top simplices are
+    numbered in the sorted order of their keys.  The faces of each
+    k-simplex, in `combinations` order of its translate whose offset
+    coordinates each start at 0, are numbered by first occurrence.
     """
     if d not in (2, 3):
         raise ValueError("periodic Voronoi is implemented for d in {2, 3}")
@@ -152,52 +197,50 @@ def torus_voronoi(d: int, points: PointSet) -> CellComplex:
     if len(points) < 2:
         raise ValueError("need at least two points")
 
+    # patch vertex i is point i // 3^d shifted by offsets[i % 3^d]
     offsets = sorted(product((-1, 0, 1), repeat=d))
-    patch: List[PatchVertex] = []
-    patch_coords: List[Tuple[int, ...]] = []
-    for pid, p in enumerate(points.coords):
-        for off in offsets:
-            patch.append((pid, off))
-            patch_coords.append(tuple(x + SCALE * o for x, o in zip(p, off)))
-    coords_arr = np.asarray(patch_coords, dtype=float) / SCALE
+    n_off = len(offsets)
+    patch: List[PatchVertex] = [(pid, off) for pid in range(len(points)) for off in offsets]
+    offset_arr = np.array(offsets, dtype=np.int64)
+    base = np.array(points.coords, dtype=np.int64)
+    coords_arr = (base[:, None] + SCALE * offset_arr).reshape(-1, d) / SCALE
 
     tri = Delaunay(coords_arr)
 
-    kept: Dict[Tuple[PatchVertex, ...], Tuple[int, ...]] = {}
-    for simplex in tri.simplices:
-        verts = [patch[i] for i in simplex]
-        if not any(off == (0,) * d for _, off in verts):
-            continue
-        cls = _canonical_class(verts)
-        kept.setdefault(cls, tuple(int(i) for i in simplex))
+    # a simplex is kept iff a vertex sits at offset 0, the middle of offsets;
+    # each class keeps its first Delaunay simplex, and _certify gets them in
+    # Delaunay order, keyed by top cell id
+    simplices = tri.simplices.astype(np.int64)
+    simplices = simplices[(simplices % n_off == n_off // 2).any(axis=1)]
+    classes, first = np.unique(
+        _class_keys(simplices // n_off, offset_arr[simplices % n_off]),
+        axis=0,
+        return_index=True,
+    )
+    by_delaunay = np.argsort(first)
+    kept = dict(zip(by_delaunay.tolist(), map(tuple, simplices[first[by_delaunay]].tolist())))
 
     _certify(d, points, patch, coords_arr, kept)
 
-    # quotient face poset, dims d (tops) down to 0
-    classes: List[Dict[Tuple[PatchVertex, ...], int]] = [
-        {} for _ in range(d + 1)
-    ]
-    for cls in sorted(kept):
-        classes[d][cls] = len(classes[d])
-    incidences: List[List[Tuple[int, int]]] = [[] for _ in range(d + 1)]
+    # quotient face poset, dims d (tops) down to 1, with classes[i] the key
+    # of k-simplex i; its dual: quotient k-simplex -> (d-k)-cell
+    faces: List[List[Tuple[int, ...]]] = [[()] * len(classes)]
     for k in range(d, 0, -1):
-        for cls in sorted(classes[k], key=lambda c: classes[k][c]):
-            rep = _base_representative(cls)
-            for face in combinations(rep, k):
-                face_cls = _canonical_class(face)
-                if face_cls not in classes[k - 1]:
-                    classes[k - 1][face_cls] = len(classes[k - 1])
-                incidences[k].append((classes[k][cls], classes[k - 1][face_cls]))
-
-    # dual complex: quotient k-simplex -> (d-k)-cell
-    faces: List[List[Tuple[int, ...]]] = [[] for _ in range(d + 1)]
-    faces[0] = [() for _ in classes[d]]
-    for j in range(1, d + 1):
-        k = d - j
-        face_lists: List[List[int]] = [[] for _ in range(len(classes[k]))]
-        for simplex_id, face_id in incidences[k + 1]:
-            face_lists[face_id].append(simplex_id)
-        faces[j] = [tuple(sorted(fl)) for fl in face_lists]
+        pids, offs = _decode_keys(classes, d)
+        offs -= offs.min(axis=1, keepdims=True)
+        face_cols = np.array(list(combinations(range(k + 1), k)))
+        unique, first, inverse = np.unique(
+            _class_keys(
+                pids[:, face_cols].reshape(-1, k), offs[:, face_cols].reshape(-1, k, d)
+            ),
+            axis=0,
+            return_index=True,
+            return_inverse=True,
+        )
+        by_occurrence = np.argsort(first)
+        classes = unique[by_occurrence]
+        face_ids = np.argsort(by_occurrence)[inverse].reshape(-1, k + 1)
+        faces.append(_cofaces(face_ids, len(classes)))
 
     cplx = CellComplex(
         d,

@@ -340,6 +340,15 @@ def test_degenerate_sphere_spec_exits_2(capsys, spec):
     assert err == "error: sphere:d needs d >= 1, e.g. sphere:2\n"
 
 
+@pytest.mark.parametrize("spec", ["torus-voronoi:0", "torus-voronoi:-1",
+                                  "torus-voronoi:1", "torus-voronoi:4"])
+def test_torus_voronoi_dimension_exits_2(capsys, spec):
+    rc, out, err = run(["gsd", "--manifold", spec, "--seed", "1"], capsys)
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert err == "error: torus-voronoi:d needs d = 2 or 3, e.g. torus-voronoi:2\n"
+
+
 @pytest.mark.parametrize("spec,message", [
     ("tP", "tP:t needs an integer t, e.g. tP:3"),
     ("tP:x", "tP:t needs an integer t, e.g. tP:3"),

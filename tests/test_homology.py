@@ -32,6 +32,13 @@ def test_classical_betti_vectors(torus2, klein, sphere4, torus3, rp2):
     assert betti(rp2).b == (1, 1, 1)
 
 
+def test_betti_vector_iterates_its_numbers(sphere2):
+    b = betti(sphere2)
+    assert list(b) == [1, 0, 1]
+    assert len(b) == 3
+    assert b[3] == 0  # past the top dimension
+
+
 def test_betti_alternating_sum_is_chi(torus3, voronoi2):
     for c in (torus3, voronoi2):
         assert betti(c).chi == c.euler_characteristic()

@@ -1,11 +1,12 @@
 """Periodic Voronoi generator and its exact predicates."""
 
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from gdslab import voronoi
+from gdslab.complexes import CellComplex
 from gdslab.homology import betti
 from gdslab.voronoi import (
     SCALE,
@@ -38,6 +39,8 @@ def test_pointset_guards():
         PointSet(2, ((0, 0, 0),))
     with pytest.raises(ValueError):
         PointSet(2, ((SCALE, 0),))
+    with pytest.raises(ValueError, match="cannot draw 2 distinct points"):
+        PointSet.random(0, 2, 1)  # dimension 0 has one point
 
 
 def test_two_point_counts_forced_by_topology():
@@ -145,6 +148,75 @@ def test_certified_simplices_match_all_patch_oracle(monkeypatch, d, n, seed):
                 assert side == 0
             else:
                 assert side == -1, (patch_ids, q)
+
+
+def _canonical_class(verts):
+    """Translation-canonical form of a set of patch vertices: the least
+    sorted translate that puts one of them at offset 0."""
+    best = None
+    for _, shift in verts:
+        candidate = tuple(
+            sorted(
+                (pid, tuple(o - s for o, s in zip(off, shift)))
+                for pid, off in verts
+            )
+        )
+        if best is None or candidate < best:
+            best = candidate
+    return best
+
+
+def _base_representative(cls):
+    """Shift a class so every offset coordinate starts at zero."""
+    dim = len(cls[0][1])
+    lows = [min(off[i] for _, off in cls) for i in range(dim)]
+    return tuple((pid, tuple(o - lo for o, lo in zip(off, lows))) for pid, off in cls)
+
+
+def _reference_quotient(d, points):
+    """The kept simplices and the quotient complex, one tuple class at a
+    time: each kept Delaunay simplex and each face is canonicalised by
+    `_canonical_class`, tops are numbered in sorted class order and faces
+    by first occurrence."""
+    patch, coords = _patch(points)
+    tri = voronoi.Delaunay(np.asarray(coords, dtype=float) / SCALE)
+    kept = {}
+    for simplex in tri.simplices:
+        verts = [patch[i] for i in simplex]
+        if not any(off == (0,) * d for _, off in verts):
+            continue
+        kept.setdefault(_canonical_class(verts), tuple(int(i) for i in simplex))
+
+    classes = [{} for _ in range(d + 1)]
+    for cls in sorted(kept):
+        classes[d][cls] = len(classes[d])
+    incidences = [[] for _ in range(d + 1)]
+    for k in range(d, 0, -1):
+        for cls in sorted(classes[k], key=lambda c: classes[k][c]):
+            rep = _base_representative(cls)
+            for face in combinations(rep, k):
+                face_cls = _canonical_class(face)
+                if face_cls not in classes[k - 1]:
+                    classes[k - 1][face_cls] = len(classes[k - 1])
+                incidences[k].append((classes[k][cls], classes[k - 1][face_cls]))
+
+    faces = [[() for _ in classes[d]]]
+    for j in range(1, d + 1):
+        face_lists = [[] for _ in classes[d - j]]
+        for simplex_id, face_id in incidences[d - j + 1]:
+            face_lists[face_id].append(simplex_id)
+        faces.append([tuple(sorted(fl)) for fl in face_lists])
+    return list(kept.values()), CellComplex(d, faces)
+
+
+@pytest.mark.parametrize(
+    "d,n,seed", SHIPPED_POINT_SETS + [(2, 60, 1), (3, 30, 2), (2, 500, 7), (3, 100, 7)]
+)
+def test_quotient_matches_tuple_oracle(monkeypatch, d, n, seed):
+    ref_kept, ref_complex = _reference_quotient(d, PointSet.random(d, n, seed=seed))
+    _, _, _, _, kept = _certify_args(monkeypatch, d, n, seed)
+    assert list(kept.values()) == ref_kept
+    assert torus_voronoi(d, PointSet.random(d, n, seed=seed)) == ref_complex
 
 
 def _hand_built(points, simplex_coords):
