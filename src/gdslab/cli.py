@@ -4,6 +4,7 @@ and print the ground-space tables."""
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from typing import Callable, Dict, List, Optional, Sequence
@@ -33,6 +34,23 @@ _SPEC_FORMS = {
     "square-grid": (0, 1, "square-grid[:n] needs an integer n, e.g. square-grid:2"),
 }
 
+# Largest built-in sphere or torus, in estimated cells, that build_manifold
+# builds: torus:3:24 and sphere:14 fit, torus:6:3 and sphere:16 do not.
+MAX_CELLS = 100_000
+
+
+def _log10_cells(name: str, params: List[int]) -> float:
+    """log10 of the cells of a built-in sphere or torus, from its spec alone:
+    the 2^(d+2) - 2 faces of a (d+1)-simplex for sphere:d, the n^d d! top
+    simplices for torus:d:n. Logarithms, so a huge d cannot overflow."""
+    if name == "sphere":
+        d = params[0]
+        return (d + 2) * math.log10(2) + math.log10(1 - 2.0 ** -(d + 1))
+    if name == "torus":
+        d, n = params[0], (params[1] if len(params) > 1 else 3)
+        return d * math.log10(max(n, 1)) + math.lgamma(d + 1) / math.log(10)
+    return 0.0
+
 
 def build_manifold(spec: str, points: Optional[int], seed: Optional[int]) -> CellComplex:
     """Parse a name:params spec into a complex.
@@ -55,6 +73,11 @@ def build_manifold(spec: str, points: Optional[int], seed: Optional[int]) -> Cel
     if not ok or (name in ("sphere", "torus") and int(params[0]) < 1):
         raise ValueError(usage)
     params = [int(p) for p in params]
+    log_cells = _log10_cells(name, params)
+    if log_cells > math.log10(MAX_CELLS):
+        about = f"{10 ** log_cells:.3g}" if log_cells < 300 else f"10^{log_cells:.0f}"
+        raise ValueError(f"{spec} would have about {about} cells, "
+                         f"over the budget of {MAX_CELLS}")
     if name == "torus-voronoi":
         if params[0] not in (2, 3):
             raise ValueError("torus-voronoi:d needs d = 2 or 3, e.g. torus-voronoi:2")
@@ -200,14 +223,14 @@ def _suite_flip_consistency(c: CellComplex, rng: random.Random) -> List[str]:
     try:
         fn = wf_mod.PhaseFn(kind, c)
     except ValueError as exc:
-        return [f"no reference phase: {exc}"]
+        raise ValueError(f"no reference phase: {exc}") from None
     res = wf_mod.verify_flip_consistency(fn, 1000, rng.randrange(1 << 30))
     return [] if res.ok else [f"flip consistency broke at step {res.first_violation}"]
 
 
 def _suite_surface_sectors(c: CellComplex, rng: random.Random) -> List[str]:
     if c.dim != 2:
-        return ["surface suite needs a 2-complex"]
+        raise ValueError("surface suite needs a 2-complex")
     chi = c.euler_characteristic()
     problems = []
     _, reports = model_mod.ground_degeneracy(c, model_mod.GDS)
@@ -376,6 +399,9 @@ def dispatch(argv: Sequence[str]) -> int:
         return args.fn(args)
     except (ValueError, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory; try a smaller complex", file=sys.stderr)
         return EXIT_USAGE
     except (RuntimeError, AssertionError) as exc:
         # a broken internal invariant, told apart from a failed property

@@ -1,17 +1,20 @@
 """Cell complexes as graded face posets, triangulations, and their duals.
 
-A complex of dimension d stores, for every k-cell, the list of its
-codimension-1 face ids.  Face lists may contain repeats (a cell glued to the
-same face twice); boundary maps over F2 use the parity of the multiplicity,
-coface counts use the multiplicity itself.
+A complex of dimension d stores, for every k-cell, the tuple of its
+codimension-1 face ids, and derives the coface tuples from them; these are
+its only incidence.  Face tuples may contain repeats (a cell glued to the
+same face twice); boundaries over F2 use the parity of the multiplicity,
+coface counts use the multiplicity itself.  A cell's boundary or coboundary
+as a bitmask is the XOR of its face or coface ids, built on request.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
-from .f2 import F2Matrix, Subspace, _set_bits
+from .f2 import Subspace, _mask_of, _set_bits
 
 CellKey = Tuple[int, int]  # (dimension, id)
 
@@ -172,7 +175,8 @@ class CellComplex:
                 raise ValueError(f"0-cell {i} has faces")
         self._cofaces: List[List[Tuple[int, ...]]] | None = None
         self._closures: Dict[CellKey, FrozenSet[CellKey]] = {}
-        self._incidence: Dict[int, F2Matrix] = {}
+        # boundary bitmasks of every k-cell, kept by boundary_bits
+        self._boundary_rows: Dict[int, List[int]] = {}
         # kernel bases of the boundary maps, kept by homology.cycle_space_basis
         self._cycle_bases: Dict[int, Tuple[int, ...]] = {}
         # per top cell chi_up tables, kept by model._chi_table
@@ -216,24 +220,16 @@ class CellComplex:
         return sum((-1) ** k * self.n_cells(k) for k in range(self.dim + 1))
 
     def boundary_bits(self, k: int, i: int) -> int:
-        """Odd-multiplicity faces of (k, i) as a bitmask over (k-1)-cells."""
-        return self.incidence(k).row(i)
+        """Odd-multiplicity faces of (k, i) as a bitmask over (k-1)-cells,
+        built for every k-cell on the first call in dimension k."""
+        rows = self._boundary_rows.get(k)
+        if rows is None:
+            rows = self._boundary_rows[k] = [_mask_of(fl) for fl in self._faces[k]]
+        return rows[i]
 
-    def incidence(self, k: int) -> F2Matrix:
-        """Matrix with one row per k-cell, bit j set iff (k-1)-cell j appears
-        an odd number of times among its faces."""
-        if k not in self._incidence:
-            rows = []
-            for fl in self._faces[k] if 0 <= k <= self.dim else []:
-                bits = 0
-                for f in set(fl):
-                    if fl.count(f) & 1:
-                        bits |= 1 << f
-                rows.append(bits)
-            self._incidence[k] = F2Matrix(
-                self.n_cells(k), self.n_cells(k - 1) if k >= 1 else 0, rows
-            )
-        return self._incidence[k]
+    def coboundary_bits(self, k: int, i: int) -> int:
+        """Odd-multiplicity cofaces of (k, i) as a bitmask over (k+1)-cells."""
+        return _mask_of(self.cofaces(k, i))
 
     # -- closures and subcomplexes ------------------------------------------
 
@@ -406,10 +402,7 @@ class Chain:
 
     @classmethod
     def from_cells(cls, complex: CellComplex, dim: int, cells: Iterable[int]) -> "Chain":
-        bits = 0
-        for c in cells:
-            bits ^= 1 << c
-        return cls(complex, dim, bits)
+        return cls(complex, dim, _mask_of(cells))
 
     @classmethod
     def empty(cls, complex: CellComplex, dim: int) -> "Chain":
@@ -430,11 +423,11 @@ class Chain:
         return (self.bits >> cell) & 1 == 1
 
     def boundary(self) -> "Chain":
-        inc = self.complex.incidence(self.dim)
+        c, k = self.complex, self.dim
         bits = 0
-        for c in self.cells():
-            bits ^= inc.row(c)
-        return Chain(self.complex, self.dim - 1, bits)
+        for i in self.cells():
+            bits ^= c.boundary_bits(k, i)
+        return Chain(c, k - 1, bits)
 
     def is_cycle(self) -> bool:
         return self.dim == 0 or self.boundary().bits == 0
@@ -519,8 +512,9 @@ def validate_generic(c: CellComplex) -> GenericityReport:
             if len(fl) != len(set(fl)):
                 violations.append(f"{k}-cell {i} has a repeated face (non-embedded)")
     for k in range(2, d + 1):
-        m = c.incidence(k).matmul(c.incidence(k - 1))
-        if any(m.data):
+        below = c._faces[k - 1]  # each k-cell's faces' faces must pair up
+        if any(n & 1 for fl in c._faces[k]
+               for n in Counter(g for f in fl for g in below[f]).values()):
             violations.append(f"boundary of boundary nonzero in dimension {k}")
     if d >= 1 and not violations:
         n_top = c.n_cells(d)

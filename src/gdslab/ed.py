@@ -142,18 +142,11 @@ class Term:
         return [(0, ok_x), (self.flip_mask, flip * ok_x * ok_y)]
 
 
-def _vertex_mask(c: CellComplex, e: int) -> int:
-    mask = 0
-    for f in c.cofaces(c.dim - 2, e):
-        mask ^= 1 << f
-    return mask
-
-
 def build_term(c: CellComplex, which: str, cell_id: int, model: str = GDS) -> Term:
     n = _check_size(c)
     ensure_validated(c)
     if which == H_E:
-        return Term(n, H_E, (_vertex_mask(c, cell_id),), 0, (), ())
+        return Term(n, H_E, (c.coboundary_bits(c.dim - 2, cell_id),), 0, (), ())
     faces, signs = _pattern_table(c, cell_id, model)
     flip_mask = c.boundary_bits(c.dim, cell_id)
     if which == H_C:
@@ -162,7 +155,7 @@ def build_term(c: CellComplex, which: str, cell_id: int, model: str = GDS) -> Te
         ridges = sorted(
             i for k, i in c.closure_of_cell(c.dim, cell_id) if k == c.dim - 2
         )
-        masks = tuple(_vertex_mask(c, e) for e in ridges)
+        masks = tuple(c.coboundary_bits(c.dim - 2, e) for e in ridges)
         return Term(n, H_C_PROJ, masks, flip_mask, faces, tuple(signs))
     raise ValueError(f"unknown term kind {which!r}")
 

@@ -178,6 +178,14 @@ def _set_bits(x: int) -> List[int]:
     return out
 
 
+def _mask_of(ids: Iterable[int]) -> int:
+    """The inverse of `_set_bits`, XOR-ing so that an id repeated twice cancels."""
+    mask = 0
+    for i in ids:
+        mask ^= 1 << i
+    return mask
+
+
 def reduce_by_rref(vec: int, space: "Subspace") -> int:
     """Canonical (lexicographically least) coset representative of vec + space,
     in O(popcount(vec & pivot mask)) row XORs."""

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .complexes import CellComplex, CellKey, Chain
-from .f2 import F2Matrix, Subspace, _set_bits, in_span, reduce_by_rref
+from .f2 import F2Matrix, Subspace, _mask_of, in_span, reduce_by_rref
 
 MAX_SECTOR_RANK = 12  # largest b_p whose 2^b_p sector representatives are listed
 
@@ -40,8 +40,8 @@ def betti(c: CellComplex) -> BettiVector:
 def betti_of_cells(c: CellComplex, closed_cells: Iterable[CellKey]) -> BettiVector:
     """Betti numbers of a face-closed cell set, computed in place.
 
-    Builds the restricted incidence matrices directly so no subcomplex object
-    is materialized.
+    Builds the restricted boundary rows from the face tuples so no subcomplex
+    object is materialized.
     """
     cells = set(closed_cells)
     if not cells:
@@ -51,12 +51,8 @@ def betti_of_cells(c: CellComplex, closed_cells: Iterable[CellKey]) -> BettiVect
     index = [{pid: j for j, pid in enumerate(lst)} for lst in ids]
     ranks = [0] * (top + 2)
     for k in range(1, top + 1):
-        rows = []
-        for pid in ids[k]:
-            bits = 0
-            for f in _set_bits(c.incidence(k).row(pid)):
-                bits |= 1 << index[k - 1][f]
-            rows.append(bits)
+        below = index[k - 1]
+        rows = [_mask_of(below[f] for f in c.faces(k, pid)) for pid in ids[k]]
         ranks[k] = F2Matrix(len(rows), len(ids[k - 1]), rows).rank()
     out = []
     for k in range(top + 1):
@@ -81,7 +77,8 @@ def cycle_space_basis(c: CellComplex, p: int) -> Tuple[int, ...]:
         if p == 0:
             basis = tuple(1 << i for i in range(c.n_cells(0)))
         else:
-            basis = tuple(c.incidence(p).transpose().nullspace())
+            rows = [c.coboundary_bits(p - 1, j) for j in range(c.n_cells(p - 1))]
+            basis = tuple(F2Matrix(len(rows), c.n_cells(p), rows).nullspace())
         c._cycle_bases[p] = basis
     return basis
 
@@ -90,8 +87,9 @@ def boundary_space(c: CellComplex, p: int) -> Subspace:
     """The boundaries inside the p-chains (the row space of boundary_{p+1}),
     computed once per complex and dimension."""
     if p not in c._boundary_spaces:
-        rows = c.incidence(p + 1).row_space_basis() if p < c.dim else []
-        c._boundary_spaces[p] = Subspace(c.n_cells(p), tuple(rows))
+        rows = [c.boundary_bits(p + 1, i) for i in range(c.n_cells(p + 1))]
+        basis = F2Matrix(len(rows), c.n_cells(p), rows).row_space_basis()
+        c._boundary_spaces[p] = Subspace(c.n_cells(p), tuple(basis))
     return c._boundary_spaces[p]
 
 
@@ -106,19 +104,18 @@ def is_homologous(c: CellComplex, a: Chain, b: Chain) -> bool:
 
 def bounding_cells(c: CellComplex, chain: Chain) -> Chain:
     """A set of (p+1)-cells whose boundary is the given null-homologous chain."""
-    rows = [c.incidence(chain.dim + 1).row(i) for i in range(c.n_cells(chain.dim + 1))]
-    m = F2Matrix(len(rows), c.n_cells(chain.dim), rows).transpose()
-    # solve m x = chain.bits by elimination on the augmented system
-    aug = [m.row(r) | (((chain.bits >> r) & 1) << len(rows)) for r in range(m.rows)]
-    work = F2Matrix(m.rows, len(rows) + 1, aug)
-    red, pivots = work.rref()
+    k, n = chain.dim, c.n_cells(chain.dim + 1)
+    # solve boundary(x) = chain.bits: one equation per k-cell, over the
+    # (k+1)-cells it is a face of, with the chain's bit as the last column
+    aug = [c.coboundary_bits(k, r) | ((chain.bits >> r) & 1) << n for r in range(c.n_cells(k))]
+    red, pivots = F2Matrix(len(aug), n + 1, aug).rref()
     x = 0
     for r, p in enumerate(pivots):
-        if p == len(rows):
+        if p == n:
             raise ValueError("chain is not a boundary")
-        if (red.data[r] >> len(rows)) & 1:
+        if (red.data[r] >> n) & 1:
             x |= 1 << p
-    return Chain(c, chain.dim + 1, x)
+    return Chain(c, k + 1, x)
 
 
 @dataclass

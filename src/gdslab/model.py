@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .complexes import CellComplex, CellKey, Chain, ensure_validated
-from .f2 import F2Matrix, PreconditionError, _set_bits
+from .f2 import F2Matrix, PreconditionError
 from .homology import SectorSet, homology_sector_reps
 
 GDS = "gds"
@@ -58,7 +58,6 @@ class SectorReport:
     sweep_sign: int
     survives: bool
     epsilon: Optional[int] = None
-    reference_kind: Optional[str] = None
 
 
 def hplus_violations(c: CellComplex, s: Chain) -> FrozenSet[int]:
@@ -187,12 +186,11 @@ def sweep_signs(
         _check_state(c, e)
     # bit j of cols[f]: does reps[j] contain (d-1)-cell f
     cols = F2Matrix(len(reps), c.n_cells(d - 1), [e.bits for e in reps]).transpose().data
-    # the boundaries of all reps at once, one int per (d-2)-cell
+    # the boundaries of all reps at once, one int per (d-2)-cell; a repeated face cancels
     ridge_sums = [0] * c.n_cells(d - 2)
-    inc = c.incidence(d - 1)
     for f, col in enumerate(cols):
         if col:
-            for r in _set_bits(inc.row(f)):
+            for r in c.faces(d - 1, f):
                 ridge_sums[r] ^= col
     if any(ridge_sums):
         raise ValueError("sweep must start from a cycle")
@@ -217,7 +215,7 @@ def sweep_signs(
                 parity ^= up
         # an even chi_up gives the phase -1
         negative ^= parity ^ full
-        for f in _set_bits(c.boundary_bits(d, cell)):
+        for f in faces:
             cols[f] ^= full
     if cols != start:
         raise AssertionError("sweep did not return to its starting cycle")
@@ -258,12 +256,9 @@ def ground_degeneracy(
     for idx, (rep, sign) in enumerate(zip(sectors.reps, signs)):
         survives = sign == 1
         eps = None
-        kind = None
         if c.dim % 2 == 0:
             eps = (chi % 2) if survives else (chi + 1) % 2
-        else:
-            kind = "odd-chi"
-        reports.append(SectorReport(idx, rep, sign, survives, eps, kind))
+        reports.append(SectorReport(idx, rep, sign, survives, eps))
     gsd = sum(1 for r in reports if r.survives)
     return gsd, reports
 

@@ -247,7 +247,7 @@ def dual_crossing_chain(c: CellComplex, loop: DualLoop) -> Chain:
 def is_dual_nullhomologous(c: CellComplex, loop: DualLoop) -> bool:
     """True iff the loop bounds in the dual 2-skeleton, i.e. its crossing
     chain is a sum of coface triples of (d-2)-cells."""
-    coface_triples = c.incidence(c.dim - 1).transpose().data
+    coface_triples = [c.coboundary_bits(c.dim - 2, e) for e in range(c.n_cells(c.dim - 2))]
     cols = Subspace.from_vectors(c.n_cells(c.dim - 1), coface_triples)
     return in_span(dual_crossing_chain(c, loop).bits, cols)
 
@@ -264,8 +264,10 @@ def open_dual_arc_excite(c: CellComplex, arc: DualLoop, sector_reps: Sequence[Ch
     if arc.closed:
         raise ValueError("arc must be open")
     _walk_shared_cells(c, arc)
-    d_chain = dual_crossing_chain(c, arc)
-    violated = frozenset(_set_bits(c.incidence(c.dim).matvec(d_chain.bits)))
+    ends = 0  # the top cells holding an odd number of the crossed faces
+    for f in dual_crossing_chain(c, arc).cells():
+        ends ^= c.coboundary_bits(c.dim - 1, f)
+    violated = frozenset(_set_bits(ends))
     phases = tuple(
         (-1) ** (sum(1 for f in arc.cells if rep.contains(f)) % 2)
         for rep in sector_reps

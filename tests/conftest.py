@@ -1,7 +1,21 @@
 import pytest
 
+from gdslab.f2 import F2Matrix
 from gdslab.manifolds import builtin_manifold
 from gdslab.voronoi import PointSet, torus_voronoi
+
+
+def dense_incidence(c, k):
+    """Oracle for the boundary map: one row per k-cell, bit j set iff
+    (k-1)-cell j appears an odd number of times among its faces."""
+    rows = []
+    for fl in c._faces[k] if 0 <= k <= c.dim else []:
+        bits = 0
+        for f in set(fl):
+            if fl.count(f) & 1:
+                bits |= 1 << f
+        rows.append(bits)
+    return F2Matrix(c.n_cells(k), c.n_cells(k - 1) if k >= 1 else 0, rows)
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,8 @@ from gdslab.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_CELLS,
+    _log10_cells,
     build_manifold,
     dispatch,
 )
@@ -149,13 +152,26 @@ def test_verify_sweep_and_flip_suites(capsys):
         capsys,
     )
     assert rc == EXIT_OK
-    # no reference phase exists on a non-orientable surface: reported, exit 1
-    rc, out, _ = run(
+    # no reference phase exists on a non-orientable surface: the suite
+    # cannot run, which is a usage error and not a failed property
+    rc, out, err = run(
         ["verify", "--suite", "flip-consistency", "--manifold", "tP:1",
          "--seed", "2"],
         capsys,
     )
-    assert rc == EXIT_FAIL
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert err == ("error: no reference phase: even-semichar phase needs vanishing "
+                   "homology in codimension 1 and middle dimension\n")
+
+
+def test_surface_suite_off_a_surface_exits_2(capsys):
+    rc, out, err = run(
+        ["verify", "--suite", "surface-sectors", "--manifold", "sphere:3"], capsys
+    )
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert err == "error: surface suite needs a 2-complex\n"
 
 
 def test_sweep_order_failure_names_round_and_sector(monkeypatch, capsys):
@@ -372,6 +388,41 @@ def test_malformed_spec_exits_2_naming_its_form(capsys, spec, message):
     assert rc == EXIT_USAGE
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("spec,about", [
+    ("sphere:30", "4.29e+09"),
+    ("torus:6:3", "5.25e+05"),
+    ("sphere:99999999999", "10^30102999567"),
+])
+def test_oversized_spec_exits_2_before_building(capsys, spec, about):
+    start = time.perf_counter()
+    rc, out, err = run(["gsd", "--manifold", spec], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert err == (f"error: {spec} would have about {about} cells, "
+                   f"over the budget of {MAX_CELLS}\n")
+
+
+def test_size_budget_admits_the_largest_specs_in_use():
+    for name, params in [("torus", [3, 24]), ("torus", [3, 16]), ("sphere", [14])]:
+        assert 10 ** _log10_cells(name, params) < MAX_CELLS
+    assert round(10 ** _log10_cells("sphere", [4])) == 2 ** 6 - 2
+    assert round(10 ** _log10_cells("torus", [3, 4])) == 4 ** 3 * 6
+
+
+def test_memory_error_is_one_line_without_traceback(monkeypatch, capsys):
+    import gdslab.cli as cli_mod
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_mod, "build_manifold", exhausted)
+    rc, out, err = run(["gsd", "--manifold", "sphere:2"], capsys)
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert err == "error: out of memory; try a smaller complex\n"
 
 
 def test_gen_checks_out_before_building(monkeypatch, capsys):

@@ -26,8 +26,11 @@ from gdslab.manifolds import (
     simplex_boundary,
     square_grid_torus,
 )
-from gdslab.model import sector_reps
+from gdslab.cli import build_manifold
+from gdslab.model import ground_degeneracy, sector_reps
 from gdslab.operators import random_sparse_cycle
+
+from conftest import dense_incidence
 
 
 def resolve_union(c: CellComplex, k: int, cells: Iterable[int]) -> CellComplex:
@@ -278,8 +281,71 @@ def test_closed_subcomplex_examples(sphere2):
 def test_boundary_of_boundary_vanishes(torus3, voronoi3):
     for c in (torus3, voronoi3):
         for k in range(2, c.dim + 1):
-            prod = c.incidence(k).matmul(c.incidence(k - 1))
+            prod = dense_incidence(c, k).matmul(dense_incidence(c, k - 1))
             assert not any(prod.data)
+
+
+def assert_bits_match_dense_oracle(c):
+    """boundary_bits are the rows of the dense boundary map, coboundary_bits
+    its columns, in every dimension."""
+    for k in range(c.dim + 1):
+        dense = dense_incidence(c, k)
+        assert [c.boundary_bits(k, i) for i in range(c.n_cells(k))] == dense.data
+        if k >= 1:
+            cobound = [c.coboundary_bits(k - 1, j) for j in range(c.n_cells(k - 1))]
+            assert cobound == dense.transpose().data
+    assert all(c.coboundary_bits(c.dim, i) == 0 for i in range(c.n_cells(c.dim)))
+
+
+SHIPPED_SPECS = [
+    "sphere:1", "sphere:2", "sphere:3", "sphere:4", "torus:2:3", "torus:3:3",
+    "tP:1", "tP:3", "genus:2", "klein", "square-grid:3", "torus-voronoi:2",
+    "torus-voronoi:3",
+]
+
+
+@pytest.mark.parametrize("spec", SHIPPED_SPECS)
+def test_boundary_and_coboundary_bits_match_dense_oracle(spec):
+    assert_bits_match_dense_oracle(build_manifold(spec, None, 1))
+
+
+def glued_complex() -> CellComplex:
+    """Two vertices, two edges between them and a loop edge at vertex 0; a
+    2-cell runs along edges 0 and 1 and twice along the loop, another once
+    along the loop and twice along edge 0. Repeated faces cancel over F2."""
+    return CellComplex(2, [[(), ()], [(0, 1), (0, 1), (0, 0)], [(0, 1, 2, 2), (2, 0, 0)]])
+
+
+def test_repeated_faces_cancel_in_boundary_and_coboundary_bits():
+    c = glued_complex()
+    assert c.boundary_bits(1, 2) == 0          # the loop's vertex twice
+    assert c.boundary_bits(2, 0) == 0b011      # the loop twice
+    assert c.boundary_bits(2, 1) == 0b100      # edge 0 twice
+    assert c.coboundary_bits(0, 0) == 0b011    # vertex 0 on the loop twice
+    assert c.coboundary_bits(1, 0) == 0b01     # edge 0 in cell 1 twice
+    assert c.coboundary_bits(1, 2) == 0b10     # the loop in cell 0 twice
+    assert_bits_match_dense_oracle(c)
+    assert Chain.from_cells(c, 1, [0, 2, 0]).bits == 0b100
+
+
+def test_boundary_of_boundary_is_checked_per_cell():
+    # a 2-cell on one edge: its boundary has boundary v0 + v1
+    c = CellComplex(2, [[(), ()], [(0, 1)], [(0,)]])
+    report = validate_generic(c)
+    assert "boundary of boundary nonzero in dimension 2" in report.violations
+    assert any(dense_incidence(c, 2).matmul(dense_incidence(c, 1)).data)
+    # the glued complex's repeats cancel: its boundary of boundary is zero
+    glued = glued_complex()
+    assert not any(dense_incidence(glued, 2).matmul(dense_incidence(glued, 1)).data)
+    assert not any("boundary of boundary" in v for v in validate_generic(glued).violations)
+    assert c._boundary_rows == {} and glued._boundary_rows == {}
+
+
+def test_gsd_builds_no_boundary_rows_below_the_top_dimension():
+    c = builtin_manifold("torus", 3, 6)
+    assert c._boundary_rows == {}  # validation fills no boundary memo
+    ground_degeneracy(c)
+    assert set(c._boundary_rows) == {c.dim}
 
 
 def test_chain_boundary_and_cycles(torus2):
@@ -447,7 +513,7 @@ def test_cubical_torus3_is_a_closed_3_manifold():
     assert cube.cell_counts == (27, 81, 81, 27)
     assert cube.euler_characteristic() == 0
     for k in range(2, 4):
-        assert not any(cube.incidence(k).matmul(cube.incidence(k - 1)).data)
+        assert not any(dense_incidence(cube, k).matmul(dense_incidence(cube, k - 1)).data)
     assert all(len(cube.cofaces(2, i)) == 2 for i in range(81))
     assert not validate_generic(cube).passed
 

@@ -6,12 +6,13 @@ import pytest
 
 from gdslab.cli import build_manifold
 from gdslab.complexes import Chain, ensure_validated
-from gdslab.f2 import F2Matrix, PreconditionError
+from gdslab.f2 import PreconditionError
 from gdslab.manifolds import builtin_manifold
 from gdslab.model import (
     GDS,
     GTC,
     SignedFlip,
+    _chi_table,
     chi_up,
     flip,
     ground_degeneracy,
@@ -347,15 +348,13 @@ def test_sweep_signs_rejects_disconnected():
 def test_sweep_that_does_not_return_is_an_internal_error(monkeypatch, capsys):
     from gdslab import cli
 
-    # A copy on which flipping cell 0 flips the boundaries of cells 0 and 1:
-    # the boundary space and the sectors are unchanged, but the flips of all
-    # top cells no longer cancel, so no sweep comes back.
+    # A copy on which the sweep's flip of cell 0 flips the boundaries of
+    # cells 0 and 1: the boundary space and the sectors are unchanged, but
+    # the flips of all top cells no longer cancel, so no sweep comes back.
     c = builtin_manifold("torus", 2, 3)
     ensure_validated(c)
-    inc = c.incidence(2)
-    rows = list(inc.data)
-    rows[0] ^= rows[1]
-    c._incidence[2] = F2Matrix(inc.rows, inc.cols, rows)
+    faces, masks = _chi_table(c, 0)
+    c._chi_tables[0] = (faces + c.faces(2, 1), masks)
     with pytest.raises(AssertionError, match="^sweep did not return to its starting cycle$"):
         sweep_signs(c, [Chain.empty(c, 1)])
     monkeypatch.setattr(cli, "build_manifold", lambda spec, points, seed: c)
