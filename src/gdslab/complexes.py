@@ -6,6 +6,12 @@ its only incidence.  Face tuples may contain repeats (a cell glued to the
 same face twice); boundaries over F2 use the parity of the multiplicity,
 coface counts use the multiplicity itself.  A cell's boundary or coboundary
 as a bitmask is the XOR of its face or coface ids, built on request.
+
+A triangulation's faces are enumerated in one place, `_cofacets`, which
+lists every facet of the k-simplices with the ids of the simplices that
+contain it.  Applied top-down it gives `faces_by_dim`; applied once to the
+top simplices it gives `validate` its ridge counts and vertex links; and its
+id lists are the face tuples of `dual_of_triangulation`.
 """
 
 from __future__ import annotations
@@ -51,6 +57,16 @@ def _ints(tokens: Iterable[str], where: str) -> List[int]:
     return out
 
 
+def _cofacets(simplices: Sequence[Tuple[int, ...]]) -> Dict[Tuple[int, ...], List[int]]:
+    """Every facet of a sorted list of k-simplices, in order of first
+    appearance, with the increasing ids of the simplices containing it."""
+    out: Dict[Tuple[int, ...], List[int]] = {}
+    for j, s in enumerate(simplices):
+        for i in range(len(s)):
+            out.setdefault(s[:i] + s[i + 1 :], []).append(j)
+    return out
+
+
 class Triangulation:
     """A pure simplicial complex given by its maximal simplices."""
 
@@ -66,49 +82,37 @@ class Triangulation:
 
     def faces_by_dim(self) -> Dict[int, List[Tuple[int, ...]]]:
         """All faces of all maximal simplices, sorted per dimension."""
-        found: Dict[int, Set[Tuple[int, ...]]] = {k: set() for k in range(self.dim + 1)}
-        for s in self.simplices:
-            n = len(s)
-            for bits in range(1, 1 << n):
-                sub = tuple(s[i] for i in range(n) if (bits >> i) & 1)
-                found[len(sub) - 1].add(sub)
-        return {k: sorted(v) for k, v in found.items()}
+        by_dim = {self.dim: list(self.simplices)}
+        for k in range(self.dim, 0, -1):
+            by_dim[k - 1] = sorted(_cofacets(by_dim[k]))
+        return {k: by_dim[k] for k in range(self.dim + 1)}
 
     def validate(self) -> List[str]:
         """Closed pseudo-manifold checks; returns a list of violations."""
-        problems = []
-        ridge_count: Dict[Tuple[int, ...], int] = {}
-        for s in self.simplices:
-            for i in range(len(s)):
-                ridge = s[:i] + s[i + 1 :]
-                ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
-        for ridge, n in ridge_count.items():
-            if n != 2:
-                problems.append(f"face {ridge} lies in {n} maximal simplices")
-        # Vertex links must be connected (one wedge of top simplices per vertex).
+        ridges = _cofacets(self.simplices)
+        problems = [
+            f"face {ridge} lies in {len(ids)} maximal simplices"
+            for ridge, ids in ridges.items()
+            if len(ids) != 2
+        ]
+        # Vertex links must be connected (one wedge of top simplices per vertex):
+        # two top simplices through v are linked when they share a ridge through v.
         star: Dict[int, List[int]] = {}
         for idx, s in enumerate(self.simplices):
             for v in s:
                 star.setdefault(v, []).append(idx)
+        links = {v: DisjointSet(idxs) for v, idxs in star.items()}
+        for ridge, ids in ridges.items():
+            for v in ridge:
+                for other in ids[1:]:
+                    links[v].union(ids[0], other)
         for v, idxs in star.items():
-            link = DisjointSet(idxs)
-            by_ridge: Dict[Tuple[int, ...], List[int]] = {}
-            for i in idxs:
-                s = self.simplices[i]
-                for j in range(len(s)):
-                    ridge = s[:j] + s[j + 1 :]
-                    if v in ridge:
-                        by_ridge.setdefault(ridge, []).append(i)
-            for members in by_ridge.values():
-                for other in members[1:]:
-                    link.union(members[0], other)
-            if len({link.find(i) for i in idxs}) != 1:
+            if len({links[v].find(i) for i in idxs}) != 1:
                 problems.append(f"vertex {v} has a disconnected link")
         return problems
 
     def euler_characteristic(self) -> int:
-        faces = self.faces_by_dim()
-        return sum((-1) ** k * len(v) for k, v in faces.items())
+        return sum((-1) ** k * len(v) for k, v in self.faces_by_dim().items())
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -446,32 +450,18 @@ def dual_of_triangulation(t: Triangulation) -> CellComplex:
     if problems:
         raise ValueError("input is not a closed pseudo-manifold: " + problems[0])
     d = t.dim
-    by_dim = t.faces_by_dim()
-    ids = {
-        k: {simplex: i for i, simplex in enumerate(by_dim[k])} for k in by_dim
-    }
+    by_dim = {d: t.simplices}
+    faces: List[List[Sequence[int]]] = [[()] * len(t.simplices)]
     # The dual of a k-simplex has dimension d - k; its faces are the duals of
-    # the (k+1)-simplices containing it.
-    contains: Dict[int, Dict[Tuple[int, ...], List[int]]] = {
-        k: {s: [] for s in by_dim[k]} for k in by_dim
-    }
-    for k in range(1, d + 1):
-        for tau in by_dim[k]:
-            n = len(tau)
-            for drop in range(n):
-                sigma = tau[:drop] + tau[drop + 1 :]
-                contains[k - 1][sigma].append(ids[k][tau])
-    faces: List[List[Tuple[int, ...]]] = [[] for _ in range(d + 1)]
-    for j in range(d + 1):
-        k = d - j
-        for simplex in by_dim[k]:
-            if j == 0:
-                faces[0].append(())
-            else:
-                faces[j].append(tuple(sorted(contains[k][simplex])))
+    # the (k+1)-simplices containing it, which are its cofacet ids.
+    for k in range(d, 0, -1):
+        cofacets = _cofacets(by_dim[k])
+        by_dim[k - 1] = sorted(cofacets)
+        faces.append([cofacets[sigma] for sigma in by_dim[k - 1]])
     meta = {
-        "dual_id": {k: dict(ids[k]) for k in ids},
-        "primal_simplices": {k: list(by_dim[k]) for k in by_dim},
+        "dual_id": {
+            k: {simplex: i for i, simplex in enumerate(by_dim[k])} for k in range(d + 1)
+        }
     }
     return CellComplex(d, faces, provenance="dual-of-triangulation", meta=meta)
 

@@ -56,14 +56,8 @@ class F2Matrix:
     def zeros(cls, rows: int, cols: int) -> "F2Matrix":
         return cls(rows, cols)
 
-    def copy(self) -> "F2Matrix":
-        return F2Matrix(self.rows, self.cols, list(self.data))
-
     def get(self, r: int, c: int) -> int:
         return (self.data[r] >> c) & 1
-
-    def row(self, r: int) -> int:
-        return self.data[r]
 
     def __eq__(self, other) -> bool:
         return (

@@ -183,19 +183,19 @@ def surface_from_word(word: List[Tuple[int, int]], m: int = 3, rings: int = 2) -
     return Triangulation(2, triangles)
 
 
-def nonorientable_surface(t: int, m: int = 3, rings: int = 2) -> Triangulation:
+def nonorientable_surface(t: int) -> Triangulation:
     """Connected sum of t projective planes, chi = 2 - t."""
     if t < 1:
         raise ValueError("t must be positive")
     if t == 1:
         return projective_plane()
-    return surface_from_word(_surface_word("nonorientable", t), m, rings)
+    return surface_from_word(_surface_word("nonorientable", t))
 
 
-def genus_surface(g: int, m: int = 3, rings: int = 2) -> Triangulation:
+def genus_surface(g: int) -> Triangulation:
     if g < 1:
         raise ValueError("genus must be positive")
-    return surface_from_word(_surface_word("orientable", g), m, rings)
+    return surface_from_word(_surface_word("orientable", g))
 
 
 def klein_bottle() -> Triangulation:

@@ -77,6 +77,14 @@ def test_table_out_of_range_exits_2(capsys, tmax, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("spec,rank", [("genus:7", 14), ("tP:13", 13)])
+def test_sector_guard_exits_2(capsys, spec, rank):
+    rc, out, err = run(["gsd", "--manifold", spec], capsys)
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: 2^{rank} sectors exceed the enumeration guard\n"
+
+
 def test_homology_output(capsys):
     rc, out, _ = run(["homology", "--manifold", "torus:2:3"], capsys)
     assert rc == EXIT_OK

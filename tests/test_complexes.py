@@ -20,8 +20,12 @@ from gdslab.complexes import (
 )
 from gdslab.f2 import _set_bits
 from gdslab.manifolds import (
+    barycentric_subdivision,
     builtin_manifold,
     freudenthal_torus,
+    genus_surface,
+    klein_bottle,
+    nonorientable_surface,
     projective_plane,
     simplex_boundary,
     square_grid_torus,
@@ -227,9 +231,112 @@ def test_dual_rejects_non_pseudomanifold():
 
 
 def test_triangulation_validate_flags_disconnected_link():
-    # butterfly: two triangles joined at one vertex
+    # butterfly: two open strips that meet only at vertices 0 and 5
     t = Triangulation(2, [(0, 1, 2), (0, 3, 4), (1, 2, 5), (3, 4, 5)])
-    assert t.validate()  # not a closed surface
+    assert t.validate() == [
+        "face (0, 2) lies in 1 maximal simplices",
+        "face (0, 1) lies in 1 maximal simplices",
+        "face (0, 4) lies in 1 maximal simplices",
+        "face (0, 3) lies in 1 maximal simplices",
+        "face (2, 5) lies in 1 maximal simplices",
+        "face (1, 5) lies in 1 maximal simplices",
+        "face (4, 5) lies in 1 maximal simplices",
+        "face (3, 5) lies in 1 maximal simplices",
+        "vertex 0 has a disconnected link",
+        "vertex 5 has a disconnected link",
+    ]
+
+
+def test_triangulation_validate_lists_open_ridges_in_order():
+    # two triangles sharing an edge: every other edge lies in one triangle
+    t = Triangulation(2, [(0, 1, 2), (1, 2, 3)])
+    assert t.validate() == [
+        "face (0, 2) lies in 1 maximal simplices",
+        "face (0, 1) lies in 1 maximal simplices",
+        "face (2, 3) lies in 1 maximal simplices",
+        "face (1, 3) lies in 1 maximal simplices",
+    ]
+
+
+def test_triangulation_validate_flags_a_pinched_vertex_alone():
+    # two tetrahedron boundaries sharing vertex 0: every ridge pairs up
+    spheres = [(0, 1, 2, 3), (0, 4, 5, 6)]
+    t = Triangulation(2, [f for s in spheres for f in itertools.combinations(s, 3)])
+    assert t.validate() == ["vertex 0 has a disconnected link"]
+
+
+def test_triangulation_validate_counts_the_empty_ridge_in_dimension_0():
+    assert Triangulation(0, [(0,), (1,), (2,)]).validate() == [
+        "face () lies in 3 maximal simplices"
+    ]
+
+
+def faces_by_dim_oracle(t: Triangulation) -> Dict[int, List[Tuple[int, ...]]]:
+    """Oracle for `Triangulation.faces_by_dim`: every nonempty vertex subset
+    of every maximal simplex, sorted per dimension."""
+    found = {k: set() for k in range(t.dim + 1)}
+    for s in t.simplices:
+        n = len(s)
+        for bits in range(1, 1 << n):
+            sub = tuple(s[i] for i in range(n) if (bits >> i) & 1)
+            found[len(sub) - 1].add(sub)
+    return {k: sorted(v) for k, v in found.items()}
+
+
+def dual_oracle(t: Triangulation) -> CellComplex:
+    """Oracle for `dual_of_triangulation`: the faces of the dual of a
+    k-simplex are the ids of the (k+1)-simplices whose facets include it,
+    found by dropping each vertex of every (k+1)-simplex."""
+    d = t.dim
+    by_dim = faces_by_dim_oracle(t)
+    ids = {k: {s: i for i, s in enumerate(by_dim[k])} for k in by_dim}
+    contains = {k: {s: [] for s in by_dim[k]} for k in by_dim}
+    for k in range(1, d + 1):
+        for tau in by_dim[k]:
+            for drop in range(len(tau)):
+                contains[k - 1][tau[:drop] + tau[drop + 1 :]].append(ids[k][tau])
+    faces = [[()] * len(by_dim[d])] + [
+        [tuple(sorted(contains[d - j][s])) for s in by_dim[d - j]]
+        for j in range(1, d + 1)
+    ]
+    return CellComplex(d, faces, meta={"dual_id": ids})
+
+
+def assert_matches_lattice_oracle(t: Triangulation, c: CellComplex):
+    assert t.faces_by_dim() == faces_by_dim_oracle(t)
+    oracle = dual_oracle(t)
+    assert c._faces == oracle._faces
+    assert c.meta["dual_id"] == oracle.meta["dual_id"]
+
+
+@pytest.mark.parametrize("make,args", [
+    (simplex_boundary, (2,)), (simplex_boundary, (3,)), (simplex_boundary, (4,)),
+    (freudenthal_torus, (2, 3)), (freudenthal_torus, (3, 3)),
+    (nonorientable_surface, (1,)), (nonorientable_surface, (3,)),
+    (genus_surface, (2,)), (klein_bottle, ()),
+], ids=["sphere:2", "sphere:3", "sphere:4", "torus:2:3", "torus:3:3",
+        "tP:1", "tP:3", "genus:2", "klein"])
+def test_faces_and_dual_match_oracle_on_builtins(make, args):
+    t = make(*args)
+    assert_matches_lattice_oracle(t, dual_of_triangulation(t))
+
+
+def test_faces_and_dual_match_oracle_on_barycentric_subdivision():
+    t = barycentric_subdivision(simplex_boundary(3))
+    assert_matches_lattice_oracle(t, dual_of_triangulation(t))
+
+
+def test_faces_and_dual_match_oracle_on_a_tri_file(tmp_path):
+    # an octahedron boundary, vertices and lines out of order
+    path = tmp_path / "octahedron.tri"
+    path.write_text(
+        "dim 2\n"
+        "s 5 2 0\ns 1 3 4\ns 0 3 2\ns 4 2 5\n"
+        "s 3 0 5\ns 1 2 3\ns 4 5 3\ns 2 1 4\n"
+    )
+    c = build_manifold(f"tri:{path}", None, None)
+    assert_matches_lattice_oracle(Triangulation.load(str(path)), c)
+    assert c.cell_counts == (8, 12, 6)
 
 
 def test_validate_generic_passes_builtins(sphere2, torus2, torus3):
