@@ -181,7 +181,7 @@ class CellComplex:
         self._closures: Dict[CellKey, FrozenSet[CellKey]] = {}
         # boundary bitmasks of every k-cell, kept by boundary_bits
         self._boundary_rows: Dict[int, List[int]] = {}
-        # kernel bases of the boundary maps, kept by homology.cycle_space_basis
+        # boundary basis + class generators, kept by homology.cycle_space_basis
         self._cycle_bases: Dict[int, Tuple[int, ...]] = {}
         # per top cell chi_up tables, kept by model._chi_table
         self._chi_tables: Dict[int, tuple] = {}

@@ -71,14 +71,19 @@ def semicharacteristic(b: BettiVector, k: int, start: int = 0) -> int:
 
 def cycle_space_basis(c: CellComplex, p: int) -> Tuple[int, ...]:
     """Basis of ker boundary_p as bitmasks over p-cells, computed once per
-    complex and dimension."""
+    complex and dimension: the boundary basis, then one generator per class.
+
+    Each class holds one cycle with no pivot bit of the boundary space; these
+    cycles are the kernel of the coboundary rows with the pivot columns
+    masked out, less the unit vectors of the masked columns.
+    """
     basis = c._cycle_bases.get(p)
     if basis is None:
-        if p == 0:
-            basis = tuple(1 << i for i in range(c.n_cells(0)))
-        else:
-            rows = [c.coboundary_bits(p - 1, j) for j in range(c.n_cells(p - 1))]
-            basis = tuple(F2Matrix(len(rows), c.n_cells(p), rows).nullspace())
+        bounds = boundary_space(c, p)
+        mask = bounds._pivot_mask
+        rows = [c.coboundary_bits(p - 1, j) & ~mask for j in range(c.n_cells(p - 1))]
+        kernel = F2Matrix(len(rows), c.n_cells(p), rows).nullspace()
+        basis = bounds.basis + tuple(v for v in kernel if not v & mask)
         c._cycle_bases[p] = basis
     return basis
 
@@ -136,25 +141,18 @@ class SectorSet:
 def homology_sector_reps(c: CellComplex, p: int) -> SectorSet:
     """One canonical cycle per Z2 homology class of dimension p.
 
-    Representatives are reduced against the boundary space in lexicographic
-    pivot order, so the empty chain represents the trivial class and the
-    choice is reproducible.
+    A class is represented by its one cycle with no pivot bit of the boundary
+    space (its reduced form in lexicographic pivot order), so the empty chain
+    represents the trivial class and the choice is reproducible. The
+    generators are the class part of `cycle_space_basis`.
     """
     bounds = boundary_space(c, p)
-    # Reduction is linear with kernel the boundaries: a cycle is a new class
-    # iff its reduced form is outside the span of the earlier ones.
-    generators = Subspace(c.n_cells(p), ())
-    reduced = []
-    for z in cycle_space_basis(c, p):
-        r = reduce_by_rref(z, bounds)
-        if not in_span(r, generators):
-            reduced.append(r)
-            generators = generators.extend(r)
-    if len(reduced) > MAX_SECTOR_RANK:
-        raise ValueError(f"2^{len(reduced)} sectors exceed the enumeration guard")
-    # the representative of a sum of generators is the sum of their reduced forms
+    generators = cycle_space_basis(c, p)[bounds.dim:]
+    if len(generators) > MAX_SECTOR_RANK:
+        raise ValueError(f"2^{len(generators)} sectors exceed the enumeration guard")
+    # a sum of pivot-free cycles is pivot-free: its class's representative
     rep_bits = [0]
-    for g in reduced:
+    for g in generators:
         rep_bits += [bits ^ g for bits in rep_bits]
     rep_bits.sort(key=lambda bits: (bits.bit_count(), bits))
     assert rep_bits[0] == 0

@@ -18,6 +18,58 @@ def dense_incidence(c, k):
     return F2Matrix(c.n_cells(k), c.n_cells(k - 1) if k >= 1 else 0, rows)
 
 
+# -- dense reference eliminator ---------------------------------------------
+# The column-by-column dense elimination the sparse core replaced. It is
+# O(rows x cols) but obviously right, so the sparse methods must match it bit
+# for bit.
+
+
+def reference_rref(m: F2Matrix):
+    work = list(m.data)
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        sel = None
+        for i in range(r, len(work)):
+            if (work[i] >> c) & 1:
+                sel = i
+                break
+        if sel is None:
+            continue
+        work[r], work[sel] = work[sel], work[r]
+        for i in range(len(work)):
+            if i != r and ((work[i] >> c) & 1):
+                work[i] ^= work[r]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return F2Matrix(m.rows, m.cols, work), pivots
+
+
+def reference_nullspace(m: F2Matrix):
+    red, pivots = reference_rref(m)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
+        v = 1 << f
+        for i, p in enumerate(pivots):
+            if (red.data[i] >> f) & 1:
+                v |= 1 << p
+        basis.append(v)
+    return basis
+
+
+# built-in specs small enough for the dense oracles (Voronoi: 60 points, seed 1)
+SHIPPED_COMPLEXES = [
+    "sphere:1", "sphere:2", "sphere:3", "sphere:4", "torus:2:3", "torus:3:3",
+    "tP:1", "tP:2", "tP:3", "tP:4", "tP:5", "tP:6", "genus:2", "klein",
+    "torus-voronoi:2",
+]
+
+
 @pytest.fixture(scope="session")
 def sphere2():
     return builtin_manifold("sphere", 2)

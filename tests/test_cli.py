@@ -289,16 +289,16 @@ def test_commutation_fail_lines_replay_the_state(monkeypatch, capsys):
                       "--seed", "3"], capsys)
     assert rc == EXIT_FAIL
     assert out.splitlines() == [
-        "FAIL commutation fails at cells 2,4 (trial 1 of 200, state 0x1e3)",
-        "FAIL projector fails at cell 2 (trial 1 of 200, state 0x1e3)",
-        "FAIL commutation fails at cells 4,0 (trial 2 of 200, state 0x1e3)",
-        "FAIL projector fails at cell 4 (trial 2 of 200, state 0x1e3)",
-        "FAIL commutation fails at cells 4,1 (trial 3 of 200, state 0x7e)",
-        "FAIL projector fails at cell 4 (trial 3 of 200, state 0x7e)",
-        "FAIL commutation fails at cells 4,4 (trial 4 of 200, state 0x1e3)",
-        "FAIL projector fails at cell 4 (trial 4 of 200, state 0x1e3)",
-        "FAIL commutation fails at cells 1,1 (trial 5 of 200, state 0x336)",
-        "FAIL projector fails at cell 1 (trial 5 of 200, state 0x336)",
+        "FAIL commutation fails at cells 2,4 (trial 1 of 200, state 0x336)",
+        "FAIL projector fails at cell 2 (trial 1 of 200, state 0x336)",
+        "FAIL commutation fails at cells 4,0 (trial 2 of 200, state 0x336)",
+        "FAIL projector fails at cell 4 (trial 2 of 200, state 0x336)",
+        "FAIL commutation fails at cells 4,1 (trial 3 of 200, state 0x1e3)",
+        "FAIL projector fails at cell 4 (trial 3 of 200, state 0x1e3)",
+        "FAIL commutation fails at cells 4,4 (trial 4 of 200, state 0x336)",
+        "FAIL projector fails at cell 4 (trial 4 of 200, state 0x336)",
+        "FAIL commutation fails at cells 1,1 (trial 5 of 200, state 0x1ec)",
+        "FAIL projector fails at cell 1 (trial 5 of 200, state 0x1ec)",
         "FAIL ... and 390 more (400 problems in total)",
     ]
 
@@ -310,9 +310,9 @@ def test_circuit_fail_line_replays_the_flip(monkeypatch, capsys):
     rc, out, _ = run(["verify", "--suite", "circuit", "--manifold", "sphere:3",
                       "--seed", "3"], capsys)
     assert rc == EXIT_FAIL
-    assert out == "FAIL circuit conjugation fails at top cell 1 (trial 4 of 20, state 0x71)\n"
+    assert out == "FAIL circuit conjugation fails at top cell 2 (trial 4 of 20, state 0x192)\n"
     c = build_manifold("sphere:3", None, 3)
-    _, sf = model_mod.flip(c, 1, Chain(c, 2, 0x71), model_mod.GDS)
+    _, sf = model_mod.flip(c, 2, Chain(c, 2, 0x192), model_mod.GDS)
     assert sf.phase == -1
 
 

@@ -26,36 +26,12 @@ from gdslab.f2 import (
 )
 from gdslab.homology import cycle_space_basis
 
-from conftest import dense_incidence
-
-
-# -- dense reference eliminator ---------------------------------------------
-# The column-by-column dense elimination the sparse core replaced. It is
-# O(rows x cols) but obviously right, so the sparse methods must match it bit
-# for bit.
-
-
-def reference_rref(m: F2Matrix):
-    work = list(m.data)
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        sel = None
-        for i in range(r, len(work)):
-            if (work[i] >> c) & 1:
-                sel = i
-                break
-        if sel is None:
-            continue
-        work[r], work[sel] = work[sel], work[r]
-        for i in range(len(work)):
-            if i != r and ((work[i] >> c) & 1):
-                work[i] ^= work[r]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return F2Matrix(m.rows, m.cols, work), pivots
+from conftest import (
+    SHIPPED_COMPLEXES,
+    dense_incidence,
+    reference_nullspace,
+    reference_rref,
+)
 
 
 def reference_matmul(a: F2Matrix, b: F2Matrix) -> F2Matrix:
@@ -68,21 +44,6 @@ def reference_matmul(a: F2Matrix, b: F2Matrix) -> F2Matrix:
                 bits |= 1 << j
         data.append(bits)
     return F2Matrix(a.rows, b.cols, data)
-
-
-def reference_nullspace(m: F2Matrix):
-    red, pivots = reference_rref(m)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = 1 << f
-        for i, p in enumerate(pivots):
-            if (red.data[i] >> f) & 1:
-                v |= 1 << p
-        basis.append(v)
-    return basis
 
 
 def assert_matches_reference(m: F2Matrix):
@@ -124,13 +85,6 @@ def test_sparse_matmul_matches_dense_reference(data):
     assert a.matmul(b) == reference_matmul(a, b)
 
 
-SHIPPED_COMPLEXES = [
-    "sphere:1", "sphere:2", "sphere:3", "sphere:4", "torus:2:3", "torus:3:3",
-    "tP:1", "tP:2", "tP:3", "tP:4", "tP:5", "tP:6", "genus:2", "klein",
-    "torus-voronoi:2",
-]
-
-
 @pytest.mark.parametrize("spec", SHIPPED_COMPLEXES)
 def test_shipped_incidences_match_dense_reference(spec):
     c = build_manifold(spec, 60, 1)
@@ -142,9 +96,16 @@ def test_shipped_incidences_match_dense_reference(spec):
         assert a.matmul(b) == reference_matmul(a, b)
         at, bt = b.transpose(), a.transpose()
         assert at.matmul(bt) == reference_matmul(at, bt)
-    basis = cycle_space_basis(c, c.dim - 1)
-    assert basis == tuple(reference_nullspace(dense_incidence(c, c.dim - 1).transpose()))
-    assert cycle_space_basis(c, c.dim - 1) is basis
+    p = c.dim - 1
+    cycles = reference_nullspace(dense_incidence(c, p).transpose())
+    rows = [c.coboundary_bits(p - 1, j) for j in range(c.n_cells(p - 1))]
+    assert F2Matrix(len(rows), c.n_cells(p), rows).nullspace() == cycles
+    # the production basis is another basis of the same cycle space
+    basis = cycle_space_basis(c, p)
+    assert len(basis) == len(cycles)
+    assert (reference_rref(F2Matrix(len(basis), c.n_cells(p), basis))
+            == reference_rref(F2Matrix(len(cycles), c.n_cells(p), cycles)))
+    assert cycle_space_basis(c, p) is basis
 
 
 def brute_force_rank(rows, n_cols):

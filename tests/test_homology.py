@@ -23,7 +23,12 @@ from gdslab.homology import (
 from gdslab.manifolds import builtin_manifold
 from gdslab.model import random_cycle
 
-from conftest import dense_incidence
+from conftest import (
+    SHIPPED_COMPLEXES,
+    dense_incidence,
+    reference_nullspace,
+    reference_rref,
+)
 
 
 def test_classical_betti_vectors(torus2, klein, sphere4, torus3, rp2):
@@ -144,13 +149,15 @@ def list_scan_reduce(vec, rref_rows):
 
 
 def reference_sector_bits(c, p):
-    """Sector representatives the slow way: the homology generators found by
-    rebuilding the row space after each one, and every sum of them reduced
-    against the boundary rows from scratch, by list scans only."""
+    """Sector representatives the slow way: the homology generators picked
+    from the dense reference cycle basis by rebuilding the row space after
+    each one, and every sum of them reduced against the boundary rows from
+    scratch, by list scans only."""
     bound_rref = dense_incidence(c, p + 1).row_space_basis() if p < c.dim else []
     homology_basis = []
     seen_rref = list(bound_rref)
-    for z in cycle_space_basis(c, p):
+    # at p = 0 the transposed incidence has no rows: the unit vectors
+    for z in reference_nullspace(dense_incidence(c, p).transpose()):
         if list_scan_reduce(z, seen_rref):
             homology_basis.append(z)
             seen_rref = F2Matrix(
@@ -176,9 +183,40 @@ def test_sector_reps_match_per_sector_reduction(spec):
         c = build_manifold(*spec)
     else:
         c = builtin_manifold(*spec)
-    for p in range(c.dim):
+    for p in range(c.dim + 1):
         got = [r.bits for r in homology_sector_reps(c, p).reps]
         assert got == reference_sector_bits(c, p)
+
+
+@pytest.mark.parametrize("spec", SHIPPED_COMPLEXES)
+def test_class_generators_are_independent_pivot_free_cycles(spec):
+    c = build_manifold(spec, 60, 1)
+    b = betti(c)
+    for p in range(c.dim + 1):
+        bounds = boundary_space(c, p)
+        basis = cycle_space_basis(c, p)
+        assert basis[:bounds.dim] == bounds.basis
+        generators = basis[bounds.dim:]
+        assert len(generators) == b[p]
+        _, ref_pivots = reference_rref(dense_incidence(c, p + 1))
+        pivot_bits = sum(1 << q for q in ref_pivots)
+        boundary = dense_incidence(c, p).transpose()
+        for g in generators:
+            assert boundary.matvec(g) == 0
+            assert g & pivot_bits == 0
+        _, pivots = reference_rref(F2Matrix(len(generators), c.n_cells(p), generators))
+        assert len(pivots) == len(generators)
+
+
+def test_cycle_basis_does_not_reach_the_sector_guard():
+    # random_cycle reads cycle_space_basis; only homology_sector_reps guards
+    # the 2^b listing, so gsd on genus:7 still exits 2 (tests/test_cli.py)
+    c = builtin_manifold("genus", 7)
+    basis = cycle_space_basis(c, 1)
+    assert len(basis) == boundary_space(c, 1).dim + 14
+    assert random_cycle(c, random.Random(0)).is_cycle()
+    with pytest.raises(ValueError, match=r"2\^14 sectors"):
+        homology_sector_reps(c, 1)
 
 
 def test_homology_test_helper(torus2):

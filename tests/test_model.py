@@ -25,6 +25,8 @@ from gdslab.model import (
     verify_projector,
 )
 
+from conftest import dense_incidence, reference_nullspace
+
 
 def closure_chi_up(c, cell, s):
     """Reference chi_up: the Euler characteristic of the closure of the up
@@ -112,6 +114,18 @@ def test_flip_is_involution_on_states(torus3):
         s1, _ = flip(torus3, cell, s, GDS)
         s2, _ = flip(torus3, cell, s1, GDS)
         assert s2.bits == s.bits
+
+
+@pytest.mark.parametrize("spec,states", [("tP:1", 64), ("sphere:2", 8), ("torus:2:3", 1024)])
+def test_random_cycle_reaches_every_cycle_state(spec, states):
+    # a seed's draws depend on the cycle basis; the set they reach must not
+    c = build_manifold(spec, None, None)
+    span = {0}
+    for z in reference_nullspace(dense_incidence(c, c.dim - 1).transpose()):
+        span |= {s ^ z for s in span}
+    assert len(span) == states
+    rng = random.Random(5)
+    assert {random_cycle(c, rng).bits for _ in range(16 * states)} == span
 
 
 def test_projector_property_random_cycles(torus2, sphere3, voronoi2):
