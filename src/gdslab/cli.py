@@ -34,15 +34,20 @@ _SPEC_FORMS = {
     "square-grid": (0, 1, "square-grid[:n] needs an integer n, e.g. square-grid:2"),
 }
 
-# Largest built-in sphere or torus, in estimated cells, that build_manifold
-# builds: torus:3:24 and sphere:14 fit, torus:6:3 and sphere:16 do not.
+# Largest built-in complex, in estimated cells, that build_manifold builds:
+# torus:3:24, sphere:14 and torus-voronoi:3 with 10000 points fit,
+# torus:6:3, sphere:16 and torus-voronoi:3 with 20000 points do not.
 MAX_CELLS = 100_000
 
 
-def _log10_cells(name: str, params: List[int]) -> float:
-    """log10 of the cells of a built-in sphere or torus, from its spec alone:
-    the 2^(d+2) - 2 faces of a (d+1)-simplex for sphere:d, the n^d d! top
-    simplices for torus:d:n. Logarithms, so a huge d cannot overflow."""
+def _log10_cells(name: str, params: List[int], points: Optional[int] = None) -> float:
+    """log10 of the cells of a built-in complex, from its spec and point
+    count alone: the 2^(d+2) - 2 faces of a (d+1)-simplex for sphere:d, the
+    n^d d! top simplices for torus:d:n, and for torus-voronoi:d with n
+    points the Delaunay simplices, 2n for d = 2 and about 7n for d = 3
+    (6.77n for Poisson points). Logarithms, so a huge d cannot overflow."""
+    if name == "torus-voronoi" and params[0] in (2, 3) and points is not None:
+        return math.log10(max(points, 1) * (2 if params[0] == 2 else 7))
     if name == "sphere":
         d = params[0]
         return (d + 2) * math.log10(2) + math.log10(1 - 2.0 ** -(d + 1))
@@ -73,7 +78,7 @@ def build_manifold(spec: str, points: Optional[int], seed: Optional[int]) -> Cel
     if not ok or (name in ("sphere", "torus") and int(params[0]) < 1):
         raise ValueError(usage)
     params = [int(p) for p in params]
-    log_cells = _log10_cells(name, params)
+    log_cells = _log10_cells(name, params, points)
     if log_cells > math.log10(MAX_CELLS):
         about = f"{10 ** log_cells:.3g}" if log_cells < 300 else f"10^{log_cells:.0f}"
         raise ValueError(f"{spec} would have about {about} cells, "

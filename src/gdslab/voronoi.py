@@ -1,7 +1,8 @@
 """Periodic Voronoi cellulations of the flat torus, d = 2 or 3.
 
-Points are replicated into the 3^d neighboring boxes, triangulated, and the
-quotient complex is rebuilt from translation classes by array operations.
+Points are replicated into the 3^d neighboring boxes, the patch points
+within a margin of the unit box are triangulated, and the quotient complex
+is rebuilt from translation classes by array operations.
 Each simplex gets one key row: the least, over its vertices, of the sorted
 vertex keys of the translate that puts that vertex at offset 0, where a
 vertex key packs the point id and the offset digits into one int that
@@ -11,10 +12,13 @@ cells, faces and their numbering come from sorting these rows.
 
 Construction uses floating-point Delaunay, but every certificate decision is
 exact: each accepted simplex gets an integer orientation and an exact
-circumcentre, a kd-tree with a safety margin collects the patch points that
-could lie in or on its circumsphere, and each of those is decided by the
-integer `in_sphere` predicate.  Degenerate inputs are detected rather than
-silently perturbed.
+circumcentre, a kd-tree with a safety margin collects the patch points of
+the whole 3^d patch that could lie in or on its circumsphere, and each of
+those is decided by the integer `in_sphere` predicate.  The kept classes
+must then tile the torus: their exact volumes sum to the box's.  The margin
+only saves work, so a margin too narrow for any check is widened until, at
+the full patch, the checks pass or raise.  Degenerate inputs are detected
+rather than silently perturbed.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -183,7 +187,13 @@ def torus_voronoi(d: int, points: PointSet) -> CellComplex:
 
     The d-cells are the Voronoi cells of the input points; a j-cell is dual
     to a (d-j)-simplex of the periodic Delaunay triangulation.  Every kept
-    simplex is certified nondegenerate with an exactly empty circumsphere.
+    simplex is certified nondegenerate with an exactly empty circumsphere,
+    and the kept classes are certified to tile the torus.
+
+    Only the patch points in [-m, 1 + m]^d are triangulated.  The margin m
+    starts at three mean point spacings, 3 n^(-1/d), capped at 1, and grows
+    by half whenever `_certify` rejects the margin's simplices; at m = 1 the
+    whole patch is triangulated and any failure is raised.
 
     Quotient simplices are keyed by `_class_keys`.  Top simplices are
     numbered in the sorted order of their keys.  The faces of each
@@ -203,24 +213,31 @@ def torus_voronoi(d: int, points: PointSet) -> CellComplex:
     patch: List[PatchVertex] = [(pid, off) for pid in range(len(points)) for off in offsets]
     offset_arr = np.array(offsets, dtype=np.int64)
     base = np.array(points.coords, dtype=np.int64)
-    coords_arr = (base[:, None] + SCALE * offset_arr).reshape(-1, d) / SCALE
+    coords = (base[:, None] + SCALE * offset_arr).reshape(-1, d)
+    coords_arr = coords / SCALE
 
-    tri = Delaunay(coords_arr)
+    margin = min(1.0, 3 * len(points) ** (-1 / d))
+    while True:
+        sel = np.flatnonzero(((coords_arr >= -margin) & (coords_arr <= 1 + margin)).all(axis=1))
+        simplices = sel[Delaunay(coords_arr[sel]).simplices]
 
-    # a simplex is kept iff a vertex sits at offset 0, the middle of offsets;
-    # each class keeps its first Delaunay simplex, and _certify gets them in
-    # Delaunay order, keyed by top cell id
-    simplices = tri.simplices.astype(np.int64)
-    simplices = simplices[(simplices % n_off == n_off // 2).any(axis=1)]
-    classes, first = np.unique(
-        _class_keys(simplices // n_off, offset_arr[simplices % n_off]),
-        axis=0,
-        return_index=True,
-    )
-    by_delaunay = np.argsort(first)
-    kept = dict(zip(by_delaunay.tolist(), map(tuple, simplices[first[by_delaunay]].tolist())))
-
-    _certify(d, points, patch, coords_arr, kept)
+        # a simplex is kept iff a vertex sits at offset 0, the middle of
+        # offsets; each class keeps its first Delaunay simplex, and _certify
+        # gets them in Delaunay order
+        simplices = simplices[(simplices % n_off == n_off // 2).any(axis=1)]
+        classes, first = np.unique(
+            _class_keys(simplices // n_off, offset_arr[simplices % n_off]),
+            axis=0,
+            return_index=True,
+        )
+        kept = simplices[np.sort(first)]
+        try:
+            _certify(d, patch, coords, kept, margin)
+            break
+        except (ValueError, RuntimeError):
+            if margin == 1.0:
+                raise
+            margin = min(1.0, 1.5 * margin)
 
     # quotient face poset, dims d (tops) down to 1, with classes[i] the key
     # of k-simplex i; its dual: quotient k-simplex -> (d-k)-cell
@@ -260,55 +277,58 @@ def torus_voronoi(d: int, points: PointSet) -> CellComplex:
     return cplx
 
 
-def _certify(d, points, patch, coords_arr, kept) -> None:
-    """Exact nondegeneracy and empty-circumsphere checks for kept simplices.
+def _certify(d, patch, coords, kept, margin=1.0) -> None:
+    """Exact certificate that `kept` is the periodic Delaunay triangulation.
 
-    Each kept simplex gets its exact orientation and exact circumcentre
-    (integer offsets from its first vertex over 2^d * orient) and r^2.  One
-    kd-tree query then returns, for every simplex, the patch points within
-    r * (1 + 1e-9) + 1e-9 of its centre, and each of those that is not a
-    vertex is decided by the exact `in_sphere`.  No patch point is judged by
-    floating point alone.
+    `coords` are the integer patch coordinates, and each row of `kept` lists
+    the patch ids of one simplex, one per translation class.  Orientations
+    and circumcentres come from one exact batch (`_exact_circumcentres`,
+    `_rounded_spheres`).  Each circumsphere must lie in the margin box
+    [-m, 1 + m]^d, up to the 1e-9 slack of the query below; as the box lies
+    in the 3^d patch, no translate beyond the patch can be inside it.
+
+    Emptiness: one kd-tree query over all 3^d patch points returns, for
+    every simplex, the points within r * (1 + 1e-9) + 1e-9 of its centre,
+    and each of those that is not a vertex is decided by the exact
+    `in_sphere`.  No patch point is judged by floating point alone.  A
+    simplex with an empty circumsphere and no cospherical point is a true
+    Delaunay simplex, and two distinct ones have disjoint interiors.
 
     Why the query misses nothing inside or on a sphere: patch coordinates
     are k / 2^20 with |k| < 2^21, so they are exact in a double.  The float
     centre is the exact rational rounded once per coordinate, and the
     radius is sqrt of the correctly rounded r^2, so both are within a few
     ulps (about 1e-15 on a box of side 3) of the truth, as is the distance
-    the tree computes.  The margin, 1e-9 in unit-box units, dwarfs that
+    the tree computes.  The slack, 1e-9 in unit-box units, dwarfs that
     error, so every point left out of the query result is strictly outside
     the circumsphere.
+
+    Tiling: the kept classes are then disjoint, so they cover the torus,
+    and no class is missing, iff their exact volumes sum to the torus's:
+    sum |orient| = d! * SCALE^d.  This is what makes a margin narrower than
+    the patch safe.
     """
-    centres = np.empty((len(kept), d))
-    radii = np.empty(len(kept))
-    simplices = []
-    for row, patch_ids in enumerate(kept.values()):
-        simplex_pts = [_int_coords(points, patch[i]) for i in patch_ids]
-        orient = _orient_det(simplex_pts)
-        if orient == 0:
-            raise GeneralPositionError(
-                "degenerate Delaunay simplex", [patch[i] for i in patch_ids]
-            )
-        p0 = simplex_pts[0]
-        num, den = _circumcentre_offsets(simplex_pts, orient)
-        scale = den * SCALE
-        centres[row] = [(x * den + c) / scale for x, c in zip(p0, num)]
-        radii[row] = math.sqrt(sum(c * c for c in num) / (scale * scale))
-        simplices.append((patch_ids, simplex_pts))
-    # circumspheres must stay inside the patch for the periodic argument
-    if np.any(centres - radii[:, None] < -1.0 - 1e-9) or np.any(
-        centres + radii[:, None] > 2.0 + 1e-9
+    pts = coords[kept]
+    orient, num = _exact_circumcentres(pts)
+    degenerate = np.flatnonzero(orient == 0)
+    if degenerate.size:
+        raise GeneralPositionError(
+            "degenerate Delaunay simplex", [patch[i] for i in kept[degenerate[0]]]
+        )
+    centres, radii = _rounded_spheres(pts, orient, num)
+    # circumspheres must stay inside the margin box for the periodic argument
+    if np.any(centres - radii[:, None] < -margin - 1e-9) or np.any(
+        centres + radii[:, None] > 1 + margin + 1e-9
     ):
         raise ValueError("point set too sparse: a circumsphere leaves the 3^d patch")
 
-    tree = cKDTree(coords_arr)
+    tree = cKDTree(coords / SCALE)
     near = tree.query_ball_point(centres, radii * (1 + 1e-9) + 1e-9)
-    for (patch_ids, simplex_pts), candidates in zip(simplices, near):
-        member = set(patch_ids)
+    for simplex_pts, patch_ids, candidates in zip(pts.tolist(), kept.tolist(), near):
         for q in candidates:
-            if q in member:
+            if q in patch_ids:
                 continue
-            side = in_sphere(simplex_pts, _int_coords(points, patch[q]))
+            side = in_sphere(simplex_pts, coords[q].tolist())
             if side == 0:
                 raise GeneralPositionError(
                     "cospherical points",
@@ -317,26 +337,59 @@ def _certify(d, points, patch, coords_arr, kept) -> None:
             if side > 0:
                 raise RuntimeError("triangulation is not Delaunay (exact check)")
 
+    volume, full = abs(orient).sum(), math.factorial(d) * SCALE**d
+    if volume != full:
+        raise RuntimeError(
+            f"certified simplices do not tile the torus: |orient| sums to "
+            f"{volume}, not d! SCALE^d = {full}"
+        )
 
-def _int_coords(points: PointSet, pv: PatchVertex) -> Tuple[int, ...]:
-    pid, off = pv
-    return tuple(x + SCALE * o for x, o in zip(points.coords[pid], off))
+
+def _dets(m: np.ndarray) -> np.ndarray:
+    """Exact determinants of a stack (n, k, k) of integer object matrices,
+    by the Leibniz sum over permutations."""
+    k = m.shape[-1]
+    total = 0
+    for perm in permutations(range(k)):
+        term = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+        for i, j in enumerate(perm):
+            term = term * m[:, i, j]
+        total = total + term
+    return total
 
 
-def _circumcentre_offsets(
-    simplex: Sequence[Sequence[int]], orient: int
-) -> Tuple[List[int], int]:
-    """Circumcentre minus the first vertex, as integer numerators over den.
+def _exact_circumcentres(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Orientations (n,) and circumcentre offsets (n, d) of simplices with
+    integer vertices pts (n, d + 1, d), as Python ints in object arrays.
 
-    Cramer's rule on 2 (p_i - p_0) . c = |p_i - p_0|^2, with
-    den = det(2 (p_i - p_0)) = 2^d * orient.
+    The orientation is det(p_i - p_0).  The circumcentre minus p_0 is
+    num / den with den = 2^d * orient, by Cramer's rule on
+    2 (p_i - p_0) . c = |p_i - p_0|^2.  The numerators overflow int64 in
+    d = 3, hence the Python ints.
     """
-    p0 = simplex[0]
-    edges = [[x - y for x, y in zip(p, p0)] for p in simplex[1:]]
-    a = [[2 * x for x in e] for e in edges]
-    b = [sum(x * x for x in e) for e in edges]
-    num = [
-        _det_bareiss([r[:j] + [bj] + r[j + 1 :] for r, bj in zip(a, b)])
-        for j in range(len(p0))
-    ]
-    return num, (1 << len(p0)) * orient
+    edges = (pts[:, 1:] - pts[:, :1]).astype(object)
+    a = 2 * edges
+    b = (edges * edges).sum(axis=2)
+    num = []
+    for j in range(edges.shape[2]):
+        aj = a.copy()
+        aj[:, :, j] = b
+        num.append(_dets(aj))
+    return _dets(edges), np.stack(num, axis=1)
+
+
+def _rounded_spheres(
+    pts: np.ndarray, orient: np.ndarray, num: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Float circumcentres (n, d) and radii (n,) in unit-box units.
+
+    Each centre coordinate is the exact rational (x_0 * den + num) /
+    (den * SCALE), and r^2 = |num|^2 / (den * SCALE)^2; int / int division
+    rounds correctly, so each comes out as the exact value rounded once.
+    """
+    den = (1 << pts.shape[2]) * orient
+    scale = den * SCALE
+    p0 = pts[:, 0].astype(object)
+    centres = ((p0 * den[:, None] + num) / scale[:, None]).astype(float)
+    radii = np.sqrt(((num * num).sum(axis=1) / (scale * scale)).astype(float))
+    return centres, radii

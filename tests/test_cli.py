@@ -413,6 +413,31 @@ def test_oversized_spec_exits_2_before_building(capsys, spec, about):
                    f"over the budget of {MAX_CELLS}\n")
 
 
+@pytest.mark.parametrize("d,points,about", [(2, 60000, "1.2e+05"), (3, 20000, "1.4e+05")])
+def test_oversized_voronoi_exits_2_before_drawing_points(monkeypatch, capsys, d, points, about):
+    from gdslab import voronoi
+
+    def never(*args):
+        raise AssertionError("points drawn")
+
+    monkeypatch.setattr(voronoi.PointSet, "random", never)
+    spec = f"torus-voronoi:{d}"
+    rc, out, err = run(["gsd", "--manifold", spec, "--points", str(points), "--seed", "1"],
+                       capsys)
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert err == (f"error: {spec} would have about {about} cells, "
+                   f"over the budget of {MAX_CELLS}\n")
+
+
+def test_voronoi_size_guard_admits_10000_points_in_3d(monkeypatch):
+    from gdslab import voronoi
+
+    monkeypatch.setattr(voronoi, "torus_voronoi", lambda d, points: (d, len(points)))
+    assert build_manifold("torus-voronoi:3", 10000, 1) == (3, 10000)
+    assert build_manifold("torus-voronoi:2", 50000, 1) == (2, 50000)
+
+
 def test_size_budget_admits_the_largest_specs_in_use():
     for name, params in [("torus", [3, 24]), ("torus", [3, 16]), ("sphere", [14])]:
         assert 10 ** _log10_cells(name, params) < MAX_CELLS

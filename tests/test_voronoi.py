@@ -1,11 +1,14 @@
 """Periodic Voronoi generator and its exact predicates."""
 
+import math
 from itertools import combinations, product
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from gdslab import voronoi
+from gdslab.cli import EXIT_INTERNAL, dispatch
 from gdslab.complexes import CellComplex
 from gdslab.homology import betti
 from gdslab.voronoi import (
@@ -108,19 +111,21 @@ SHIPPED_POINT_SETS = [
 ]
 
 
+def _int_coords(points, pv):
+    pid, off = pv
+    return tuple(x + SCALE * o for x, o in zip(points.coords[pid], off))
+
+
 def _patch(points):
     """The 3^d patch as torus_voronoi lays it out: vertices, integer coords."""
     offsets = sorted(product((-1, 0, 1), repeat=points.dim))
     patch = [(pid, off) for pid in range(len(points)) for off in offsets]
-    coords = [
-        tuple(x + SCALE * o for x, o in zip(points.coords[pid], off))
-        for pid, off in patch
-    ]
-    return patch, coords
+    return patch, [_int_coords(points, pv) for pv in patch]
 
 
 def _certify_args(monkeypatch, d, n, seed):
-    """Build a complex and return the arguments torus_voronoi gave _certify."""
+    """Build a complex and return the arguments torus_voronoi gave the
+    _certify call that passed, the last one."""
     calls = []
     real = voronoi._certify
 
@@ -130,19 +135,19 @@ def _certify_args(monkeypatch, d, n, seed):
 
     monkeypatch.setattr(voronoi, "_certify", spy)
     torus_voronoi(d, PointSet.random(d, n, seed=seed))
-    (args,) = calls
-    return args
+    return calls[-1]
 
 
 @pytest.mark.parametrize("d,n,seed", SHIPPED_POINT_SETS)
 def test_certified_simplices_match_all_patch_oracle(monkeypatch, d, n, seed):
     # oracle: exact in_sphere of every kept simplex against every patch point
-    _, points, patch, _, kept = _certify_args(monkeypatch, d, n, seed)
-    layout, coords = _patch(points)
+    _, patch, coords, kept, _ = _certify_args(monkeypatch, d, n, seed)
+    layout, oracle_coords = _patch(PointSet.random(d, n, seed=seed))
     assert layout == patch
-    for patch_ids in kept.values():
-        simplex = [coords[i] for i in patch_ids]
-        for q, pt in enumerate(coords):
+    assert list(map(tuple, coords.tolist())) == oracle_coords
+    for patch_ids in kept.tolist():
+        simplex = [oracle_coords[i] for i in patch_ids]
+        for q, pt in enumerate(oracle_coords):
             side = in_sphere(simplex, pt)
             if q in patch_ids:
                 assert side == 0
@@ -173,20 +178,25 @@ def _base_representative(cls):
     return tuple((pid, tuple(o - lo for o, lo in zip(off, lows))) for pid, off in cls)
 
 
-def _reference_quotient(d, points):
-    """The kept simplices and the quotient complex, one tuple class at a
-    time: each kept Delaunay simplex and each face is canonicalised by
-    `_canonical_class`, tops are numbered in sorted class order and faces
-    by first occurrence."""
+def _reference_kept(points):
+    """The first full-patch Delaunay simplex of each class that touches the
+    unit box, in Delaunay order, keyed by `_canonical_class`."""
     patch, coords = _patch(points)
     tri = voronoi.Delaunay(np.asarray(coords, dtype=float) / SCALE)
     kept = {}
     for simplex in tri.simplices:
         verts = [patch[i] for i in simplex]
-        if not any(off == (0,) * d for _, off in verts):
+        if not any(off == (0,) * points.dim for _, off in verts):
             continue
         kept.setdefault(_canonical_class(verts), tuple(int(i) for i in simplex))
+    return kept
 
+
+def _reference_quotient(d, points):
+    """The quotient complex, one tuple class at a time: each kept Delaunay
+    simplex and each face is canonicalised by `_canonical_class`, tops are
+    numbered in sorted class order and faces by first occurrence."""
+    kept = _reference_kept(points)
     classes = [{} for _ in range(d + 1)]
     for cls in sorted(kept):
         classes[d][cls] = len(classes[d])
@@ -206,34 +216,214 @@ def _reference_quotient(d, points):
         for simplex_id, face_id in incidences[d - j + 1]:
             face_lists[face_id].append(simplex_id)
         faces.append([tuple(sorted(fl)) for fl in face_lists])
-    return list(kept.values()), CellComplex(d, faces)
+    return set(kept), CellComplex(d, faces)
 
 
 @pytest.mark.parametrize(
     "d,n,seed", SHIPPED_POINT_SETS + [(2, 60, 1), (3, 30, 2), (2, 500, 7), (3, 100, 7)]
 )
 def test_quotient_matches_tuple_oracle(monkeypatch, d, n, seed):
-    ref_kept, ref_complex = _reference_quotient(d, PointSet.random(d, n, seed=seed))
-    _, _, _, _, kept = _certify_args(monkeypatch, d, n, seed)
-    assert list(kept.values()) == ref_kept
+    ref_classes, ref_complex = _reference_quotient(d, PointSet.random(d, n, seed=seed))
+    _, patch, _, kept, _ = _certify_args(monkeypatch, d, n, seed)
+    # the margin run keeps other translates in another order, but one per
+    # class and the same classes
+    classes = [_canonical_class([patch[i] for i in ids]) for ids in kept.tolist()]
+    assert len(set(classes)) == len(classes)
+    assert set(classes) == ref_classes
     assert torus_voronoi(d, PointSet.random(d, n, seed=seed)) == ref_complex
+
+
+def _circumcentre_offsets(simplex, orient):
+    """Circumcentre minus the first vertex, as integer numerators over den.
+
+    Cramer's rule on 2 (p_i - p_0) . c = |p_i - p_0|^2, with
+    den = det(2 (p_i - p_0)) = 2^d * orient.
+    """
+    p0 = simplex[0]
+    edges = [[x - y for x, y in zip(p, p0)] for p in simplex[1:]]
+    a = [[2 * x for x in e] for e in edges]
+    b = [sum(x * x for x in e) for e in edges]
+    num = [
+        voronoi._det_bareiss([r[:j] + [bj] + r[j + 1 :] for r, bj in zip(a, b)])
+        for j in range(len(p0))
+    ]
+    return num, (1 << len(p0)) * orient
+
+
+def _float_sphere(simplex, orient):
+    """Float centre and radius of one simplex, in unit-box units."""
+    num, den = _circumcentre_offsets(simplex, orient)
+    scale = den * SCALE
+    centre = [(x * den + c) / scale for x, c in zip(simplex[0], num)]
+    return centre, math.sqrt(sum(c * c for c in num) / (scale * scale))
+
+
+@pytest.mark.parametrize("d,n,seed", SHIPPED_POINT_SETS + [(2, 500, 7), (3, 100, 7)])
+def test_batched_circumcentres_match_bareiss_oracle(monkeypatch, d, n, seed):
+    _, _, coords, kept, _ = _certify_args(monkeypatch, d, n, seed)
+    pts = coords[kept]
+    orient, num = voronoi._exact_circumcentres(pts)
+    centres, radii = voronoi._rounded_spheres(pts, orient, num)
+    simplices = [[tuple(p) for p in simplex] for simplex in pts.tolist()]
+    ref_orient = [voronoi._orient_det(s) for s in simplices]
+    assert orient.tolist() == ref_orient
+    assert num.tolist() == [_circumcentre_offsets(s, o)[0] for s, o in zip(simplices, ref_orient)]
+    spheres = [_float_sphere(s, o) for s, o in zip(simplices, ref_orient)]
+    # bit-identical, not just close
+    assert centres.tobytes() == np.array([c for c, _ in spheres]).tobytes()
+    assert radii.tobytes() == np.array([r for _, r in spheres]).tobytes()
+
+
+def _spy_delaunay(monkeypatch):
+    sizes = []
+    real = voronoi.Delaunay
+
+    def spy(pts):
+        sizes.append(len(pts))
+        return real(pts)
+
+    monkeypatch.setattr(voronoi, "Delaunay", spy)
+    return sizes
+
+
+def test_margin_triangulates_a_fraction_of_the_patch(monkeypatch):
+    sizes = _spy_delaunay(monkeypatch)
+    torus_voronoi(2, PointSet.random(2, 500, seed=7))
+    assert len(sizes) == 1 and sizes[0] < 9 * 500 / 4
+
+
+def test_narrow_first_margin_grows(monkeypatch):
+    # at 3 n^(-1/2) a circumsphere of this set leaves the margin box
+    points = PointSet.random(2, 60, seed=35)
+    sizes = _spy_delaunay(monkeypatch)
+    c = torus_voronoi(2, points)
+    assert len(sizes) == 2 and sizes[0] < sizes[1] < 9 * 60
+    assert c == _reference_quotient(2, points)[1]
+
+
+def _drop_first_class(monkeypatch):
+    real = voronoi._certify
+    monkeypatch.setattr(
+        voronoi, "_certify",
+        lambda d, patch, coords, kept, margin: real(d, patch, coords, kept[1:], margin),
+    )
+
+
+def test_missing_class_fails_the_tiling_certificate(monkeypatch):
+    _drop_first_class(monkeypatch)
+    with pytest.raises(RuntimeError, match="do not tile the torus"):
+        torus_voronoi(2, PointSet.random(2, 25, seed=7))
+
+
+def test_missing_class_is_an_internal_error_in_the_cli(monkeypatch, capsys):
+    _drop_first_class(monkeypatch)
+    rc = dispatch(["gsd", "--manifold", "torus-voronoi:3", "--points", "14", "--seed", "0"])
+    out, err = capsys.readouterr()
+    assert rc == EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("internal error: certified simplices do not tile the torus")
+
+
+def _reference_certify(points, kept):
+    """Certify kept patch-id tuples one simplex at a time, in order: Bareiss
+    orientation and Cramer centre each, the 3^d patch box, then the
+    kd-tree candidates by exact in_sphere."""
+    patch, coords = _patch(points)
+    centres, radii = [], []
+    for ids in kept:
+        simplex = [coords[i] for i in ids]
+        orient = voronoi._orient_det(simplex)
+        if orient == 0:
+            raise GeneralPositionError("degenerate Delaunay simplex", [patch[i] for i in ids])
+        centre, radius = _float_sphere(simplex, orient)
+        centres.append(centre)
+        radii.append(radius)
+    centres, radii = np.array(centres), np.array(radii)
+    if np.any(centres - radii[:, None] < -1.0 - 1e-9) or np.any(
+        centres + radii[:, None] > 2.0 + 1e-9
+    ):
+        raise ValueError("point set too sparse: a circumsphere leaves the 3^d patch")
+    tree = cKDTree(np.asarray(coords, dtype=float) / SCALE)
+    for ids, candidates in zip(kept, tree.query_ball_point(centres, radii * (1 + 1e-9) + 1e-9)):
+        for q in candidates:
+            if q in ids:
+                continue
+            side = in_sphere([coords[i] for i in ids], coords[q])
+            if side == 0:
+                raise GeneralPositionError(
+                    "cospherical points", [patch[i] for i in ids] + [patch[q]]
+                )
+            if side > 0:
+                raise RuntimeError("triangulation is not Delaunay (exact check)")
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _reference_outcome(points):
+    def build():
+        _reference_certify(points, list(_reference_kept(points).values()))
+        return _reference_quotient(points.dim, points)[1]
+
+    return _outcome(build)
+
+
+def _grid(k):
+    q = SCALE // k
+    return PointSet(2, tuple((q * i + 7, q * j + 3) for i in range(k) for j in range(k)))
+
+
+SMALL_POINT_SETS = [
+    PointSet.random(d, n, seed)
+    for d, ns in ((2, range(2, 5)), (3, range(2, 7)))
+    for n in ns
+    for seed in range(10)
+]
+
+
+@pytest.mark.parametrize(
+    "points",
+    SMALL_POINT_SETS + [_grid(4), _grid(10)],
+    ids=[f"{p.dim}-{len(p)}-{p.seed}" for p in SMALL_POINT_SETS] + ["grid4", "grid10"],
+)
+def test_outcome_matches_full_patch_oracle(points):
+    # tiny sets start at the full patch; the 10 x 10 grid fails its margins
+    # and must still report the full patch's error
+    assert _outcome(lambda: torus_voronoi(points.dim, points)) == _reference_outcome(points)
+
+
+@pytest.mark.parametrize("points,error", [
+    (PointSet.random(3, 2, 0),
+     (ValueError, "point set too sparse: a circumsphere leaves the 3^d patch")),
+    (PointSet.random(3, 2, 1),
+     (GeneralPositionError, "degenerate Delaunay simplex: [(0, (0, 0, 0)), "
+      "(0, (-1, -1, 0)), (0, (0, -1, 0)), (0, (-1, 0, 0))]")),
+    (_grid(10),
+     (GeneralPositionError, "cospherical points: [(24, (0, 0)), (15, (0, 0)), "
+      "(14, (0, 0)), (25, (0, 0))]")),
+], ids=["too-sparse", "degenerate", "cospherical"])
+def test_error_messages_pinned(points, error):
+    assert _outcome(lambda: torus_voronoi(points.dim, points)) == error
 
 
 def _hand_built(points, simplex_coords):
     """_certify arguments for a single kept simplex given by its coords."""
     patch, coords = _patch(points)
-    ids = tuple(coords.index(p) for p in simplex_coords)
-    coords_arr = np.asarray(coords, dtype=float) / SCALE
-    return patch, coords_arr, {tuple(patch[i] for i in ids): ids}
+    ids = [coords.index(p) for p in simplex_coords]
+    return patch, np.array(coords, dtype=np.int64), np.array([ids])
 
 
 def test_certify_rejects_non_delaunay_simplex():
     q = SCALE // 4
     # (1.5q, 1.5q) lies inside the circumcircle of the other three
     ps = PointSet(2, ((q, q), (3 * q, q), (q, 3 * q), (3 * q // 2, 3 * q // 2)))
-    patch, coords_arr, kept = _hand_built(ps, ps.coords[:3])
+    patch, coords, kept = _hand_built(ps, ps.coords[:3])
     with pytest.raises(RuntimeError, match="not Delaunay"):
-        voronoi._certify(2, ps, patch, coords_arr, kept)
+        voronoi._certify(2, patch, coords, kept)
 
 
 def test_certify_decides_margin_points_exactly(monkeypatch):
@@ -243,7 +433,7 @@ def test_certify_decides_margin_points_exactly(monkeypatch):
     # 2 / (2 a sqrt(2)) units, far inside the kd-tree query margin
     near = (q + 2 * a + 1, q + 2 * a - 1)
     ps = PointSet(2, ((q, q), (q + 2 * a, q), (q, q + 2 * a), near))
-    patch, coords_arr, kept = _hand_built(ps, ps.coords[:3])
+    patch, coords, kept = _hand_built(ps, ps.coords[:3])
     seen = []
     real = voronoi.in_sphere
 
@@ -253,5 +443,8 @@ def test_certify_decides_margin_points_exactly(monkeypatch):
         return side
 
     monkeypatch.setattr(voronoi, "in_sphere", counting)
-    voronoi._certify(2, ps, patch, coords_arr, kept)
+    # the one empty triangle passes every point and then, alone, fails to
+    # tile the torus
+    with pytest.raises(RuntimeError, match="do not tile the torus"):
+        voronoi._certify(2, patch, coords, kept)
     assert seen == [(near, -1)]
