@@ -15,7 +15,7 @@ from . import operators as op_mod
 from . import wavefunction as wf_mod
 from .complexes import CellComplex, subset_boundary_manifold_check, validate_generic
 from .homology import betti, two_sidedness_d2
-from .manifolds import builtin_manifold, square_grid_torus
+from .manifolds import builtin_manifold, manifold_spec
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -23,78 +23,37 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-# The least and most integer parameters of each built-in spec, and its usage.
-_SPEC_FORMS = {
-    "sphere": (1, 1, "sphere:d needs d >= 1, e.g. sphere:2"),
-    "torus": (1, 2, "torus:d[:n] needs integers d and n, e.g. torus:3:4"),
-    "tP": (1, 1, "tP:t needs an integer t, e.g. tP:3"),
-    "genus": (1, 1, "genus:g needs an integer g, e.g. genus:2"),
-    "klein": (0, 0, "klein takes no parameters, e.g. klein"),
-    "torus-voronoi": (1, 1, "torus-voronoi:d needs an integer d, e.g. torus-voronoi:2"),
-    "square-grid": (0, 1, "square-grid[:n] needs an integer n, e.g. square-grid:2"),
-}
-
 # Largest built-in complex, in estimated cells, that build_manifold builds:
-# torus:3:24, sphere:14 and torus-voronoi:3 with 10000 points fit,
-# torus:6:3, sphere:16 and torus-voronoi:3 with 20000 points do not.
+# torus:3:24, sphere:14, square-grid:158, tP:1886, genus:943 and
+# torus-voronoi:3 with 10000 points fit; torus:6:3, sphere:16, square-grid:159
+# and torus-voronoi:3 with 20000 points do not.
 MAX_CELLS = 100_000
-
-
-def _log10_cells(name: str, params: List[int], points: Optional[int] = None) -> float:
-    """log10 of the cells of a built-in complex, from its spec and point
-    count alone: the 2^(d+2) - 2 faces of a (d+1)-simplex for sphere:d, the
-    n^d d! top simplices for torus:d:n, and for torus-voronoi:d with n
-    points the Delaunay simplices, 2n for d = 2 and about 7n for d = 3
-    (6.77n for Poisson points). Logarithms, so a huge d cannot overflow."""
-    if name == "torus-voronoi" and params[0] in (2, 3) and points is not None:
-        return math.log10(max(points, 1) * (2 if params[0] == 2 else 7))
-    if name == "sphere":
-        d = params[0]
-        return (d + 2) * math.log10(2) + math.log10(1 - 2.0 ** -(d + 1))
-    if name == "torus":
-        d, n = params[0], (params[1] if len(params) > 1 else 3)
-        return d * math.log10(max(n, 1)) + math.lgamma(d + 1) / math.log(10)
-    return 0.0
 
 
 def build_manifold(spec: str, points: Optional[int], seed: Optional[int]) -> CellComplex:
     """Parse a name:params spec into a complex.
 
     `file:PATH` loads a saved complex; `tri:PATH` loads a triangulation and
-    dualizes it. Every other name takes the parameters `_SPEC_FORMS` lists.
+    dualizes it. Every other name is a row of `manifolds.SPECS`, built only
+    if the row's cell count fits `MAX_CELLS`.
     """
-    parts = spec.split(":")
-    name, params = parts[0], parts[1:]
+    name, *params = spec.split(":")
     if name == "file":
         return CellComplex.load(":".join(params))
     if name == "tri":
         from .complexes import Triangulation, dual_of_triangulation
 
         return dual_of_triangulation(Triangulation.load(":".join(params)))
-    if name not in _SPEC_FORMS:
-        raise ValueError(f"unknown manifold name: {name}")
-    least, most, usage = _SPEC_FORMS[name]
-    ok = least <= len(params) <= most and all(p.removeprefix("-").isdecimal() for p in params)
-    if not ok or (name in ("sphere", "torus") and int(params[0]) < 1):
-        raise ValueError(usage)
-    params = [int(p) for p in params]
-    log_cells = _log10_cells(name, params, points)
+    form = manifold_spec(name)
+    if not all(p.removeprefix("-").isdecimal() for p in params):
+        raise ValueError(form.usage)
+    values = form.complete([int(p) for p in params])
+    log_cells = form.cells(*values, points=points)
     if log_cells > math.log10(MAX_CELLS):
         about = f"{10 ** log_cells:.3g}" if log_cells < 300 else f"10^{log_cells:.0f}"
         raise ValueError(f"{spec} would have about {about} cells, "
                          f"over the budget of {MAX_CELLS}")
-    if name == "torus-voronoi":
-        if params[0] not in (2, 3):
-            raise ValueError("torus-voronoi:d needs d = 2 or 3, e.g. torus-voronoi:2")
-        if seed is None:
-            raise ValueError("torus-voronoi requires --seed for reproducibility")
-        from .voronoi import PointSet, torus_voronoi  # loads scipy
-
-        n = points if points is not None else (25 if params[0] == 2 else 14)
-        return torus_voronoi(params[0], PointSet.random(params[0], n, seed))
-    if name == "square-grid":
-        return square_grid_torus(*params)
-    return builtin_manifold(name, *params)
+    return builtin_manifold(name, *values, points=points, seed=seed)
 
 
 def _emit(text: str, out: Optional[str]) -> None:

@@ -10,8 +10,9 @@ as a bitmask is the XOR of its face or coface ids, built on request.
 A triangulation's faces are enumerated in one place, `_cofacets`, which
 lists every facet of the k-simplices with the ids of the simplices that
 contain it.  Applied top-down it gives `faces_by_dim`; applied once to the
-top simplices it gives `validate` its ridge counts and vertex links; and its
-id lists are the face tuples of `dual_of_triangulation`.
+top simplices it gives the closed pseudo-manifold check its ridge counts and
+vertex links; and its id lists are the face tuples of `dual_of_triangulation`,
+which checks its own top-level table rather than calling `validate`.
 """
 
 from __future__ import annotations
@@ -67,6 +68,34 @@ def _cofacets(simplices: Sequence[Tuple[int, ...]]) -> Dict[Tuple[int, ...], Lis
     return out
 
 
+def _pseudomanifold_problems(
+    simplices: Sequence[Tuple[int, ...]], ridges: Dict[Tuple[int, ...], List[int]]
+) -> List[str]:
+    """Closed pseudo-manifold violations of the top simplices, given their
+    `_cofacets` table: a ridge not in exactly two of them, or a vertex whose
+    link is disconnected."""
+    problems = [
+        f"face {ridge} lies in {len(ids)} maximal simplices"
+        for ridge, ids in ridges.items()
+        if len(ids) != 2
+    ]
+    # Vertex links must be connected (one wedge of top simplices per vertex):
+    # two top simplices through v are linked when they share a ridge through v.
+    star: Dict[int, List[int]] = {}
+    for idx, s in enumerate(simplices):
+        for v in s:
+            star.setdefault(v, []).append(idx)
+    links = {v: DisjointSet(idxs) for v, idxs in star.items()}
+    for ridge, ids in ridges.items():
+        for v in ridge:
+            for other in ids[1:]:
+                links[v].union(ids[0], other)
+    for v, idxs in star.items():
+        if len({links[v].find(i) for i in idxs}) != 1:
+            problems.append(f"vertex {v} has a disconnected link")
+    return problems
+
+
 class Triangulation:
     """A pure simplicial complex given by its maximal simplices."""
 
@@ -89,27 +118,7 @@ class Triangulation:
 
     def validate(self) -> List[str]:
         """Closed pseudo-manifold checks; returns a list of violations."""
-        ridges = _cofacets(self.simplices)
-        problems = [
-            f"face {ridge} lies in {len(ids)} maximal simplices"
-            for ridge, ids in ridges.items()
-            if len(ids) != 2
-        ]
-        # Vertex links must be connected (one wedge of top simplices per vertex):
-        # two top simplices through v are linked when they share a ridge through v.
-        star: Dict[int, List[int]] = {}
-        for idx, s in enumerate(self.simplices):
-            for v in s:
-                star.setdefault(v, []).append(idx)
-        links = {v: DisjointSet(idxs) for v, idxs in star.items()}
-        for ridge, ids in ridges.items():
-            for v in ridge:
-                for other in ids[1:]:
-                    links[v].union(ids[0], other)
-        for v, idxs in star.items():
-            if len({links[v].find(i) for i in idxs}) != 1:
-                problems.append(f"vertex {v} has a disconnected link")
-        return problems
+        return _pseudomanifold_problems(self.simplices, _cofacets(self.simplices))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * len(v) for k, v in self.faces_by_dim().items())
@@ -446,7 +455,8 @@ class Chain:
 def dual_of_triangulation(t: Triangulation) -> CellComplex:
     """One (d-k)-cell per k-simplex; the dual of sigma is a face of the dual
     of tau exactly when tau is a facet of sigma."""
-    problems = t.validate()
+    top = _cofacets(t.simplices)
+    problems = _pseudomanifold_problems(t.simplices, top)
     if problems:
         raise ValueError("input is not a closed pseudo-manifold: " + problems[0])
     d = t.dim
@@ -455,7 +465,7 @@ def dual_of_triangulation(t: Triangulation) -> CellComplex:
     # The dual of a k-simplex has dimension d - k; its faces are the duals of
     # the (k+1)-simplices containing it, which are its cofacet ids.
     for k in range(d, 0, -1):
-        cofacets = _cofacets(by_dim[k])
+        cofacets = top if k == d else _cofacets(by_dim[k])
         by_dim[k - 1] = sorted(cofacets)
         faces.append([cofacets[sigma] for sigma in by_dim[k - 1]])
     meta = {

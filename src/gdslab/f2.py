@@ -45,8 +45,9 @@ class F2Matrix:
         else:
             if len(data) != rows:
                 raise ValueError("row count mismatch")
-            mask = (1 << cols) - 1
-            self.data = [r & mask for r in data]
+            if any(r >> cols for r in data):
+                raise ValueError(f"a row has a bit at or past column {cols}")
+            self.data = list(data)
 
     @classmethod
     def identity(cls, n: int) -> "F2Matrix":
@@ -131,9 +132,9 @@ class F2Matrix:
                 r ^= by_pivot[low.bit_length() + p]
                 hits ^= low
             by_pivot[p] = r
-        data = [by_pivot[p] for p in pivots]
-        data += [0] * (self.rows - len(data))
-        return F2Matrix(self.rows, self.cols, data), pivots
+        red = F2Matrix(self.rows, self.cols)
+        red.data[: len(pivots)] = [by_pivot[p] for p in pivots]
+        return red, pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])

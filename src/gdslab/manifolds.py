@@ -1,14 +1,17 @@
-"""Built-in cellulations: spheres, grid tori, non-orientable sums, genus-g.
+"""Built-in cellulations: spheres, grid tori, non-orientable sums, genus-g,
+and `SPECS`, the one table of the `name:params` specs that name them.
 
 Everything is produced by dualizing an honest triangulation, which is generic
 by construction; the square-grid torus (deliberately non-generic) is the one
-direct CW build, kept as the standard counterexample.
+direct CW build, kept as the standard counterexample, and torus-voronoi is
+built by `voronoi`.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
-from typing import Dict, List, Sequence, Tuple
+import math
+from itertools import combinations, permutations, product
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .complexes import (
     CellComplex,
@@ -29,11 +32,7 @@ _RP2_FACES = [
 
 def simplex_boundary(d: int) -> Triangulation:
     """The boundary of the (d+1)-simplex: a minimal triangulated d-sphere."""
-    verts = list(range(d + 2))
-    maximal = []
-    for drop in verts:
-        maximal.append(tuple(v for v in verts if v != drop))
-    return Triangulation(d, maximal)
+    return Triangulation(d, combinations(range(d + 2), d + 1))
 
 
 def freudenthal_torus(d: int, n: int) -> Triangulation:
@@ -48,13 +47,7 @@ def freudenthal_torus(d: int, n: int) -> Triangulation:
         return out
 
     maximal = []
-    for base_index in range(n**d):
-        base = []
-        rem = base_index
-        for _ in range(d):
-            base.append(rem % n)
-            rem //= n
-        base = base[::-1]
+    for base in product(range(n), repeat=d):
         for perm in permutations(range(d)):
             verts = [vid(base)]
             cur = list(base)
@@ -93,34 +86,23 @@ def barycentric_subdivision(t: Triangulation) -> Triangulation:
     return Triangulation(t.dim, maximal)
 
 
-def _surface_word(kind: str, count: int) -> List[Tuple[int, int]]:
-    if kind == "nonorientable":
-        word = []
-        for i in range(count):
-            word += [(i, 1), (i, 1)]
-        return word
-    if kind == "orientable":
-        word = []
-        for i in range(count):
-            a, b = 2 * i, 2 * i + 1
-            word += [(a, 1), (b, 1), (a, -1), (b, -1)]
-        return word
-    if kind == "klein":
-        return [(0, 1), (1, 1), (0, 1), (1, -1)]
-    raise ValueError(kind)
+# Segments per polygon side and concentric rings of `surface_from_word`; the
+# tP, genus and klein cell counts of `SPECS` follow from them.
+_SEGMENTS = 3
+_RINGS = 2
 
 
-def surface_from_word(word: List[Tuple[int, int]], m: int = 3, rings: int = 2) -> Triangulation:
+def surface_from_word(word: List[Tuple[int, int]]) -> Triangulation:
     """Triangulate a fundamental polygon and glue its sides by the edge word.
 
-    Each of the k sides is split into m segments; concentric rings keep every
-    simplex away from its glued partner so the quotient stays simplicial.
+    Each of the k sides is split into _SEGMENTS segments, and _RINGS
+    concentric rings keep every simplex away from its glued partner, so the
+    quotient stays simplicial.
     """
     k = len(word)
     if k < 2:
         raise ValueError("need at least two sides")
-    if m < 3 or rings < 2:
-        raise ValueError("resolution too small to triangulate without degenerate identifications")
+    m, rings = _SEGMENTS, _RINGS
     perimeter = k * m
 
     # Glued boundary positions 0..perimeter-1 share a vertex.
@@ -177,9 +159,9 @@ def surface_from_word(word: List[Tuple[int, int]], m: int = 3, rings: int = 2) -
 
     for tri in triangles:
         if len(set(tri)) != 3:
-            raise ValueError("degenerate triangle after identification; increase m")
+            raise ValueError("degenerate triangle after identification")
     if len({tuple(sorted(t)) for t in triangles}) != len(triangles):
-        raise ValueError("duplicate triangles after identification; increase m")
+        raise ValueError("duplicate triangles after identification")
     return Triangulation(2, triangles)
 
 
@@ -189,20 +171,22 @@ def nonorientable_surface(t: int) -> Triangulation:
         raise ValueError("t must be positive")
     if t == 1:
         return projective_plane()
-    return surface_from_word(_surface_word("nonorientable", t))
+    return surface_from_word([(i, 1) for i in range(t) for _ in range(2)])
 
 
 def genus_surface(g: int) -> Triangulation:
     if g < 1:
         raise ValueError("genus must be positive")
-    return surface_from_word(_surface_word("orientable", g))
+    return surface_from_word(
+        [(2 * i + j, s) for i in range(g) for j, s in ((0, 1), (1, 1), (0, -1), (1, -1))]
+    )
 
 
 def klein_bottle() -> Triangulation:
-    return surface_from_word(_surface_word("klein", 0))
+    return surface_from_word([(0, 1), (1, 1), (0, 1), (1, -1)])
 
 
-def square_grid_torus(n: int = 2) -> CellComplex:
+def square_grid_torus(n: int) -> CellComplex:
     """The 4-valent square cellulation of the 2-torus.
 
     Not generic: every vertex has four edge cofaces, which is exactly the
@@ -211,11 +195,8 @@ def square_grid_torus(n: int = 2) -> CellComplex:
     if n < 2:
         raise ValueError("n must be at least 2")
 
-    def v(x, y):
+    def v(x, y):  # also the horizontal edge ids 0 .. n^2-1
         return (x % n) * n + (y % n)
-
-    def h(x, y):
-        return (x % n) * n + (y % n)  # horizontal edge ids 0 .. n^2-1
 
     def vert(x, y):
         return n * n + (x % n) * n + (y % n)
@@ -224,70 +205,139 @@ def square_grid_torus(n: int = 2) -> CellComplex:
     edges: List[Tuple[int, ...]] = [() for _ in range(2 * n * n)]
     for x in range(n):
         for y in range(n):
-            edges[h(x, y)] = (v(x, y), v(x + 1, y))
+            edges[v(x, y)] = (v(x, y), v(x + 1, y))
             edges[vert(x, y)] = (v(x, y), v(x, y + 1))
     squares = []
     for x in range(n):
         for y in range(n):
-            squares.append((h(x, y), h(x, y + 1), vert(x, y), vert(x + 1, y)))
+            squares.append((v(x, y), v(x, y + 1), vert(x, y), vert(x + 1, y)))
     return CellComplex(2, [vertices, edges, squares], provenance="builtin")
 
 
-def _dualize_validated(t: Triangulation, name: str, meta_extra: dict | None = None) -> CellComplex:
-    c = dual_of_triangulation(t)
+class Spec(NamedTuple):
+    """One `name[:params]` form of the manifold spec grammar.
+
+    `cells` is log10 of the complex's cell count, so that a huge parameter
+    cannot overflow. `build` returns a triangulation, which
+    `builtin_manifold` dualizes and validates, or a finished complex. Both
+    take the integer parameters, defaults filled in, and the keywords
+    `points` and `seed`, which only torus-voronoi reads.
+    """
+
+    usage: str                        # the error for a malformed spec
+    arity: Tuple[int, int]            # least and most integer parameters
+    defaults: Tuple[int, ...]         # values of omitted trailing parameters
+    cells: Callable[..., float]
+    build: Callable[..., Union[Triangulation, CellComplex]]
+    min_first: Optional[int] = None   # below it the usage is the error
+    meta: Callable[..., dict] = lambda *_: {}  # extra meta of the dual
+
+    def complete(self, params: Sequence[int]) -> Tuple[int, ...]:
+        """The parameters with the defaults filled in."""
+        least, most = self.arity
+        if not least <= len(params) <= most or (
+                self.min_first is not None and params[0] < self.min_first):
+            raise ValueError(self.usage)
+        return (*params, *self.defaults[len(params) - least:])
+
+
+def _log10(count: int) -> float:
+    return math.log10(max(count, 1))
+
+
+def _torus_voronoi(d: int, points: Optional[int], seed: Optional[int]) -> CellComplex:
+    if d not in (2, 3):
+        raise ValueError("torus-voronoi:d needs d = 2 or 3, e.g. torus-voronoi:2")
+    if seed is None:
+        raise ValueError("torus-voronoi requires --seed for reproducibility")
+    from .voronoi import PointSet, torus_voronoi  # loads scipy
+
+    n = points if points is not None else (25 if d == 2 else 14)
+    return torus_voronoi(d, PointSet.random(d, n, seed))
+
+
+# Every built-in spec. The counts are exact, except torus (its n^d d! top
+# cells) and torus-voronoi (its Delaunay simplices, 2 per point for d = 2 and
+# about 7 for d = 3, 6.77 for Poisson points). The builders are called by
+# their module-global names, so that wrapping those names reaches them.
+SPECS: Dict[str, Spec] = {
+    "sphere": Spec(
+        "sphere:d needs d >= 1, e.g. sphere:2", (1, 1), (),
+        lambda d, **_: (d + 2) * math.log10(2) + math.log10(1 - 2.0 ** -(d + 1)),
+        lambda d, **_: simplex_boundary(d), min_first=1,
+        meta=lambda d: {"balloon_even_ok": d % 2 == 0 and d >= 4}),
+    "torus": Spec(
+        "torus:d[:n] needs integers d and n, e.g. torus:3:4", (1, 2), (3,),
+        lambda d, n, **_: d * math.log10(max(n, 1)) + math.lgamma(d + 1) / math.log(10),
+        lambda d, n, **_: freudenthal_torus(d, n), min_first=1,
+        meta=lambda d, n: {"torus_grid": (d, n)}),
+    "tP": Spec(
+        "tP:t needs an integer t, e.g. tP:3", (1, 1), (),
+        lambda t, **_: _log10(53 * t + 2 if t > 1 else 31),
+        lambda t, **_: nonorientable_surface(t)),
+    "genus": Spec(
+        "genus:g needs an integer g, e.g. genus:2", (1, 1), (),
+        lambda g, **_: _log10(106 * g + 2),
+        lambda g, **_: genus_surface(g)),
+    "klein": Spec(
+        "klein takes no parameters, e.g. klein", (0, 0), (),
+        lambda **_: _log10(108),
+        lambda **_: klein_bottle()),
+    "square-grid": Spec(
+        "square-grid[:n] needs an integer n, e.g. square-grid:2", (0, 1), (2,),
+        lambda n, **_: _log10(4 * n * n),
+        lambda n, **_: square_grid_torus(n)),
+    "torus-voronoi": Spec(
+        "torus-voronoi:d needs an integer d, e.g. torus-voronoi:2", (1, 1), (),
+        lambda d, points=None, **_: _log10((points or 0) * {2: 2, 3: 7}.get(d, 0)),
+        _torus_voronoi),
+}
+
+
+def manifold_spec(name: str) -> Spec:
+    """The row of `SPECS` for a spec name."""
+    if name not in SPECS:
+        raise ValueError(f"unknown manifold name: {name}")
+    return SPECS[name]
+
+
+def builtin_manifold(name: str, *params: int, points: Optional[int] = None,
+                     seed: Optional[int] = None) -> CellComplex:
+    """Build the spec `name:params` of `SPECS`. A triangulation is dualized
+    and validated as a generic cellulation."""
+    spec = manifold_spec(name)
+    values = spec.complete(params)
+    built = spec.build(*values, points=points, seed=seed)
+    if not isinstance(built, Triangulation):
+        return built
+    label = ":".join([name, *map(str, values)])
+    c = dual_of_triangulation(built)
     report = validate_generic(c)
     if not report.passed:
         raise AssertionError(
-            f"builtin {name} failed genericity validation: {report.violations[:3]}"
+            f"builtin {label} failed genericity validation: {report.violations[:3]}"
         )
     c.provenance = "builtin"
-    c.meta["name"] = name
-    c.meta["generic_validated"] = True
-    if meta_extra:
-        c.meta.update(meta_extra)
+    c.meta.update(name=label, generic_validated=True, **spec.meta(*values))
     return c
 
 
-def builtin_manifold(name: str, *params: int) -> CellComplex:
-    """Construct a validated generic cellulation of a named manifold.
-
-    Known names: sphere(d), torus(d, resolution), tP(t), genus(g), klein.
-    """
-    if name == "sphere":
-        (d,) = params
-        meta = {"balloon_even_ok": True} if d % 2 == 0 and d >= 4 else {}
-        return _dualize_validated(simplex_boundary(d), f"sphere:{d}", meta)
-    if name == "torus":
-        if len(params) == 1:
-            d, n = params[0], 3
-        else:
-            d, n = params
-        return _dualize_validated(
-            freudenthal_torus(d, n), f"torus:{d}:{n}", {"torus_grid": (d, n)}
-        )
-    if name == "tP":
-        (t,) = params
-        return _dualize_validated(nonorientable_surface(t), f"tP:{t}")
-    if name == "genus":
-        (g,) = params
-        return _dualize_validated(genus_surface(g), f"genus:{g}")
-    if name == "klein":
-        return _dualize_validated(klein_bottle(), "klein")
-    raise ValueError(f"unknown manifold name: {name}")
+def _grid_size(c: CellComplex) -> int:
+    grid = c.meta.get("torus_grid")
+    if not grid or grid[0] != 2:
+        raise ValueError("complex is not a builtin 2-torus")
+    return grid[1]
 
 
-def _grid_edge_chain(c: CellComplex, n: int, edges: Sequence[Tuple[Tuple[int, int], Tuple[int, int]]]) -> Chain:
-    """Map grid-coordinate vertex pairs to dual 1-cells of a torus:2 complex."""
+def _grid_edge_ids(c: CellComplex, n: int, edges) -> List[int]:
+    """The dual 1-cells of a torus:2:n complex crossing the grid edges, each
+    given as a pair of vertex coordinates."""
     dual_id = c.meta["dual_id"][1]
 
     def vid(x, y):
         return (x % n) * n + (y % n)
 
-    ids = []
-    for (x1, y1), (x2, y2) in edges:
-        key = tuple(sorted((vid(x1, y1), vid(x2, y2))))
-        ids.append(dual_id[key])
-    return Chain.from_cells(c, 1, ids)
+    return [dual_id[tuple(sorted((vid(*p), vid(*q))))] for p, q in edges]
 
 
 def torus_diagonal_cycles(c: CellComplex) -> Tuple[Chain, Chain]:
@@ -296,10 +346,7 @@ def torus_diagonal_cycles(c: CellComplex) -> Tuple[Chain, Chain]:
     Returns the chains of dual 1-cells crossed by straight lines of slope +1
     and -1; both represent the same Z2 class.
     """
-    grid = c.meta.get("torus_grid")
-    if not grid or grid[0] != 2:
-        raise ValueError("complex is not a builtin 2-torus")
-    n = grid[1]
+    n = _grid_size(c)
     diag_up = []
     for i in range(n):
         diag_up.append(((i, i), (i, i + 1)))          # vertical crossings
@@ -311,32 +358,18 @@ def torus_diagonal_cycles(c: CellComplex) -> Tuple[Chain, Chain]:
         diag_down.append(((i, -i), (i + 1, -i + 1)))    # diagonal, t = 1/4
         diag_down.append(((i, -i - 1), (i + 1, -i)))    # diagonal, t = 3/4
     return (
-        _grid_edge_chain(c, n, diag_up),
-        _grid_edge_chain(c, n, diag_down),
+        Chain.from_cells(c, 1, _grid_edge_ids(c, n, diag_up)),
+        Chain.from_cells(c, 1, _grid_edge_ids(c, n, diag_down)),
     )
 
 
 def torus_dual_loops(c: CellComplex) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Two essential closed walks in the dual graph of a grid torus, given as
     the 1-cells they cross (a horizontal and a vertical line of sight)."""
-    grid = c.meta.get("torus_grid")
-    if not grid or grid[0] != 2:
-        raise ValueError("complex is not a builtin 2-torus")
-    n = grid[1]
-    dual_id = c.meta["dual_id"][1]
-
-    def vid(x, y):
-        return (x % n) * n + (y % n)
-
-    def edge(p, q):
-        return dual_id[tuple(sorted((vid(*p), vid(*q))))]
-
-    horizontal = []
-    for x in range(n):
-        horizontal.append(edge((x, 0), (x + 1, 1)))      # diagonal of square x
-        horizontal.append(edge((x + 1, 0), (x + 1, 1)))  # vertical wall
-    vertical = []
-    for y in range(n):
-        vertical.append(edge((0, y), (1, y + 1)))        # diagonal
-        vertical.append(edge((0, y + 1), (1, y + 1)))    # horizontal wall
-    return tuple(horizontal), tuple(vertical)
+    n = _grid_size(c)
+    horizontal, vertical = [], []
+    for i in range(n):
+        # the diagonal of square i, then the vertical (horizontal) wall
+        horizontal += [((i, 0), (i + 1, 1)), ((i + 1, 0), (i + 1, 1))]
+        vertical += [((0, i), (1, i + 1)), ((0, i + 1), (1, i + 1))]
+    return tuple(_grid_edge_ids(c, n, horizontal)), tuple(_grid_edge_ids(c, n, vertical))

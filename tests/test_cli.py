@@ -21,11 +21,11 @@ from gdslab.cli import (
     EXIT_OK,
     EXIT_USAGE,
     MAX_CELLS,
-    _log10_cells,
     build_manifold,
     dispatch,
 )
 from gdslab.complexes import CellComplex, Chain
+from gdslab.manifolds import SPECS
 from gdslab.phases import ONE
 
 
@@ -440,9 +440,50 @@ def test_voronoi_size_guard_admits_10000_points_in_3d(monkeypatch):
 
 def test_size_budget_admits_the_largest_specs_in_use():
     for name, params in [("torus", [3, 24]), ("torus", [3, 16]), ("sphere", [14])]:
-        assert 10 ** _log10_cells(name, params) < MAX_CELLS
-    assert round(10 ** _log10_cells("sphere", [4])) == 2 ** 6 - 2
-    assert round(10 ** _log10_cells("torus", [3, 4])) == 4 ** 3 * 6
+        assert 10 ** SPECS[name].cells(*params) < MAX_CELLS
+    assert round(10 ** SPECS["sphere"].cells(4)) == 2 ** 6 - 2
+    assert round(10 ** SPECS["torus"].cells(3, 4)) == 4 ** 3 * 6
+
+
+@pytest.mark.parametrize("spec,builder,about", [
+    ("square-grid:159", "square_grid_torus", "1.01e+05"),
+    ("tP:1887", "nonorientable_surface", "1e+05"),
+    ("genus:944", "genus_surface", "1e+05"),
+])
+def test_oversized_integer_spec_exits_2_before_any_builder_runs(monkeypatch, capsys,
+                                                                spec, builder, about):
+    from gdslab import manifolds
+
+    def never(*args):
+        raise AssertionError(f"{builder} ran")
+
+    monkeypatch.setattr(manifolds, builder, never)
+    start = time.perf_counter()
+    rc, out, err = run(["homology", "--manifold", spec], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert err == (f"error: {spec} would have about {about} cells, "
+                   f"over the budget of {MAX_CELLS}\n")
+
+
+@pytest.mark.parametrize("spec,builder", [
+    ("square-grid:158", "square_grid_torus"),
+    ("tP:1886", "nonorientable_surface"),
+    ("genus:943", "genus_surface"),
+])
+def test_largest_integer_spec_in_budget_reaches_its_builder(monkeypatch, spec, builder):
+    from gdslab import manifolds
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached(args)
+
+    monkeypatch.setattr(manifolds, builder, reached)
+    with pytest.raises(Reached):
+        build_manifold(spec, None, None)
 
 
 def test_memory_error_is_one_line_without_traceback(monkeypatch, capsys):

@@ -230,6 +230,20 @@ def test_dual_rejects_non_pseudomanifold():
         dual_of_triangulation(t)
 
 
+@pytest.mark.parametrize("t", [
+    Triangulation(2, [(0, 1, 2), (1, 2, 3)]),
+    Triangulation(2, [(0, 1, 2), (0, 3, 4), (1, 2, 5), (3, 4, 5)]),
+    Triangulation(2, [f for s in [(0, 1, 2, 3), (0, 4, 5, 6)]
+                      for f in itertools.combinations(s, 3)]),
+    Triangulation(0, [(0,), (1,), (2,)]),
+], ids=["open-ridges", "butterfly", "pinched-vertex", "three-points"])
+def test_dual_refuses_with_the_first_validate_message(t):
+    # the dual checks its own top-level facet table, with validate's messages
+    with pytest.raises(ValueError) as err:
+        dual_of_triangulation(t)
+    assert str(err.value) == "input is not a closed pseudo-manifold: " + t.validate()[0]
+
+
 def test_triangulation_validate_flags_disconnected_link():
     # butterfly: two open strips that meet only at vertices 0 and 5
     t = Triangulation(2, [(0, 1, 2), (0, 3, 4), (1, 2, 5), (3, 4, 5)])

@@ -135,6 +135,20 @@ def test_rank_zero_2x5():
     assert len(m.nullspace()) == 5
 
 
+@pytest.mark.parametrize("row", [1 << 5, 0b100001, -1])
+def test_row_past_the_last_column_is_rejected(row):
+    with pytest.raises(ValueError, match="at or past column 5"):
+        F2Matrix(2, 5, [0b101, row])
+
+
+def test_rows_are_kept_as_given():
+    rows = [1 << 200, (1 << 200) | 1]
+    m = F2Matrix(2, 201, rows)
+    assert all(a is b for a, b in zip(m.data, rows))
+    red, pivots = m.rref()
+    assert pivots == [0, 200] and red.data == [1, 1 << 200]
+
+
 @given(st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=6))
 @settings(max_examples=200)
 def test_rank_matches_brute_force_span(rows):

@@ -5,6 +5,7 @@ import pytest
 from gdslab.complexes import validate_generic
 from gdslab.homology import betti
 from gdslab.manifolds import (
+    SPECS,
     barycentric_subdivision,
     builtin_manifold,
     freudenthal_torus,
@@ -76,8 +77,6 @@ def test_freudenthal_resolution_guard():
 
 def test_surface_word_guards():
     with pytest.raises(ValueError):
-        surface_from_word([(0, 1), (0, 1)], m=2)
-    with pytest.raises(ValueError):
         surface_from_word([(0, 1), (0, 1), (1, 1)])  # letter count mismatch
 
 
@@ -115,3 +114,28 @@ def test_diagonal_cycles_are_homologous_cycles(torus2):
     assert e11.count() == 2 * 3 and e1m1.count() == 4 * 3
     assert is_homologous(torus2, e11, e1m1)
     assert not is_boundary(torus2, e11)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("sphere", (1,)), ("sphere", (2,)), ("sphere", (3,)), ("sphere", (4,)),
+    ("tP", (1,)), ("tP", (2,)), ("tP", (3,)), ("tP", (7,)),
+    ("genus", (1,)), ("genus", (2,)), ("genus", (3,)), ("klein", ()),
+    ("square-grid", ()), ("square-grid", (2,)), ("square-grid", (5,)),
+])
+def test_spec_cell_count_is_exact(name, params):
+    c = builtin_manifold(name, *params)
+    assert round(10 ** SPECS[name].cells(*SPECS[name].complete(params))) == sum(c.cell_counts)
+
+
+@pytest.mark.parametrize("params", [(2, 3), (3, 3), (3, 4), (4, 3)])
+def test_torus_spec_counts_its_top_cells(params):
+    c = builtin_manifold("torus", *params)
+    assert round(10 ** SPECS["torus"].cells(*params)) == c.n_cells(0)
+
+
+def test_spec_defaults_are_filled_in():
+    assert builtin_manifold("torus", 2).meta["torus_grid"] == (2, 3)
+    assert builtin_manifold("torus", 2).meta["name"] == "torus:2:3"
+    assert builtin_manifold("square-grid").cell_counts == (4, 8, 4)
+    with pytest.raises(ValueError, match="torus:d\\[:n\\] needs"):
+        builtin_manifold("torus", 3, 3, 3)

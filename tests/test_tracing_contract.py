@@ -31,3 +31,17 @@ def test_lazy_voronoi_import_reaches_the_traced_functions():
         cli.build_manifold("torus-voronoi:2", 25, 7)
     names = {s.name for s in tr.spans}
     assert {"voronoi.torus_voronoi", "voronoi.Delaunay"} <= names
+
+
+def test_spec_table_builders_reach_the_traced_functions():
+    # The rows of `manifolds.SPECS` call their builders by module-global
+    # name; a row holding the function object itself would bypass the wrapper
+    # and leave these spans and the cell counter empty.
+    tracing = _load_tracing()
+    tr = tracing.Tracer()
+    with tracing.installed(tr):
+        built = [cli.build_manifold(spec, None, None) for spec in ("square-grid:3", "torus:2:3")]
+    names = {s.name for s in tr.spans}
+    assert {"manifolds.square_grid_torus", "complexes.dual_of_triangulation",
+            "manifolds.freudenthal_torus"} <= names
+    assert tr.counters["complexes.cells_built"] == sum(sum(c.cell_counts) for c in built)
