@@ -164,7 +164,6 @@ class CellComplex:
         self,
         dim: int,
         faces: Sequence[Sequence[Sequence[int]]],
-        provenance: str = "unknown",
         meta: dict | None = None,
     ):
         if len(faces) != dim + 1:
@@ -173,7 +172,6 @@ class CellComplex:
         self._faces: List[List[Tuple[int, ...]]] = [
             [tuple(f) for f in faces[k]] for k in range(dim + 1)
         ]
-        self.provenance = provenance
         self.meta = dict(meta or {})
         for k in range(1, dim + 1):
             limit = len(self._faces[k - 1])
@@ -309,12 +307,7 @@ class CellComplex:
                     faces[k].append(
                         tuple(index[k - 1][f] for f in self._faces[k][pid])
                     )
-        return CellComplex(
-            sub_dim,
-            faces,
-            provenance=f"subcomplex-of-{self.provenance}",
-            meta={"parent_ids": parent_ids},
-        )
+        return CellComplex(sub_dim, faces, meta={"parent_ids": parent_ids})
 
     def boundary_sphere(self, cell: int) -> "CellComplex":
         """The induced complex on the proper faces of a top cell."""
@@ -390,7 +383,7 @@ class CellComplex:
             if sorted(table) != list(range(len(table))):
                 raise ValueError(f"{path}: non-dense ids in dimension {k}")
             faces.append([table[i] for i in range(len(table))])
-        return cls(dim, faces, provenance="loaded")
+        return cls(dim, faces)
 
     def __eq__(self, other) -> bool:
         return (
@@ -473,7 +466,7 @@ def dual_of_triangulation(t: Triangulation) -> CellComplex:
             k: {simplex: i for i, simplex in enumerate(by_dim[k])} for k in range(d + 1)
         }
     }
-    return CellComplex(d, faces, provenance="dual-of-triangulation", meta=meta)
+    return CellComplex(d, faces, meta=meta)
 
 
 @dataclass

@@ -3,16 +3,17 @@
 Matrices store one Python int per row (bit j = column j), so row operations
 are single word-level XORs and everything stays exact.
 
-Elimination is sparse. `F2Matrix.rref` reduces the rows in their given order
-against a dictionary of pivot rows keyed by each row's lowest set bit
-(`r & -r`): a row either finds its low bit free and becomes that pivot, or is
-XOR-ed with the pivot row and tried again. The pivot rows are then
-back-substituted in decreasing pivot order, so every pivot column is cleared
-from every other row. The cost follows the fill-in of the rows, not
-rows x cols. The reduced row echelon form of a matrix is unique: it depends on
-the row space only, never on the elimination order. So `rref`, its pivot list
-and the nullspace basis read off it are the same bits as any other correct
-elimination gives.
+Elimination is sparse, and it has one loop, the forward pass `_forward`. It
+reduces the rows in their given order against a dictionary of pivot rows
+keyed by each row's lowest set bit (`r & -r`): a row either finds its low bit
+free and becomes that pivot, or is XOR-ed with the pivot row and tried again.
+`F2Matrix.rank` is the pivot count of that pass. `F2Matrix.rref` then
+back-substitutes the pivot rows in decreasing pivot order, so every pivot
+column is cleared from every other row. The cost follows the fill-in of the
+rows, not rows x cols. The reduced row echelon form of a matrix is unique: it
+depends on the row space only, never on the elimination order. So `rref`, its
+pivot list and the nullspace basis read off it are the same bits as any other
+correct elimination gives.
 
 Every span question goes through `Subspace`, an RREF basis with a pivot ->
 row map and a pivot mask. `reduce_by_rref` XORs in the row of each pivot set
@@ -111,15 +112,7 @@ class F2Matrix:
 
         Pivot rows come first in increasing pivot order, zero rows last.
         """
-        by_pivot: Dict[int, int] = {}
-        for r in self.data:
-            while r:
-                p = (r & -r).bit_length() - 1
-                q = by_pivot.get(p)
-                if q is None:
-                    by_pivot[p] = r
-                    break
-                r ^= q
+        by_pivot = _forward(self.data)
         pivots = sorted(by_pivot)
         pivot_mask = sum(1 << p for p in pivots)
         # A reduced pivot row holds no other pivot bit, so XOR-ing it in
@@ -137,7 +130,8 @@ class F2Matrix:
         return red, pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        """The pivot count of the forward pass; no back-substitution."""
+        return len(_forward(self.data))
 
     def nullspace(self) -> List[int]:
         """Basis (as column bitmasks) of {v : M v = 0}, one vector per free
@@ -158,6 +152,21 @@ class F2Matrix:
     def row_space_basis(self) -> List[int]:
         red, pivots = self.rref()
         return [red.data[i] for i in range(len(pivots))]
+
+
+def _forward(rows: Iterable[int]) -> Dict[int, int]:
+    """Forward elimination: pivot column -> a pivot row whose lowest set bit
+    it is. Each row is reduced by the pivot rows found before it."""
+    by_pivot: Dict[int, int] = {}
+    for r in rows:
+        while r:
+            p = (r & -r).bit_length() - 1
+            q = by_pivot.get(p)
+            if q is None:
+                by_pivot[p] = r
+                break
+            r ^= q
+    return by_pivot
 
 
 def _set_bits(x: int) -> List[int]:

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Tuple
 
-from .complexes import CellComplex, CellKey, Chain
+from .complexes import CellComplex, CellKey, Chain, DisjointSet
 from .f2 import F2Matrix, Subspace, _mask_of, in_span, reduce_by_rref
 
 MAX_SECTOR_RANK = 12  # largest b_p whose 2^b_p sector representatives are listed
@@ -31,34 +31,38 @@ class BettiVector:
 
 
 def betti(c: CellComplex) -> BettiVector:
-    """b_k = dim ker boundary_k - rank boundary_{k+1}, all over F2; the ranks
-    are the dimensions of the cached boundary spaces."""
-    ranks = [0] + [boundary_space(c, k).dim for k in range(c.dim + 1)]
-    return BettiVector(tuple(c.n_cells(k) - ranks[k] - ranks[k + 1] for k in range(c.dim + 1)))
+    """`betti_of_cells` over every cell of c, with b_k = 0 for the top
+    dimensions that hold no cells."""
+    b = betti_of_cells(c, ((k, i) for k in range(c.dim + 1) for i in range(c.n_cells(k))))
+    return BettiVector(b.b + (0,) * (c.dim + 1 - len(b)))
 
 
 def betti_of_cells(c: CellComplex, closed_cells: Iterable[CellKey]) -> BettiVector:
-    """Betti numbers of a face-closed cell set, computed in place.
+    """Betti numbers of a face-closed cell set, b_k = dim ker boundary_k -
+    rank boundary_{k+1} over F2, computed in place.
 
-    Builds the restricted boundary rows from the face tuples so no subcomplex
-    object is materialized.
+    Where every 1-cell of the set has exactly two faces (a loop counts), the
+    rank of boundary_1 is the vertex count less the number of components, from
+    one union-find. Every other rank is the pivot count of a forward
+    elimination of the restricted boundary rows, built from the face tuples.
     """
     cells = set(closed_cells)
     if not cells:
         return BettiVector((0,))
     top = max(k for k, _ in cells)
     ids = [sorted(i for k, i in cells if k == kk) for kk in range(top + 1)]
-    index = [{pid: j for j, pid in enumerate(lst)} for lst in ids]
     ranks = [0] * (top + 2)
     for k in range(1, top + 1):
-        below = index[k - 1]
+        if k == 1 and all(len(c.faces(1, e)) == 2 for e in ids[1]):
+            graph = DisjointSet(ids[0])
+            for e in ids[1]:
+                graph.union(*c.faces(1, e))
+            ranks[1] = len(ids[0]) - len({graph.find(v) for v in ids[0]})
+            continue
+        below = {pid: j for j, pid in enumerate(ids[k - 1])}
         rows = [_mask_of(below[f] for f in c.faces(k, pid)) for pid in ids[k]]
         ranks[k] = F2Matrix(len(rows), len(ids[k - 1]), rows).rank()
-    out = []
-    for k in range(top + 1):
-        kernel = len(ids[k]) - ranks[k]
-        out.append(kernel - ranks[k + 1])
-    return BettiVector(tuple(out))
+    return BettiVector(tuple(len(ids[k]) - ranks[k] - ranks[k + 1] for k in range(top + 1)))
 
 
 def semicharacteristic(b: BettiVector, k: int, start: int = 0) -> int:

@@ -211,7 +211,7 @@ def square_grid_torus(n: int) -> CellComplex:
     for x in range(n):
         for y in range(n):
             squares.append((v(x, y), v(x, y + 1), vert(x, y), vert(x + 1, y)))
-    return CellComplex(2, [vertices, edges, squares], provenance="builtin")
+    return CellComplex(2, [vertices, edges, squares])
 
 
 class Spec(NamedTuple):
@@ -317,7 +317,6 @@ def builtin_manifold(name: str, *params: int, points: Optional[int] = None,
         raise AssertionError(
             f"builtin {label} failed genericity validation: {report.violations[:3]}"
         )
-    c.provenance = "builtin"
     c.meta.update(name=label, generic_validated=True, **spec.meta(*values))
     return c
 

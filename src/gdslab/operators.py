@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .complexes import CellComplex, Chain, DisjointSet, ensure_validated, is_embedded_union
-from .f2 import Subspace, _set_bits, in_span
-from .homology import _loop_components, betti, betti_of_cells, semicharacteristic
+from .f2 import _set_bits
+from .homology import _loop_components, betti_of_cells, cycle_space_basis, semicharacteristic
 from .phases import MINUS_ONE, Phase
 
 
@@ -173,9 +173,10 @@ def ds2_wilson_sign(c: CellComplex, l: Chain, alpha: Chain) -> Phase:
 
 def ds2_wilson_data(c: CellComplex, l: Chain, alpha: Chain) -> WilsonData:
     """Wilson sign on a cellulated 2-sphere: a semicharacteristic factor, an
-    endpoint count, and a total mod-2 linking number of the endpoint pairs."""
+    endpoint count, and a total mod-2 linking number of the endpoint pairs.
+    A connected closed generic surface with chi = 2 is the sphere."""
     ensure_validated(c)
-    if c.dim != 2 or betti(c).b != (1, 0, 1):
+    if c.dim != 2 or not c.is_connected() or c.euler_characteristic() != 2:
         raise ValueError("ambient complex must be a 2-sphere cellulation")
     if not alpha.is_cycle():
         raise ValueError("state must be a cycle")
@@ -246,10 +247,11 @@ def dual_crossing_chain(c: CellComplex, loop: DualLoop) -> Chain:
 
 def is_dual_nullhomologous(c: CellComplex, loop: DualLoop) -> bool:
     """True iff the loop bounds in the dual 2-skeleton, i.e. its crossing
-    chain is a sum of coface triples of (d-2)-cells."""
-    coface_triples = [c.coboundary_bits(c.dim - 2, e) for e in range(c.n_cells(c.dim - 2))]
-    cols = Subspace.from_vectors(c.n_cells(c.dim - 1), coface_triples)
-    return in_span(dual_crossing_chain(c, loop).bits, cols)
+    chain is a sum of coface triples of (d-2)-cells. Those sums are the
+    orthogonal complement of the (d-1)-cycles, so the test is an even
+    overlap with every vector of the cycle basis."""
+    bits = dual_crossing_chain(c, loop).bits
+    return not any((bits & z).bit_count() & 1 for z in cycle_space_basis(c, c.dim - 1))
 
 
 @dataclass

@@ -259,21 +259,8 @@ def torus_voronoi(d: int, points: PointSet) -> CellComplex:
         face_ids = np.argsort(by_occurrence)[inverse].reshape(-1, k + 1)
         faces.append(_cofaces(face_ids, len(classes)))
 
-    cplx = CellComplex(
-        d,
-        faces,
-        provenance="voronoi",
-        meta={
-            "points": points.coords,
-            "seed": points.seed,
-            "n_points": len(points),
-        },
-    )
-    report = validate_generic(cplx)
-    cplx.meta["validation_passed"] = report.passed
-    cplx.meta["validation_violations"] = report.violations
-    if report.passed:
-        cplx.meta["generic_validated"] = True
+    cplx = CellComplex(d, faces)
+    cplx.meta["generic_validated"] = validate_generic(cplx).passed
     return cplx
 
 

@@ -62,6 +62,14 @@ def reference_nullspace(m: F2Matrix):
     return basis
 
 
+def reference_betti(c):
+    """The RREF Betti numbers that the union-find and forward-pass routine
+    replaced: rank boundary_k is the pivot count of the full RREF of the
+    dense incidence rows."""
+    ranks = [0] + [len(dense_incidence(c, k).rref()[1]) for k in range(1, c.dim + 1)] + [0]
+    return tuple(c.n_cells(k) - ranks[k] - ranks[k + 1] for k in range(c.dim + 1))
+
+
 # built-in specs small enough for the dense oracles (Voronoi: 60 points, seed 1)
 SHIPPED_COMPLEXES = [
     "sphere:1", "sphere:2", "sphere:3", "sphere:4", "torus:2:3", "torus:3:3",

@@ -118,7 +118,7 @@ def test_criterion_03_odd_dimension_equivalence():
              ("sphere:3", builtin_manifold("sphere", 3), 1)]
     for seed in range(5):
         c = torus_voronoi(3, PointSet.random(3, 14, seed=seed))
-        assert c.meta["validation_passed"], seed
+        assert c.meta["generic_validated"], seed
         cases.append((f"voronoi3-seed{seed}", c, 2 ** betti(c)[2]))
     for name, c, expected in cases:
         gds, _ = ground_degeneracy(c, GDS)
@@ -291,11 +291,11 @@ def test_criterion_10_wilson_and_balloon_signs():
 def test_criterion_11_appendix():
     for seed in range(50):
         c = torus_voronoi(2, PointSet.random(2, 25, seed=seed))
-        assert c.meta["validation_passed"], ("d2", seed)
+        assert c.meta["generic_validated"], ("d2", seed)
     last3 = None
     for seed in range(10):
         last3 = torus_voronoi(3, PointSet.random(3, 14, seed=seed))
-        assert last3.meta["validation_passed"], ("d3", seed)
+        assert last3.meta["generic_validated"], ("d3", seed)
     rng = random.Random(13)
     c2 = torus_voronoi(2, PointSet.random(2, 25, seed=0))
     for c in (c2, last3):

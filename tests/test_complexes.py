@@ -90,12 +90,7 @@ def resolve_union(c: CellComplex, k: int, cells: Iterable[int]) -> CellComplex:
                 face_key = (dim - 1, fid)
                 fl.append(new_ids[(face_key, sheet_of[face_key][rep])])
             faces[dim].append(tuple(fl))
-    return CellComplex(
-        k,
-        faces,
-        provenance=f"resolved-union-of-{c.provenance}",
-        meta={"source_cells": [key for key, _ in per_dim[k]]},
-    )
+    return CellComplex(k, faces, meta={"source_cells": [key for key, _ in per_dim[k]]})
 
 
 def resolved_counts_match_closure(c: CellComplex, k: int, cells: List[int]) -> bool:
@@ -199,7 +194,7 @@ def cubical_torus3(n: int = 3) -> CellComplex:
         )
         for p in points
     ]
-    return CellComplex(3, [[()] * n ** 3, edges, squares, cubes], provenance="cubical")
+    return CellComplex(3, [[()] * n ** 3, edges, squares, cubes])
 
 
 def test_tetrahedron_dual_counts(sphere2):

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from gdslab.complexes import Chain
+from gdslab import f2, homology
+from gdslab.complexes import CellComplex, Chain
 from gdslab.cli import build_manifold
 from gdslab.f2 import F2Matrix
 from gdslab.homology import (
@@ -26,6 +27,7 @@ from gdslab.model import random_cycle
 from conftest import (
     SHIPPED_COMPLEXES,
     dense_incidence,
+    reference_betti,
     reference_nullspace,
     reference_rref,
 )
@@ -108,16 +110,66 @@ def test_boundary_spaces_are_cached_and_give_the_ranks(monkeypatch):
             dense_incidence(c, p + 1).row_space_basis() if p < c.dim else []
         )
     reps = [r.bits for r in homology_sector_reps(c, 2).reps]
+    assert betti(c).b == (1, 3, 3, 1)  # betti reads no boundary space
     calls = []
-    rref = F2Matrix.rref
-    monkeypatch.setattr(F2Matrix, "rref", lambda self: calls.append(self) or rref(self))
+    forward = f2._forward
+    monkeypatch.setattr(f2, "_forward", lambda rows: calls.append(rows) or forward(rows))
     # every later span question reads the cached spaces: no elimination
-    assert betti(c).b == (1, 3, 3, 1)
     assert is_boundary(c, Chain(c, 2, c.boundary_bits(3, 0)))
     assert not is_boundary(c, Chain(c, 2, reps[1]))
     assert [r.bits for r in homology_sector_reps(c, 2).reps] == reps
     assert boundary_space(c, 1) is boundary_space(c, 1)
     assert calls == []
+
+
+@pytest.mark.parametrize("spec", SHIPPED_COMPLEXES + ["torus:3:5", "torus:4:3", "square-grid:3"])
+def test_betti_matches_rref_oracle(spec):
+    c = build_manifold(spec, 60, 1)
+    assert betti(c).b == reference_betti(c)
+
+
+def test_betti_of_voronoi3_matches_rref_oracle(voronoi3):
+    assert betti(voronoi3).b == reference_betti(voronoi3)
+
+
+@pytest.mark.parametrize("spec", [("torus", 3, 3), ("sphere", 4), ("klein",)])
+def test_betti_of_cells_matches_rref_oracle_on_random_closures(spec):
+    c = builtin_manifold(*spec)
+    rng = random.Random(5)
+    for _ in range(40):
+        k = rng.randint(0, c.dim)
+        n = c.n_cells(k)
+        cells = c.closure((k, i) for i in rng.sample(range(n), rng.randint(1, min(n, 12))))
+        assert betti_of_cells(c, cells).b == reference_betti(c.subcomplex(cells))
+
+
+@pytest.mark.parametrize("faces, expected", [
+    ([[()], [(0,)]], (0, 0)),  # a 1-cell with one face
+    ([[(), ()], [(0, 1, 1)]], (1, 0)),  # a 1-cell with three faces
+    ([[(), (), ()], [(0, 1, 2)]], (2, 0)),  # three distinct faces: not a graph
+    ([[()], [(0, 0)]], (1, 1)),  # a loop edge
+    ([[()] * 4, [(0, 1), (2, 3)]], (2, 0)),  # two disjoint edges
+    ([[()], [], []], (1, 0, 0)),  # top dimensions with no cells
+])
+def test_betti_of_hand_built_complexes(faces, expected):
+    c = CellComplex(len(faces) - 1, faces)
+    assert betti(c).b == expected == reference_betti(c)
+    cells = [(k, i) for k in range(c.dim + 1) for i in range(c.n_cells(k))]
+    top = max(k for k, _ in cells)
+    assert betti_of_cells(c, cells).b == expected[: top + 1]
+
+
+def test_betti_eliminates_boundary_2_only(monkeypatch):
+    # rank boundary_1 comes from the union-find, so the one forward pass is
+    # the one of boundary_2, and betti never takes an RREF
+    c = builtin_manifold("tP", 300)
+    calls = []
+    forward = f2._forward
+    monkeypatch.setattr(f2, "_forward", lambda rows: calls.append(len(rows)) or forward(rows))
+    monkeypatch.setattr(F2Matrix, "rref", None)
+    monkeypatch.setattr(homology, "boundary_space", None)
+    assert betti(c).b == (1, 300, 1)
+    assert calls == [c.n_cells(2)]
 
 
 def test_sector_counts(sphere2, torus2):

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from gdslab import f2
 from gdslab import operators as op_mod
 from gdslab.complexes import Chain, dual_of_triangulation
+from gdslab.f2 import Subspace, _set_bits
 from gdslab.homology import _loop_components
 from gdslab.manifolds import (
     barycentric_subdivision,
@@ -221,17 +223,18 @@ def test_ds2_wilson_refuses_two_loops(fine_sphere):
         ds2_wilson_data(c, l, Chain.empty(c, 1))
 
 
-def test_ds2_wilson_data_computes_betti_once(monkeypatch):
-    from gdslab.f2 import F2Matrix
-
+def test_ds2_wilson_data_runs_no_elimination(monkeypatch):
+    # the sphere check is connectivity and chi, so no call eliminates,
+    # the first one included
     c = dual_of_triangulation(barycentric_subdivision(simplex_boundary(2)))
     c.meta["generic_validated"] = True
     l = Chain(c, 1, c.boundary_bits(2, 0))
-    first = ds2_wilson_data(c, l, Chain.empty(c, 1))
     calls = []
-    rref = F2Matrix.rref
-    monkeypatch.setattr(F2Matrix, "rref", lambda self: calls.append(self) or rref(self))
+    forward = f2._forward
+    monkeypatch.setattr(f2, "_forward", lambda rows: calls.append(rows) or forward(rows))
+    first = ds2_wilson_data(c, l, Chain.empty(c, 1))
     assert ds2_wilson_data(c, l, Chain.empty(c, 1)) == first
+    assert first.phase == MINUS_ONE
     assert calls == []
 
 
@@ -318,6 +321,44 @@ def test_dual_wilson_loops(torus2):
     for _ in range(30):
         s = random_cycle(torus2, rng)
         assert dual_wilson_phase(torus2, elem, s) == 1
+
+
+def span_nullhomologous(c, loop):
+    """The construction the cycle-basis test replaced: the crossing chain in
+    the span of the coface triples of the (d-2)-cells."""
+    triples = [c.coboundary_bits(c.dim - 2, e) for e in range(c.n_cells(c.dim - 2))]
+    cols = Subspace.from_vectors(c.n_cells(c.dim - 1), triples)
+    return cols.contains(Chain.from_cells(c, c.dim - 1, loop.cells).bits)
+
+
+def test_dual_nullhomologous_matches_span_oracle_on_torus_loops(torus2):
+    h_cells, v_cells = torus_dual_loops(torus2)
+    elem = torus2.cofaces(0, 0)
+    for cells, bounds in ((h_cells, False), (v_cells, False), (elem, True)):
+        loop = DualLoop(cells, closed=True)
+        assert is_dual_nullhomologous(torus2, loop) == span_nullhomologous(torus2, loop) == bounds
+
+
+@pytest.mark.parametrize("spec", [("torus", 2, 3), ("sphere", 2), ("klein",), ("tP", 3),
+                                  ("torus", 3, 3)])
+def test_dual_nullhomologous_matches_span_oracle_on_random_sets(spec):
+    c = builtin_manifold(*spec)
+    rng = random.Random(9)
+    n_ridges, n_faces = c.n_cells(c.dim - 2), c.n_cells(c.dim - 1)
+    seen = set()
+    for _ in range(60):
+        # a sum of coface triples, half the time with random cells added
+        bits = 0
+        for e in rng.sample(range(n_ridges), rng.randint(0, min(n_ridges, 6))):
+            bits ^= c.coboundary_bits(c.dim - 2, e)
+        if rng.random() < 0.5:
+            for f in rng.sample(range(n_faces), rng.randint(1, min(n_faces, 4))):
+                bits ^= 1 << f
+        loop = DualLoop(tuple(_set_bits(bits)), closed=True)
+        got = is_dual_nullhomologous(c, loop)
+        assert got == span_nullhomologous(c, loop)
+        seen.add(got)
+    assert seen == {True, False}
 
 
 def test_dual_wilson_noncycle_state(torus2):
