@@ -3,6 +3,8 @@
 One gate per cell of dimension below d.  Its support is the bitmask of the
 (d-1)-cells whose closure holds the cell, so it fires on a basis state iff
 `support & state.bits` is nonzero: its cell lies in the closure of the up-set.
+The supports come from the downward pass that builds the chi_up tables
+(`complexes._closure_masks`), seeded with bit f on every (d-1)-cell f.
 A firing gate gives +i for an even-dimensional cell and -i for an odd one, so
 the phase is i to (#even - #odd firing gates); it telescopes to i^chi.
 """
@@ -11,9 +13,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
-from .complexes import CellComplex, Chain, ensure_validated
+from .complexes import CellComplex, Chain, _closure_masks, ensure_validated
 from .model import GDS, flip, random_cycle
 from .phases import ONE, Phase
 
@@ -30,11 +32,8 @@ def build_gates(c: CellComplex) -> List[PhaseGate]:
         raise ValueError("the conjugating circuit exists in odd dimension")
     ensure_validated(c)
     d = c.dim
-    support: Dict[Tuple[int, int], int] = {}
-    for f in range(c.n_cells(d - 1)):
-        for key in c.closure_of_cell(d - 1, f):
-            support[key] = support.get(key, 0) | 1 << f
-    return [PhaseGate(j, i, support.get((j, i), 0))
+    support = _closure_masks(c, d - 1, {f: 1 << f for f in range(c.n_cells(d - 1))})
+    return [PhaseGate(j, i, support[j].get(i, 0))
             for j in range(d) for i in range(c.n_cells(j))]
 
 

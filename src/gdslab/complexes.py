@@ -6,18 +6,26 @@ its only incidence.  Face tuples may contain repeats (a cell glued to the
 same face twice); boundaries over F2 use the parity of the multiplicity,
 coface counts use the multiplicity itself.  A cell's boundary or coboundary
 as a bitmask is the XOR of its face or coface ids, built on request.
+Validation reads the face tables in flat passes: coface counts from one
+counting pass per dimension, and the boundary of a k-cell's boundary vanishes
+iff the sorted list of its faces' faces pairs up.  Masks over closures come
+from `_closure_masks`, which ORs masks on the k-cells down into their faces
+one dimension at a time.
 
 A triangulation's faces are enumerated in one place, `_cofacets`, which
 lists every facet of the k-simplices with the ids of the simplices that
 contain it.  Applied top-down it gives `faces_by_dim`; applied once to the
 top simplices it gives the closed pseudo-manifold check its ridge counts and
 vertex links; and its id lists are the face tuples of `dual_of_triangulation`,
-which checks its own top-level table rather than calling `validate`.
+which checks its own top-level table rather than calling `validate`.  The
+vertex links are checked by one union-find over flags, a flag being a vertex
+of one top simplex: a ridge joins the flags of each of its vertices in the
+simplices it lies in, and every link is connected iff there are as many
+classes as vertices.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
@@ -80,19 +88,23 @@ def _pseudomanifold_problems(
         if len(ids) != 2
     ]
     # Vertex links must be connected (one wedge of top simplices per vertex):
-    # two top simplices through v are linked when they share a ridge through v.
-    star: Dict[int, List[int]] = {}
-    for idx, s in enumerate(simplices):
-        for v in s:
-            star.setdefault(v, []).append(idx)
-    links = {v: DisjointSet(idxs) for v, idxs in star.items()}
+    # flag j*w + p is vertex p of simplex j, and a ridge through v joins the
+    # flags of v in the simplices that share it.
+    w = len(simplices[0])
+    flags = DisjointSet(range(w * len(simplices)))
     for ridge, ids in ridges.items():
-        for v in ridge:
-            for other in ids[1:]:
-                links[v].union(ids[0], other)
-    for v, idxs in star.items():
-        if len({links[v].find(i) for i in idxs}) != 1:
-            problems.append(f"vertex {v} has a disconnected link")
+        first = simplices[ids[0]]
+        for other in ids[1:]:
+            s = simplices[other]
+            for v in ridge:
+                flags.union(ids[0] * w + first.index(v), other * w + s.index(v))
+    n_vertices = len({v for s in simplices for v in s})
+    if sum(1 for x, p in flags.parent.items() if x == p) > n_vertices:
+        roots: Dict[int, Set[int]] = {}
+        for j, s in enumerate(simplices):
+            for p, v in enumerate(s):
+                roots.setdefault(v, set()).add(flags.find(j * w + p))
+        problems += [f"vertex {v} has a disconnected link" for v, r in roots.items() if len(r) > 1]
     return problems
 
 
@@ -478,6 +490,29 @@ class GenericityReport:
         return self.passed
 
 
+def _coface_counts(c: CellComplex, k: int) -> List[int]:
+    """Number of cofaces of every k-cell, with multiplicity."""
+    counts = [0] * c.n_cells(k)
+    for fl in c._faces[k + 1]:
+        for f in fl:
+            counts[f] += 1
+    return counts
+
+
+def _closure_masks(c: CellComplex, k: int, masks: Dict[int, int]) -> List[Dict[int, int]]:
+    """Masks on the cells of dimensions 0..k, from masks on some k-cells: a
+    cell's mask is the OR of the masks of the given k-cells whose closure
+    holds it, and only those cells are keyed.  One downward pass ORs each
+    j-cell's mask into its faces, for j = k down to 1."""
+    out: List[Dict[int, int]] = [{} for _ in range(k)] + [masks]
+    for j in range(k, 0, -1):
+        below, faces = out[j - 1], c._faces[j]
+        for i, m in out[j].items():
+            for f in faces[i]:
+                below[f] = below.get(f, 0) | m
+    return out
+
+
 HERITABILITY_SAMPLES = 4  # evenly spaced top cells whose boundary spheres are validated
 
 
@@ -494,21 +529,22 @@ def validate_generic(c: CellComplex) -> GenericityReport:
     d = c.dim
     for k in range(d):
         expected = d - k + 1
-        for i in range(c.n_cells(k)):
-            n = len(c.cofaces(k, i))
-            if n != expected:
-                violations.append(
-                    f"{k}-cell {i} has {n} cofaces, expected {expected}"
-                )
+        violations += [
+            f"{k}-cell {i} has {n} cofaces, expected {expected}"
+            for i, n in enumerate(_coface_counts(c, k))
+            if n != expected
+        ]
     for k in range(1, d + 1):
         for i, fl in enumerate(c._faces[k]):
             if len(fl) != len(set(fl)):
                 violations.append(f"{k}-cell {i} has a repeated face (non-embedded)")
     for k in range(2, d + 1):
         below = c._faces[k - 1]  # each k-cell's faces' faces must pair up
-        if any(n & 1 for fl in c._faces[k]
-               for n in Counter(g for f in fl for g in below[f]).values()):
-            violations.append(f"boundary of boundary nonzero in dimension {k}")
+        for fl in c._faces[k]:
+            g = sorted([x for f in fl for x in below[f]])
+            if g[0::2] != g[1::2]:
+                violations.append(f"boundary of boundary nonzero in dimension {k}")
+                break
     if d >= 1 and not violations:
         n_top = c.n_cells(d)
         step = max(1, n_top // HERITABILITY_SAMPLES)
@@ -523,12 +559,11 @@ def validate_generic(c: CellComplex) -> GenericityReport:
                 continue
             for k in range(sphere.dim):
                 expected = sphere.dim - k + 1
-                for i in range(sphere.n_cells(k)):
-                    if len(sphere.cofaces(k, i)) != expected:
-                        violations.append(
-                            f"top cell {cell}: boundary sphere fails coface "
-                            f"count at {k}-cell {i}"
-                        )
+                violations += [
+                    f"top cell {cell}: boundary sphere fails coface count at {k}-cell {i}"
+                    for i, n in enumerate(_coface_counts(sphere, k))
+                    if n != expected
+                ]
             expected_chi = 0 if (d - 1) % 2 else 2
             if sphere.euler_characteristic() != expected_chi:
                 violations.append(
@@ -576,14 +611,18 @@ def is_embedded_union(c: CellComplex, k: int, cells: Iterable[int]) -> bool:
     for f in set(cells):
         for key in c.closure_of_cell(k, f):
             containing.setdefault(key, []).append(f)
-    # (k-1)-cells shared by two or more k-cells, listed under each closure cell
+    # (k-1)-cells shared by two or more k-cells, listed under each lower cell
+    # of their closure
     ridges_at: Dict[CellKey, List[List[int]]] = {}
     for ridge, members in containing.items():
         if ridge[0] == k - 1 and len(members) > 1:
             for key in c.closure_of_cell(*ridge):
-                ridges_at.setdefault(key, []).append(members)
+                if key[0] < k - 1:
+                    ridges_at.setdefault(key, []).append(members)
     for key, members in containing.items():
-        if len(members) < 2:
+        # a k-cell lies in one member, and a shared (k-1)-cell is a ridge
+        # that joins all of its members
+        if len(members) < 2 or key[0] >= k - 1:
             continue
         sheets = DisjointSet(members)
         for ridge_members in ridges_at.get(key, ()):

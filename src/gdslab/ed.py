@@ -152,9 +152,7 @@ def build_term(c: CellComplex, which: str, cell_id: int, model: str = GDS) -> Te
     if which == H_C:
         return Term(n, H_C, (), flip_mask, faces, tuple(signs))
     if which == H_C_PROJ:
-        ridges = sorted(
-            i for k, i in c.closure_of_cell(c.dim, cell_id) if k == c.dim - 2
-        )
+        ridges = sorted({r for f in faces for r in c.faces(c.dim - 1, f)})
         masks = tuple(c.coboundary_bits(c.dim - 2, e) for e in ridges)
         return Term(n, H_C_PROJ, masks, flip_mask, faces, tuple(signs))
     raise ValueError(f"unknown term kind {which!r}")

@@ -7,10 +7,13 @@ up-labelled part of the cell boundary.
 
 chi_up is read from a table kept per top cell: its face tuple and, for every
 cell sigma in the closure of its boundary, grouped by dim sigma, the mask of
-the face positions whose closure contains sigma.  A state's local pattern
-(bit i set iff face i is up) meets mask_sigma exactly when sigma lies in the
-closed up-part, so chi_up = sum over sigma of (-1)^dim sigma
-[pattern & mask_sigma != 0].
+the face positions whose closure contains sigma.  The table comes from one
+downward pass (`complexes._closure_masks`): face pos starts with bit pos, and
+every cell ORs its mask into its own faces.  A state's local pattern (bit i
+set iff face i is up) meets mask_sigma exactly when sigma lies in the closed
+up-part, so chi_up = sum over sigma of (-1)^dim sigma
+[pattern & mask_sigma != 0].  Only such sums and their parities read the
+masks, so their order within a dimension is free.
 
 The flip phase -(-1)^chi_up depends on chi_up only mod 2, and mod 2 every
 cell counts +1 whatever its dimension: the phase is -1 exactly when an even
@@ -29,7 +32,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .complexes import CellComplex, CellKey, Chain, ensure_validated
+from .complexes import CellComplex, Chain, _closure_masks, ensure_validated
 from .f2 import F2Matrix, PreconditionError
 from .homology import SectorSet, homology_sector_reps
 
@@ -81,14 +84,11 @@ def _chi_table(c: CellComplex, cell: int) -> ChiTable:
     table = c._chi_tables.get(cell)
     if table is None:
         faces = c.faces(c.dim, cell)
-        masks: Dict[CellKey, int] = {}
+        seed: Dict[int, int] = {}
         for pos, f in enumerate(faces):
-            for key in c.closure_of_cell(c.dim - 1, f):
-                masks[key] = masks.get(key, 0) | (1 << pos)
-        by_dim: List[List[int]] = [[] for _ in range(c.dim)]
-        for (k, _), m in masks.items():
-            by_dim[k].append(m)
-        table = (faces, tuple(tuple(ms) for ms in by_dim))
+            seed[f] = seed.get(f, 0) | 1 << pos
+        by_dim = _closure_masks(c, c.dim - 1, seed)
+        table = (faces, tuple(tuple(ms.values()) for ms in by_dim))
         c._chi_tables[cell] = table
     return table
 
@@ -138,9 +138,7 @@ def verify_projector(c: CellComplex, cell: int, s: Chain) -> bool:
     cycle there (for a connected sphere: all faces down or all faces up).
     Anything else is the open off-kernel regime and is refused.
     """
-    boundary_ridges = {
-        i for k, i in c.closure_of_cell(c.dim, cell) if k == c.dim - 2
-    }
+    boundary_ridges = {r for f in c.faces(c.dim, cell) for r in c.faces(c.dim - 1, f)}
     restricted = [f for f in c.faces(c.dim, cell) if s.contains(f)]
     relative_cycle = len(restricted) in (0, len(c.faces(c.dim, cell)))
     if hplus_violations(c, s) & boundary_ridges and not relative_cycle:

@@ -77,6 +77,10 @@ SHIPPED_COMPLEXES = [
     "torus-voronoi:2",
 ]
 
+# the shipped complexes plus two larger tori, for the oracles of the flat
+# passes over face tuples (build with build_manifold(spec, 60, 1))
+ORACLE_SPECS = SHIPPED_COMPLEXES + ["torus:3:5", "torus:4:3"]
+
 
 @pytest.fixture(scope="session")
 def sphere2():

@@ -4,13 +4,16 @@ import random
 
 import pytest
 
-from gdslab.complexes import Chain
-from gdslab.circuit import build_gates, circuit_phase, schedule, verify_conjugation
+from gdslab.cli import build_manifold
+from gdslab.complexes import Chain, _closure_masks
+from gdslab.circuit import PhaseGate, build_gates, circuit_phase, schedule, verify_conjugation
 from gdslab.f2 import _set_bits
 from gdslab.manifolds import builtin_manifold
 from gdslab.model import random_cycle
 from gdslab.phases import I, MINUS_I, MINUS_ONE, ONE, Phase
 from gdslab.voronoi import PointSet, torus_voronoi
+
+from conftest import ORACLE_SPECS
 
 
 def test_gate_census(torus3):
@@ -24,6 +27,37 @@ def test_gate_census(torus3):
         # a lone gate fires on its own support with +i (even dim) or -i (odd)
         alone = circuit_phase([g], Chain(torus3, d - 1, g.support))
         assert alone == (I if g.dim % 2 == 0 else MINUS_I)
+
+
+def closure_supports(c):
+    """Oracle for the gate supports: bit f on every cell in the closure of
+    the (d-1)-cell f, keyed by (dim, id)."""
+    support = {}
+    for f in range(c.n_cells(c.dim - 1)):
+        for key in c.closure_of_cell(c.dim - 1, f):
+            support[key] = support.get(key, 0) | 1 << f
+    return support
+
+
+def closure_gates(c):
+    support = closure_supports(c)
+    return [PhaseGate(j, i, support.get((j, i), 0))
+            for j in range(c.dim) for i in range(c.n_cells(j))]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_gate_supports_match_closure_oracle(spec):
+    c = build_manifold(spec, 60, 1)
+    if c.dim % 2:
+        assert build_gates(c) == closure_gates(c)
+    # even d has no circuit, but the downward pass gives the same supports
+    d = c.dim
+    masks = _closure_masks(c, d - 1, {f: 1 << f for f in range(c.n_cells(d - 1))})
+    assert {(j, i): m for j in range(d) for i, m in masks[j].items()} == closure_supports(c)
+
+
+def test_gates_match_closure_oracle_on_voronoi3(voronoi3):
+    assert build_gates(voronoi3) == closure_gates(voronoi3)
 
 
 def test_circuit_phase_examples(torus3):

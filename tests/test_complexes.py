@@ -2,16 +2,19 @@
 
 import itertools
 import random
+from collections import Counter
 from typing import Dict, Iterable, List, Tuple
 
 import pytest
 
 from gdslab.complexes import (
+    HERITABILITY_SAMPLES,
     CellComplex,
     CellKey,
     Chain,
     DisjointSet,
     Triangulation,
+    _cofacets,
     closed_subcomplex,
     dual_of_triangulation,
     is_embedded_union,
@@ -25,6 +28,7 @@ from gdslab.manifolds import (
     freudenthal_torus,
     genus_surface,
     klein_bottle,
+    manifold_spec,
     nonorientable_surface,
     projective_plane,
     simplex_boundary,
@@ -34,7 +38,7 @@ from gdslab.cli import build_manifold
 from gdslab.model import ground_degeneracy, sector_reps
 from gdslab.operators import random_sparse_cycle
 
-from conftest import dense_incidence
+from conftest import ORACLE_SPECS, dense_incidence
 
 
 def resolve_union(c: CellComplex, k: int, cells: Iterable[int]) -> CellComplex:
@@ -237,6 +241,7 @@ def test_dual_refuses_with_the_first_validate_message(t):
     with pytest.raises(ValueError) as err:
         dual_of_triangulation(t)
     assert str(err.value) == "input is not a closed pseudo-manifold: " + t.validate()[0]
+    assert_links_match_oracle(t)
 
 
 def test_triangulation_validate_flags_disconnected_link():
@@ -278,6 +283,57 @@ def test_triangulation_validate_counts_the_empty_ridge_in_dimension_0():
     assert Triangulation(0, [(0,), (1,), (2,)]).validate() == [
         "face () lies in 3 maximal simplices"
     ]
+
+
+def reference_pseudomanifold_problems(
+    simplices: List[Tuple[int, ...]], ridges: Dict[Tuple[int, ...], List[int]]
+) -> List[str]:
+    """Oracle for the closed pseudo-manifold check: ridge counts, then one
+    union-find per vertex over the top simplices through it."""
+    problems = [
+        f"face {ridge} lies in {len(ids)} maximal simplices"
+        for ridge, ids in ridges.items()
+        if len(ids) != 2
+    ]
+    star: Dict[int, List[int]] = {}
+    for idx, s in enumerate(simplices):
+        for v in s:
+            star.setdefault(v, []).append(idx)
+    links = {v: DisjointSet(idxs) for v, idxs in star.items()}
+    for ridge, ids in ridges.items():
+        for v in ridge:
+            for other in ids[1:]:
+                links[v].union(ids[0], other)
+    for v, idxs in star.items():
+        if len({links[v].find(i) for i in idxs}) != 1:
+            problems.append(f"vertex {v} has a disconnected link")
+    return problems
+
+
+def assert_links_match_oracle(t: Triangulation) -> List[str]:
+    problems = t.validate()
+    assert problems == reference_pseudomanifold_problems(t.simplices, _cofacets(t.simplices))
+    return problems
+
+
+# every oracle spec but Voronoi, which builds its complex without a triangulation
+@pytest.mark.parametrize("spec", [s for s in ORACLE_SPECS if not s.startswith("torus-voronoi")])
+def test_flag_union_find_matches_per_vertex_links(spec):
+    name, *params = spec.split(":")
+    row = manifold_spec(name)
+    t = row.build(*row.complete([int(p) for p in params]), points=None, seed=None)
+    assert assert_links_match_oracle(t) == []
+
+
+def test_flag_union_find_matches_oracle_on_failures():
+    # two 3-sphere boundaries of 4-simplices sharing vertex 4
+    pinch = Triangulation(3, [f for s in [(0, 1, 2, 3, 4), (4, 5, 6, 7, 8)]
+                              for f in itertools.combinations(s, 4)])
+    assert assert_links_match_oracle(pinch) == ["vertex 4 has a disconnected link"]
+    # a butterfly on sparse labels: its bad vertices in order of first appearance
+    butterfly = Triangulation(2, [(5, 6, 9), (5, 7, 8), (6, 9, 10), (7, 8, 10)])
+    assert assert_links_match_oracle(butterfly)[-2:] == [
+        "vertex 5 has a disconnected link", "vertex 10 has a disconnected link"]
 
 
 def faces_by_dim_oracle(t: Triangulation) -> Dict[int, List[Tuple[int, ...]]]:
@@ -457,6 +513,85 @@ def test_boundary_of_boundary_is_checked_per_cell():
     assert c._boundary_rows == {} and glued._boundary_rows == {}
 
 
+def reference_validate_generic(c: CellComplex) -> List[str]:
+    """Oracle for `validate_generic`: coface counts from `cofaces`, and the
+    boundary of a boundary from one Counter of faces' faces per cell."""
+    violations: List[str] = []
+    d = c.dim
+    for k in range(d):
+        expected = d - k + 1
+        for i in range(c.n_cells(k)):
+            n = len(c.cofaces(k, i))
+            if n != expected:
+                violations.append(f"{k}-cell {i} has {n} cofaces, expected {expected}")
+    for k in range(1, d + 1):
+        for i in range(c.n_cells(k)):
+            fl = c.faces(k, i)
+            if len(fl) != len(set(fl)):
+                violations.append(f"{k}-cell {i} has a repeated face (non-embedded)")
+    for k in range(2, d + 1):
+        if any(n & 1 for i in range(c.n_cells(k))
+               for n in Counter(g for f in c.faces(k, i) for g in c.faces(k - 1, f)).values()):
+            violations.append(f"boundary of boundary nonzero in dimension {k}")
+    if d >= 1 and not violations:
+        n_top = c.n_cells(d)
+        for cell in range(0, n_top, max(1, n_top // HERITABILITY_SAMPLES)):
+            try:
+                sphere = c.boundary_sphere(cell)
+            except ValueError as exc:
+                violations.append(f"top cell {cell}: {exc}")
+                continue
+            if sphere.dim != d - 1:
+                violations.append(f"top cell {cell}: boundary has wrong dimension")
+                continue
+            for k in range(sphere.dim):
+                for i in range(sphere.n_cells(k)):
+                    if len(sphere.cofaces(k, i)) != sphere.dim - k + 1:
+                        violations.append(
+                            f"top cell {cell}: boundary sphere fails coface count at {k}-cell {i}"
+                        )
+            expected_chi = 0 if (d - 1) % 2 else 2
+            if sphere.euler_characteristic() != expected_chi:
+                violations.append(
+                    f"top cell {cell}: boundary sphere has chi "
+                    f"{sphere.euler_characteristic()}, expected {expected_chi}"
+                )
+    return violations
+
+
+def assert_validate_matches_oracle(c: CellComplex) -> List[str]:
+    violations = validate_generic(c).violations
+    assert violations == reference_validate_generic(c)
+    return violations
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_validate_generic_matches_cofaces_and_counter_oracle(spec):
+    assert assert_validate_matches_oracle(build_manifold(spec, 60, 1)) == []
+
+
+def test_validate_generic_matches_oracle_on_voronoi3(voronoi3):
+    assert assert_validate_matches_oracle(voronoi3) == []
+
+
+def test_validate_generic_matches_oracle_on_failures():
+    violations = assert_validate_matches_oracle(square_grid_torus(3))
+    assert violations
+    # one face id of a 3-cell moved to another 2-cell: coface counts and the
+    # boundary of boundary both break
+    c = builtin_manifold("torus", 3, 3)
+    faces = [list(c._faces[k]) for k in range(4)]
+    fl = faces[3][0]
+    new = next(f for f in range(c.n_cells(2)) if f not in fl)
+    faces[3][0] = (new,) + fl[1:]
+    violations = assert_validate_matches_oracle(CellComplex(3, faces))
+    assert "boundary of boundary nonzero in dimension 3" in violations
+    assert any("cofaces, expected 2" in v for v in violations)
+    # a repeated face and a 2-cell on one edge
+    assert assert_validate_matches_oracle(glued_complex())
+    assert assert_validate_matches_oracle(CellComplex(2, [[(), ()], [(0, 1)], [(0,)]]))
+
+
 def test_gsd_builds_no_boundary_rows_below_the_top_dimension():
     c = builtin_manifold("torus", 3, 6)
     assert c._boundary_rows == {}  # validation fills no boundary memo
@@ -587,6 +722,31 @@ def test_subset_boundary_random_voronoi(voronoi2, voronoi3):
             assert subset_boundary_manifold_check(c, subset)
 
 
+def reference_is_embedded_union(c: CellComplex, k: int, cells: Iterable[int]) -> bool:
+    """`is_embedded_union` checking every closure cell, (k-1)- and k-cells
+    included."""
+    containing: Dict[CellKey, List[int]] = {}
+    for f in set(cells):
+        for key in c.closure_of_cell(k, f):
+            containing.setdefault(key, []).append(f)
+    ridges_at: Dict[CellKey, List[List[int]]] = {}
+    for ridge, members in containing.items():
+        if ridge[0] == k - 1 and len(members) > 1:
+            for key in c.closure_of_cell(*ridge):
+                ridges_at.setdefault(key, []).append(members)
+    for key, members in containing.items():
+        if len(members) < 2:
+            continue
+        sheets = DisjointSet(members)
+        for ridge_members in ridges_at.get(key, ()):
+            for other in ridge_members[1:]:
+                sheets.union(ridge_members[0], other)
+        root = sheets.find(members[0])
+        if any(sheets.find(f) != root for f in members[1:]):
+            return False
+    return True
+
+
 EMBEDDING_SPECS = [
     ("sphere", 2), ("sphere", 3), ("sphere", 4), ("torus", 3, 3), ("torus", 3, 4),
     ("tP", 3), ("klein",), ("genus", 2), ("torus", 2, 3),
@@ -611,10 +771,35 @@ def test_is_embedded_union_matches_resolved_counts(spec):
         for cells in unions:
             expected = resolved_counts_match_closure(c, k, cells)
             assert is_embedded_union(c, k, cells) == expected, (spec, cells)
+            assert reference_is_embedded_union(c, k, cells) == expected, (spec, cells)
             outcomes.append(expected)
     assert True in outcomes
     if c.dim >= 3:
         assert False in outcomes  # tangential touchings occur and are caught
+
+
+def test_is_embedded_union_skips_no_deciding_cell(voronoi3):
+    # random clusters of (d-1)-cells around one vertex, where tangential
+    # touchings are frequent, and random pieces of cycles
+    rng = random.Random(12)
+    outcomes = set()
+    for c in (builtin_manifold("torus", 3, 5), voronoi3):
+        k = c.dim - 1
+        near: Dict[int, List[int]] = {}
+        for f in range(c.n_cells(k)):
+            for key in c.closure_of_cell(k, f):
+                if key[0] == 0:
+                    near.setdefault(key[1], []).append(f)
+        reps = sector_reps(c).reps
+        for _ in range(150):
+            around = near[rng.randrange(c.n_cells(0))]
+            pieces = [rng.sample(around, rng.randint(2, len(around))),
+                      _set_bits(random_sparse_cycle(c, rng, reps=reps).bits)]
+            for cells in pieces:
+                answer = is_embedded_union(c, k, cells)
+                assert answer == reference_is_embedded_union(c, k, cells), cells
+                outcomes.add(answer)
+    assert outcomes == {True, False}
 
 
 def test_is_embedded_union_tangent_wedge():

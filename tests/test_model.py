@@ -25,7 +25,7 @@ from gdslab.model import (
     verify_projector,
 )
 
-from conftest import dense_incidence, reference_nullspace
+from conftest import ORACLE_SPECS, dense_incidence, reference_nullspace
 
 
 def closure_chi_up(c, cell, s):
@@ -316,6 +316,37 @@ def test_chi_up_matches_closure_chi_on_random_states(small_complex):
     for cell in range(n_top):
         s = random_cycle(c, rng)
         assert chi_up(c, cell, s) == closure_chi_up(c, cell, s)
+
+
+def closure_chi_table(c, cell):
+    """Oracle for `_chi_table`: the masks keyed by (dim, id) over the closure
+    of every face, as frozensets."""
+    faces = c.faces(c.dim, cell)
+    masks = {}
+    for pos, f in enumerate(faces):
+        for key in c.closure_of_cell(c.dim - 1, f):
+            masks[key] = masks.get(key, 0) | (1 << pos)
+    by_dim = [[] for _ in range(c.dim)]
+    for (k, _), m in masks.items():
+        by_dim[k].append(m)
+    return faces, by_dim
+
+
+def assert_chi_tables_match_oracle(c):
+    for cell in range(c.n_cells(c.dim)):
+        faces, masks = _chi_table(c, cell)
+        ref_faces, ref_masks = closure_chi_table(c, cell)
+        assert faces == ref_faces
+        assert [sorted(ms) for ms in masks] == [sorted(ms) for ms in ref_masks], cell
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_chi_tables_match_closure_oracle(spec):
+    assert_chi_tables_match_oracle(build_manifold(spec, 60, 1))
+
+
+def test_chi_tables_match_closure_oracle_on_voronoi3(voronoi3):
+    assert_chi_tables_match_oracle(voronoi3)
 
 
 def test_sweep_signs_match_reference_sweep(small_complex):
