@@ -32,7 +32,7 @@ def build_gates(c: CellComplex) -> List[PhaseGate]:
         raise ValueError("the conjugating circuit exists in odd dimension")
     ensure_validated(c)
     d = c.dim
-    support = _closure_masks(c, d - 1, {f: 1 << f for f in range(c.n_cells(d - 1))})
+    support = _closure_masks(c, {(d - 1, f): 1 << f for f in range(c.n_cells(d - 1))})
     return [PhaseGate(j, i, support[j].get(i, 0))
             for j in range(d) for i in range(c.n_cells(j))]
 

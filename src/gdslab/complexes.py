@@ -8,9 +8,13 @@ coface counts use the multiplicity itself.  A cell's boundary or coboundary
 as a bitmask is the XOR of its face or coface ids, built on request.
 Validation reads the face tables in flat passes: coface counts from one
 counting pass per dimension, and the boundary of a k-cell's boundary vanishes
-iff the sorted list of its faces' faces pairs up.  Masks over closures come
-from `_closure_masks`, which ORs masks on the k-cells down into their faces
-one dimension at a time.
+iff the sorted list of its faces' faces pairs up.
+
+Closures come from one downward pass, `_closure_masks`: masks on seed cells
+of any dimensions are ORed into their faces one dimension at a time.  The
+closure of a cell set is the key set of that pass with every mask 1; callers
+that only count cells (Euler characteristics, Betti numbers, clean-overlap
+tests) read its per-dimension dicts instead.
 
 A triangulation's faces are enumerated in one place, `_cofacets`, which
 lists every facet of the k-simplices with the ids of the simplices that
@@ -197,7 +201,6 @@ class CellComplex:
             if fl:
                 raise ValueError(f"0-cell {i} has faces")
         self._cofaces: List[List[Tuple[int, ...]]] | None = None
-        self._closures: Dict[CellKey, FrozenSet[CellKey]] = {}
         # boundary bitmasks of every k-cell, kept by boundary_bits
         self._boundary_rows: Dict[int, List[int]] = {}
         # boundary basis + class generators, kept by homology.cycle_space_basis
@@ -256,44 +259,20 @@ class CellComplex:
 
     # -- closures and subcomplexes ------------------------------------------
 
-    def closure_of_cell(self, k: int, i: int) -> FrozenSet[CellKey]:
-        key = (k, i)
-        cached = self._closures.get(key)
-        if cached is not None:
-            return cached
-        out: Set[CellKey] = {key}
-        if k > 0:
-            for f in set(self._faces[k][i]):
-                out |= self.closure_of_cell(k - 1, f)
-        result = frozenset(out)
-        self._closures[key] = result
-        return result
-
     def closure(self, cells: Iterable[CellKey]) -> FrozenSet[CellKey]:
-        out: Set[CellKey] = set()
-        for k, i in cells:
-            out |= self.closure_of_cell(k, i)
-        return frozenset(out)
+        """The cells of the closure of a cell set, in any dimensions."""
+        by_dim = _closure_masks(self, dict.fromkeys(cells, 1))
+        return frozenset((k, i) for k, ms in enumerate(by_dim) for i in ms)
 
-    def chi_of_cells(self, closed_cells: Iterable[CellKey]) -> int:
-        total = 0
-        for k, _ in closed_cells:
-            total += 1 if k % 2 == 0 else -1
-        return total
-
-    def cell_closure_embedded(self, k: int, i: int) -> bool:
-        """True iff no face list inside the closure of (k, i) has repeats."""
-        for ck, ci in self.closure_of_cell(k, i):
-            fl = self._faces[ck][ci]
-            if len(fl) != len(set(fl)):
-                return False
-        return True
+    def chi_of_cells(self, cells: Iterable[CellKey]) -> int:
+        """Euler characteristic of the closure of a cell set."""
+        by_dim = _closure_masks(self, dict.fromkeys(cells, 1))
+        return sum(-len(ms) if k % 2 else len(ms) for k, ms in enumerate(by_dim))
 
     def subcomplex(self, cells: Iterable[CellKey]) -> "CellComplex":
         """The complex induced on a face-closed set of cells.
 
-        Cell ids are re-densified per dimension in increasing parent order;
-        the parent ids are kept in meta["parent_ids"].
+        Cell ids are re-densified per dimension in increasing parent order.
         """
         cell_set = set(cells)
         for k, i in cell_set:
@@ -304,34 +283,34 @@ class CellComplex:
             sub_dim = max(k for k, _ in cell_set)
         else:
             sub_dim = 0
-        parent_ids = [
+        kept = [
             sorted(i for k, i in cell_set if k == kk) for kk in range(sub_dim + 1)
         ]
         index = [
-            {pid: new for new, pid in enumerate(ids)} for ids in parent_ids
+            {pid: new for new, pid in enumerate(ids)} for ids in kept
         ]
         faces: List[List[Tuple[int, ...]]] = [[] for _ in range(sub_dim + 1)]
         for k in range(sub_dim + 1):
-            for pid in parent_ids[k]:
+            for pid in kept[k]:
                 if k == 0:
                     faces[0].append(())
                 else:
                     faces[k].append(
                         tuple(index[k - 1][f] for f in self._faces[k][pid])
                     )
-        return CellComplex(sub_dim, faces, meta={"parent_ids": parent_ids})
+        return CellComplex(sub_dim, faces)
 
     def boundary_sphere(self, cell: int) -> "CellComplex":
         """The induced complex on the proper faces of a top cell."""
         if not 0 <= cell < self.n_cells(self.dim):
             raise ValueError(f"no {self.dim}-cell {cell}")
-        if not self.cell_closure_embedded(self.dim, cell):
+        closed = self.closure([(self.dim, cell)])
+        if any(len(set(fl)) != len(fl) for fl in (self._faces[k][i] for k, i in closed)):
             raise ValueError(
                 f"{self.dim}-cell {cell} has a non-embedded closure; "
                 "its boundary is not an induced subcomplex"
             )
-        cells = self.closure_of_cell(self.dim, cell) - {(self.dim, cell)}
-        return self.subcomplex(cells)
+        return self.subcomplex(closed - {(self.dim, cell)})
 
     def vertex_roots(self) -> Tuple[int, ...]:
         """Component label of every vertex: its union-find root under the
@@ -454,7 +433,7 @@ class Chain:
         return self.complex.closure((self.dim, c) for c in self.cells())
 
     def euler_characteristic(self) -> int:
-        return self.complex.chi_of_cells(self.closure())
+        return self.complex.chi_of_cells((self.dim, i) for i in self.cells())
 
 
 def dual_of_triangulation(t: Triangulation) -> CellComplex:
@@ -473,12 +452,7 @@ def dual_of_triangulation(t: Triangulation) -> CellComplex:
         cofacets = top if k == d else _cofacets(by_dim[k])
         by_dim[k - 1] = sorted(cofacets)
         faces.append([cofacets[sigma] for sigma in by_dim[k - 1]])
-    meta = {
-        "dual_id": {
-            k: {simplex: i for i, simplex in enumerate(by_dim[k])} for k in range(d + 1)
-        }
-    }
-    return CellComplex(d, faces, meta=meta)
+    return CellComplex(d, faces)
 
 
 @dataclass
@@ -499,17 +473,23 @@ def _coface_counts(c: CellComplex, k: int) -> List[int]:
     return counts
 
 
-def _closure_masks(c: CellComplex, k: int, masks: Dict[int, int]) -> List[Dict[int, int]]:
-    """Masks on the cells of dimensions 0..k, from masks on some k-cells: a
-    cell's mask is the OR of the masks of the given k-cells whose closure
-    holds it, and only those cells are keyed.  One downward pass ORs each
-    j-cell's mask into its faces, for j = k down to 1."""
-    out: List[Dict[int, int]] = [{} for _ in range(k)] + [masks]
+def _closure_masks(c: CellComplex, seeds: Dict[CellKey, int]) -> List[Dict[int, int]]:
+    """Masks on the cells of dimensions 0..k, k the highest seed dimension,
+    from masks on seed cells of any dimensions: a cell's mask is the OR of
+    the masks of the seeds whose closure holds it, and only those cells are
+    keyed.  One downward pass ORs each j-cell's mask into its faces, for
+    j = k down to 1; the keys in dimension j are the j-cells of the closure
+    of the seeds."""
+    k = max((j for j, _ in seeds), default=-1)
+    out: List[Dict[int, int]] = [{} for _ in range(k + 1)]
+    for (j, i), m in seeds.items():
+        out[j][i] = m
     for j in range(k, 0, -1):
         below, faces = out[j - 1], c._faces[j]
+        get = below.get
         for i, m in out[j].items():
             for f in faces[i]:
-                below[f] = below.get(f, 0) | m
+                below[f] = get(f, 0) | m
     return out
 
 
@@ -605,32 +585,35 @@ def is_embedded_union(c: CellComplex, k: int, cells: Iterable[int]) -> bool:
     At every cell of the union's closure that lies in two or more of the
     k-cells, those k-cells must be connected through the union's (k-1)-cells
     whose closure contains it. Otherwise the k-cells only touch there
-    tangentially, a contact the continuum picture perturbs away.
+    tangentially, a contact the continuum picture perturbs away.  One
+    closure pass marks each cell with the k-cells holding it (bit j for the
+    j-th k-cell), a second with the shared (k-1)-cells above it; the members
+    at a cell are one sheet iff its ridges reach them all from the lowest.
     """
-    containing: Dict[CellKey, List[int]] = {}
-    for f in set(cells):
-        for key in c.closure_of_cell(k, f):
-            containing.setdefault(key, []).append(f)
-    # (k-1)-cells shared by two or more k-cells, listed under each lower cell
-    # of their closure
-    ridges_at: Dict[CellKey, List[List[int]]] = {}
-    for ridge, members in containing.items():
-        if ridge[0] == k - 1 and len(members) > 1:
-            for key in c.closure_of_cell(*ridge):
-                if key[0] < k - 1:
-                    ridges_at.setdefault(key, []).append(members)
-    for key, members in containing.items():
-        # a k-cell lies in one member, and a shared (k-1)-cell is a ridge
-        # that joins all of its members
-        if len(members) < 2 or key[0] >= k - 1:
-            continue
-        sheets = DisjointSet(members)
-        for ridge_members in ridges_at.get(key, ()):
-            for other in ridge_members[1:]:
-                sheets.union(ridge_members[0], other)
-        root = sheets.find(members[0])
-        if any(sheets.find(f) != root for f in members[1:]):
-            return False
+    tops = set(cells)
+    if k < 2 or not tops:
+        return True  # no cell lies below a (k-1)-cell of the union
+    held = _closure_masks(c, {(k, f): 1 << j for j, f in enumerate(tops)})
+    # (k-1)-cells shared by two or more k-cells: ridges that join their members
+    ridges = [(r, m) for r, m in held[k - 1].items() if m & (m - 1)]
+    # an empty pass when nothing is shared: no lower cell then has a ridge
+    above = _closure_masks(c, {(k - 1, r): 1 << j for j, (r, _) in enumerate(ridges)})
+    above = above or [{}] * (k - 1)
+    for j in range(k - 1):
+        for cell, m in held[j].items():
+            if not m & (m - 1):
+                continue
+            # grow the members reached from the lowest one through the ridges
+            joins = [ridges[r][1] for r in _set_bits(above[j].get(cell, 0))]
+            reached, grown = m & -m, True
+            while grown:
+                grown = False
+                for ridge in joins:
+                    if ridge & reached and ridge & ~reached:
+                        reached |= ridge
+                        grown = True
+            if reached != m:
+                return False
     return True
 
 
@@ -649,31 +632,26 @@ def subset_boundary_manifold_check(c: CellComplex, top_cells: Iterable[int]) -> 
     if d > 3:
         raise NotImplementedError("link checks implemented for dimension <= 3")
     tset = set(top_cells)
-    boundary_cells = [
+    walls = [
         i
         for i in range(c.n_cells(d - 1))
         if sum(1 for cf in c.cofaces(d - 1, i) if cf in tset) == 1
     ]
-    if not boundary_cells:
+    if not walls:
         return True
-    bset = set(boundary_cells)
-    closure = c.closure((d - 1, i) for i in boundary_cells)
-    if d >= 2:
-        # every (d-2)-cell of the boundary must sit in exactly 2 boundary cells
-        for k, i in closure:
-            if k != d - 2:
-                continue
-            n = sum(1 for cf in c.cofaces(d - 2, i) if cf in bset)
-            if n != 2:
-                return False
+    wset = set(walls)
+    # every (d-2)-cell of the boundary must sit in exactly 2 boundary cells
+    for r in {r for f in walls for r in c.faces(d - 1, f)}:
+        if sum(1 for cf in c.cofaces(d - 2, r) if cf in wset) != 2:
+            return False
     if d == 3:
         # an edge repeated in a face list is not shared with another boundary
         # cell, so it is no step of the vertex link
-        for f in boundary_cells:
+        for f in walls:
             fl = c.faces(2, f)
             once = [e for e in fl if fl.count(e) == 1]
-            for k, v in c.closure_of_cell(2, f):
-                if k == 0 and sum((0, v) in c.closure_of_cell(1, e) for e in once) != 2:
+            for v in {v for e in fl for v in c.faces(1, e)}:
+                if sum(v in c.faces(1, e) for e in once) != 2:
                     return False
-        return is_embedded_union(c, 2, boundary_cells)
+        return is_embedded_union(c, 2, walls)
     return True

@@ -4,9 +4,9 @@ representatives, and side analysis of curves on surfaces."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Collection, Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .complexes import CellComplex, CellKey, Chain, DisjointSet
+from .complexes import CellComplex, CellKey, Chain, DisjointSet, _closure_masks
 from .f2 import F2Matrix, Subspace, _mask_of, in_span, reduce_by_rref
 
 MAX_SECTOR_RANK = 12  # largest b_p whose 2^b_p sector representatives are listed
@@ -31,26 +31,31 @@ class BettiVector:
 
 
 def betti(c: CellComplex) -> BettiVector:
-    """`betti_of_cells` over every cell of c, with b_k = 0 for the top
-    dimensions that hold no cells."""
-    b = betti_of_cells(c, ((k, i) for k in range(c.dim + 1) for i in range(c.n_cells(k))))
-    return BettiVector(b.b + (0,) * (c.dim + 1 - len(b)))
+    """Betti numbers of c, with b_k = 0 for the top dimensions that hold no
+    cells; the cell set is closed, so no closure pass is needed."""
+    return _betti(c, [range(c.n_cells(k)) for k in range(c.dim + 1)])
 
 
-def betti_of_cells(c: CellComplex, closed_cells: Iterable[CellKey]) -> BettiVector:
-    """Betti numbers of a face-closed cell set, b_k = dim ker boundary_k -
-    rank boundary_{k+1} over F2, computed in place.
+def betti_of_cells(c: CellComplex, cells: Iterable[CellKey]) -> BettiVector:
+    """Betti numbers of the closure of a cell set, b_k = dim ker boundary_k -
+    rank boundary_{k+1} over F2, computed in place from the cells of each
+    dimension that one closure pass keys."""
+    return _betti(c, _closure_masks(c, dict.fromkeys(cells, 1)))
+
+
+def _betti(c: CellComplex, ids: Sequence[Collection[int]]) -> BettiVector:
+    """Betti numbers of a face-closed cell set, given as its cell ids per
+    dimension.
 
     Where every 1-cell of the set has exactly two faces (a loop counts), the
     rank of boundary_1 is the vertex count less the number of components, from
     one union-find. Every other rank is the pivot count of a forward
-    elimination of the restricted boundary rows, built from the face tuples.
+    elimination of the set's boundary rows, built from the face tuples; the
+    set is closed, so they have no bit outside it.
     """
-    cells = set(closed_cells)
-    if not cells:
+    if not ids:
         return BettiVector((0,))
-    top = max(k for k, _ in cells)
-    ids = [sorted(i for k, i in cells if k == kk) for kk in range(top + 1)]
+    top = len(ids) - 1
     ranks = [0] * (top + 2)
     for k in range(1, top + 1):
         if k == 1 and all(len(c.faces(1, e)) == 2 for e in ids[1]):
@@ -59,9 +64,8 @@ def betti_of_cells(c: CellComplex, closed_cells: Iterable[CellKey]) -> BettiVect
                 graph.union(*c.faces(1, e))
             ranks[1] = len(ids[0]) - len({graph.find(v) for v in ids[0]})
             continue
-        below = {pid: j for j, pid in enumerate(ids[k - 1])}
-        rows = [_mask_of(below[f] for f in c.faces(k, pid)) for pid in ids[k]]
-        ranks[k] = F2Matrix(len(rows), len(ids[k - 1]), rows).rank()
+        rows = [_mask_of(c.faces(k, i)) for i in ids[k]]
+        ranks[k] = F2Matrix(len(rows), c.n_cells(k - 1), rows).rank()
     return BettiVector(tuple(len(ids[k]) - ranks[k] - ranks[k + 1] for k in range(top + 1)))
 
 
@@ -212,7 +216,7 @@ def _corner_face(c: CellComplex, v: int, e1: int, e2: int) -> int:
     shared = [
         f
         for f in set(c.cofaces(1, e1))
-        if f in c.cofaces(1, e2) and (0, v) in c.closure_of_cell(2, f)
+        if f in c.cofaces(1, e2) and any(v in c.faces(1, e) for e in c.faces(2, f))
     ]
     if len(shared) != 1:
         raise ValueError(f"ambiguous corner at vertex {v}")

@@ -328,15 +328,16 @@ def _grid_size(c: CellComplex) -> int:
     return grid[1]
 
 
-def _grid_edge_ids(c: CellComplex, n: int, edges) -> List[int]:
+def _grid_edge_ids(n: int, edges) -> List[int]:
     """The dual 1-cells of a torus:2:n complex crossing the grid edges, each
-    given as a pair of vertex coordinates."""
-    dual_id = c.meta["dual_id"][1]
+    given as a pair of vertex coordinates.  The dual of an edge is numbered
+    by the edge's place among the sorted edges of the triangulation."""
+    edge_id = {e: i for i, e in enumerate(freudenthal_torus(2, n).faces_by_dim()[1])}
 
     def vid(x, y):
         return (x % n) * n + (y % n)
 
-    return [dual_id[tuple(sorted((vid(*p), vid(*q))))] for p, q in edges]
+    return [edge_id[tuple(sorted((vid(*p), vid(*q))))] for p, q in edges]
 
 
 def torus_diagonal_cycles(c: CellComplex) -> Tuple[Chain, Chain]:
@@ -357,8 +358,8 @@ def torus_diagonal_cycles(c: CellComplex) -> Tuple[Chain, Chain]:
         diag_down.append(((i, -i), (i + 1, -i + 1)))    # diagonal, t = 1/4
         diag_down.append(((i, -i - 1), (i + 1, -i)))    # diagonal, t = 3/4
     return (
-        Chain.from_cells(c, 1, _grid_edge_ids(c, n, diag_up)),
-        Chain.from_cells(c, 1, _grid_edge_ids(c, n, diag_down)),
+        Chain.from_cells(c, 1, _grid_edge_ids(n, diag_up)),
+        Chain.from_cells(c, 1, _grid_edge_ids(n, diag_down)),
     )
 
 
@@ -371,4 +372,4 @@ def torus_dual_loops(c: CellComplex) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         # the diagonal of square i, then the vertical (horizontal) wall
         horizontal += [((i, 0), (i + 1, 1)), ((i + 1, 0), (i + 1, 1))]
         vertical += [((0, i), (1, i + 1)), ((0, i + 1), (1, i + 1))]
-    return tuple(_grid_edge_ids(c, n, horizontal)), tuple(_grid_edge_ids(c, n, vertical))
+    return tuple(_grid_edge_ids(n, horizontal)), tuple(_grid_edge_ids(n, vertical))

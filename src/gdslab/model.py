@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .complexes import CellComplex, Chain, _closure_masks, ensure_validated
+from .complexes import CellComplex, CellKey, Chain, _closure_masks, ensure_validated
 from .f2 import F2Matrix, PreconditionError
 from .homology import SectorSet, homology_sector_reps
 
@@ -84,10 +84,11 @@ def _chi_table(c: CellComplex, cell: int) -> ChiTable:
     table = c._chi_tables.get(cell)
     if table is None:
         faces = c.faces(c.dim, cell)
-        seed: Dict[int, int] = {}
+        seed: Dict[CellKey, int] = {}
         for pos, f in enumerate(faces):
-            seed[f] = seed.get(f, 0) | 1 << pos
-        by_dim = _closure_masks(c, c.dim - 1, seed)
+            key = (c.dim - 1, f)
+            seed[key] = seed.get(key, 0) | 1 << pos
+        by_dim = _closure_masks(c, seed)
         table = (faces, tuple(tuple(ms.values()) for ms in by_dim))
         c._chi_tables[cell] = table
     return table
@@ -267,7 +268,7 @@ def _components(c: CellComplex) -> List[CellComplex]:
     roots = c.vertex_roots()
     by_root: dict = {}
     for cell in range(c.n_cells(c.dim)):
-        root = roots[min(i for k, i in c.closure_of_cell(c.dim, cell) if k == 0)]
+        root = roots[min(_closure_masks(c, {(c.dim, cell): 1})[0])]
         by_root.setdefault(root, []).append(cell)
     pieces = []
     for root in sorted(by_root):

@@ -7,7 +7,14 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .complexes import CellComplex, Chain, DisjointSet, ensure_validated, is_embedded_union
+from .complexes import (
+    CellComplex,
+    Chain,
+    DisjointSet,
+    _closure_masks,
+    ensure_validated,
+    is_embedded_union,
+)
 from .f2 import _set_bits
 from .homology import _loop_components, betti_of_cells, cycle_space_basis, semicharacteristic
 from .phases import MINUS_ONE, Phase
@@ -71,7 +78,7 @@ class OverlapPieces:
     clean: bool
     chi_shared: int
     chi_boundary: int
-    boundary_cells: frozenset
+
 
 
 def overlap_pieces(c: CellComplex, l_bits: int, a_bits: int) -> OverlapPieces:
@@ -80,7 +87,10 @@ def overlap_pieces(c: CellComplex, l_bits: int, a_bits: int) -> OverlapPieces:
     Clean means: the support-only, shared, and state-only pieces are each
     embedded, and all pairwise closures meet exactly in the boundary of the
     shared piece, so the Euler/Betti bookkeeping of the continuum picture
-    applies verbatim. The pieces of the latest pair are kept on `c`.
+    applies verbatim. One closure pass marks every cell with the pieces
+    holding it; the pairwise meets are all that boundary's closure iff the
+    cells held by two or more pieces are exactly that closure and each of
+    them is held by all three. The pieces of the latest pair are kept on `c`.
     """
     key = (l_bits, a_bits)
     if c._overlap_pieces is not None and c._overlap_pieces[0] == key:
@@ -89,35 +99,36 @@ def overlap_pieces(c: CellComplex, l_bits: int, a_bits: int) -> OverlapPieces:
     b_bits = l_bits & a_bits
     a_bits_only = l_bits & ~a_bits
     c_bits_only = a_bits & ~l_bits
-
-    def closure_of(bits: int):
-        return c.closure((d1, i) for i in Chain(c, d1, bits).cells())
-
-    cl_a = closure_of(a_bits_only)
-    cl_b = closure_of(b_bits)
-    cl_c = closure_of(c_bits_only)
-    m_cells = c.closure(
-        (d1 - 1, i) for i in Chain(c, d1, b_bits).boundary().cells()
-    )
+    # pass bits: 1 support-only, 2 shared, 4 state-only, 8 boundary of shared
+    seeds = {}
+    for bit, k, bits in (
+        (1, d1, a_bits_only),
+        (2, d1, b_bits),
+        (4, d1, c_bits_only),
+        (8, d1 - 1, Chain(c, d1, b_bits).boundary().bits),
+    ):
+        seeds.update(dict.fromkeys(((k, i) for i in _set_bits(bits)), bit))
+    by_dim = _closure_masks(c, seeds)
+    chi_shared = chi_boundary = 0
+    for k, masks in enumerate(by_dim):
+        sign = -1 if k % 2 else 1
+        chi_shared += sign * sum(1 for m in masks.values() if m & 2)
+        chi_boundary += sign * sum(1 for m in masks.values() if m & 8)
     clean = (
-        (cl_a & cl_b) == m_cells
-        and (cl_b & cl_c) == m_cells
-        and (cl_a & cl_c) == m_cells
+        # each cell lies in one piece, or in all three and the boundary's closure
+        all(m in (1, 2, 4, 15) for masks in by_dim for m in masks.values())
         and is_embedded_union(c, d1, _set_bits(a_bits_only))
         and is_embedded_union(c, d1, _set_bits(b_bits))
         and is_embedded_union(c, d1, _set_bits(c_bits_only))
     )
-    pieces = OverlapPieces(
-        a_bits_only,
-        b_bits,
-        c_bits_only,
-        clean,
-        c.chi_of_cells(cl_b),
-        c.chi_of_cells(m_cells),
-        m_cells,
-    )
+    pieces = OverlapPieces(a_bits_only, b_bits, c_bits_only, clean, chi_shared, chi_boundary)
     c._overlap_pieces = (key, pieces)
     return pieces
+
+
+def _semichar(c: CellComplex, chain: Chain, k: int, start: int) -> int:
+    """The semicharacteristic of the closure of a chain's cells."""
+    return semicharacteristic(betti_of_cells(c, ((chain.dim, i) for i in chain.cells())), k, start)
 
 
 def balloon_sign(c: CellComplex, l: Balloon, alpha: Chain) -> Phase:
@@ -149,7 +160,7 @@ def balloon_sign(c: CellComplex, l: Balloon, alpha: Chain) -> Phase:
             "tagged with the required topology hypotheses"
         )
     k = (d - 2) // 2
-    s_l = semicharacteristic(betti_of_cells(c, l.support.closure()), k, start=0)
+    s_l = _semichar(c, l.support, k, start=0)
     if pieces.chi_boundary % 2:
         raise AssertionError("boundary of the overlap has odd Euler characteristic")
     return Phase.from_sign((-1) ** s_l) * Phase.i_power(pieces.chi_boundary)
@@ -293,7 +304,7 @@ def open_balloon_apply(
     k = (d - 2) // 2
     if not is_embedded_union(c, d - 1, l.support.cells()):
         raise TangentialOverlapError("open balloon support is not embedded")
-    s_l = semicharacteristic(betti_of_cells(c, l.support.closure()), k, start=1)
+    s_l = _semichar(c, l.support, k, start=1)
     pieces = overlap_pieces(c, l.support.bits, alpha.bits)
     if not pieces.clean:
         raise TangentialOverlapError(
@@ -336,9 +347,7 @@ def semichar_delta_check(c: CellComplex, l: Balloon, alpha: Chain) -> DeltaCheck
         )
         return DeltaCheck(lhs == rhs and chi_m == 0, lhs, rhs)
     k = (d - 2) // 2
-    s_final = semicharacteristic(betti_of_cells(c, final.closure()), k, start=0)
-    s_initial = semicharacteristic(betti_of_cells(c, alpha.closure()), k, start=0)
-    s_l = semicharacteristic(betti_of_cells(c, l.support.closure()), k, start=0)
+    s_final, s_initial, s_l = (_semichar(c, x, k, start=0) for x in (final, alpha, l.support))
     if chi_m % 2:
         return DeltaCheck(False, (s_final + s_initial) % 2, -1)
     lhs = (s_final + s_initial) % 2

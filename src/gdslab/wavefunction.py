@@ -54,7 +54,7 @@ def reference_phase(f: PhaseFn, e: Chain) -> Phase:
     if f.kind == ODD_CHI:
         return Phase.i_power(e.euler_characteristic())
     k = (f.complex.dim - 2) // 2
-    s = semicharacteristic(betti_of_cells(f.complex, e.closure()), k, start=0)
+    s = semicharacteristic(betti_of_cells(f.complex, ((e.dim, i) for i in e.cells())), k, start=0)
     return MINUS_ONE if s else ONE
 
 

@@ -70,6 +70,26 @@ def reference_betti(c):
     return tuple(c.n_cells(k) - ranks[k] - ranks[k + 1] for k in range(c.dim + 1))
 
 
+def reference_closure(c, cells):
+    """Oracle for `CellComplex.closure`: the recursive per-cell closure that
+    the one downward pass replaced, memoized per cell."""
+    memo = {}
+
+    def of_cell(k, i):
+        key = (k, i)
+        if key not in memo:
+            out = {key}
+            for f in set(c.faces(k, i)) if k > 0 else ():
+                out |= of_cell(k - 1, f)
+            memo[key] = frozenset(out)
+        return memo[key]
+
+    out = set()
+    for k, i in cells:
+        out |= of_cell(k, i)
+    return frozenset(out)
+
+
 # built-in specs small enough for the dense oracles (Voronoi: 60 points, seed 1)
 SHIPPED_COMPLEXES = [
     "sphere:1", "sphere:2", "sphere:3", "sphere:4", "torus:2:3", "torus:3:3",

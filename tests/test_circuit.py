@@ -34,7 +34,7 @@ def closure_supports(c):
     the (d-1)-cell f, keyed by (dim, id)."""
     support = {}
     for f in range(c.n_cells(c.dim - 1)):
-        for key in c.closure_of_cell(c.dim - 1, f):
+        for key in c.closure([(c.dim - 1, f)]):
             support[key] = support.get(key, 0) | 1 << f
     return support
 
@@ -52,7 +52,7 @@ def test_gate_supports_match_closure_oracle(spec):
         assert build_gates(c) == closure_gates(c)
     # even d has no circuit, but the downward pass gives the same supports
     d = c.dim
-    masks = _closure_masks(c, d - 1, {f: 1 << f for f in range(c.n_cells(d - 1))})
+    masks = _closure_masks(c, {(d - 1, f): 1 << f for f in range(c.n_cells(d - 1))})
     assert {(j, i): m for j in range(d) for i, m in masks[j].items()} == closure_supports(c)
 
 

@@ -23,6 +23,7 @@ from gdslab.complexes import (
 )
 from gdslab.f2 import _set_bits
 from gdslab.manifolds import (
+    _grid_edge_ids,
     barycentric_subdivision,
     builtin_manifold,
     freudenthal_torus,
@@ -38,7 +39,7 @@ from gdslab.cli import build_manifold
 from gdslab.model import ground_degeneracy, sector_reps
 from gdslab.operators import random_sparse_cycle
 
-from conftest import ORACLE_SPECS, dense_incidence
+from conftest import ORACLE_SPECS, dense_incidence, reference_closure
 
 
 def resolve_union(c: CellComplex, k: int, cells: Iterable[int]) -> CellComplex:
@@ -56,14 +57,14 @@ def resolve_union(c: CellComplex, k: int, cells: Iterable[int]) -> CellComplex:
     tops = sorted(set(cells))
     containing: Dict[CellKey, List[int]] = {}
     for f in tops:
-        for key in c.closure_of_cell(k, f):
+        for key in c.closure([(k, f)]):
             containing.setdefault(key, []).append(f)
     ridge_members: Dict[CellKey, List[int]] = {
         key: mem for key, mem in containing.items() if key[0] == k - 1
     }
     touches: Dict[CellKey, List[CellKey]] = {}
     for ridge in ridge_members:
-        for key in c.closure_of_cell(*ridge):
+        for key in c.closure([ridge]):
             touches.setdefault(key, []).append(ridge)
     # sheet index per (cell, top): components under adjacency through ridges
     sheet_of: Dict[CellKey, Dict[int, int]] = {}
@@ -134,18 +135,19 @@ def subset_boundary_link_walk(c: CellComplex, top_cells: Iterable[int]) -> bool:
                 return False
     if d == 3:
         # vertex links inside the boundary surface must be single circles
+        closed = {(k, i): c.closure([(k, i)]) for k in (1, 2) for i in range(c.n_cells(k))}
         for k, v in closure:
             if k != 0:
                 continue
             incident = [
                 f
                 for f in bset
-                if (0, v) in c.closure_of_cell(2, f)
+                if (0, v) in closed[(2, f)]
             ]
             edges_at_v = {
                 e
                 for e in range(c.n_cells(1))
-                if (0, v) in c.closure_of_cell(1, e)
+                if (0, v) in closed[(1, e)]
             }
             link = DisjointSet(incident)
             degree = {f: 0 for f in incident}
@@ -371,7 +373,44 @@ def assert_matches_lattice_oracle(t: Triangulation, c: CellComplex):
     assert t.faces_by_dim() == faces_by_dim_oracle(t)
     oracle = dual_oracle(t)
     assert c._faces == oracle._faces
-    assert c.meta["dual_id"] == oracle.meta["dual_id"]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_grid_edge_ids_match_the_dual_oracle(n):
+    # the grid edges of torus:2:n name the dual 1-cells the lattice oracle
+    # numbers, horizontal, vertical and diagonal, from every vertex
+    edge_id = dual_oracle(freudenthal_torus(2, n)).meta["dual_id"][1]
+    edges = [((x, y), (x + dx, y + dy)) for x in range(n) for y in range(n)
+             for dx, dy in ((1, 0), (0, 1), (1, 1))]
+    expected = [edge_id[tuple(sorted((p[0] * n + p[1], (q[0] % n) * n + q[1] % n)))]
+                for p, q in edges]
+    assert _grid_edge_ids(n, edges) == expected
+    assert sorted(expected) == list(range(3 * n * n))
+
+
+def random_cell_set(c, rng, dims):
+    """A few random cells of each of the given dimensions."""
+    return [(k, i) for k in dims
+            for i in rng.sample(range(c.n_cells(k)), rng.randint(1, min(c.n_cells(k), 6)))]
+
+
+def assert_closures_match_oracle(c, seed):
+    rng = random.Random(seed)
+    for _ in range(12):
+        k = rng.randint(0, c.dim)
+        for cells in (random_cell_set(c, rng, [k]),
+                      random_cell_set(c, rng, rng.sample(range(c.dim + 1), 2))):
+            assert c.closure(cells) == reference_closure(c, cells)
+    assert c.closure([]) == frozenset()
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_closure_matches_the_recursive_oracle(spec):
+    assert_closures_match_oracle(build_manifold(spec, 60, 1), seed=len(spec))
+
+
+def test_closure_matches_the_recursive_oracle_on_voronoi3(voronoi3):
+    assert_closures_match_oracle(voronoi3, seed=3)
 
 
 @pytest.mark.parametrize("make,args", [
@@ -727,12 +766,12 @@ def reference_is_embedded_union(c: CellComplex, k: int, cells: Iterable[int]) ->
     included."""
     containing: Dict[CellKey, List[int]] = {}
     for f in set(cells):
-        for key in c.closure_of_cell(k, f):
+        for key in c.closure([(k, f)]):
             containing.setdefault(key, []).append(f)
     ridges_at: Dict[CellKey, List[List[int]]] = {}
     for ridge, members in containing.items():
         if ridge[0] == k - 1 and len(members) > 1:
-            for key in c.closure_of_cell(*ridge):
+            for key in c.closure([ridge]):
                 ridges_at.setdefault(key, []).append(members)
     for key, members in containing.items():
         if len(members) < 2:
@@ -787,7 +826,7 @@ def test_is_embedded_union_skips_no_deciding_cell(voronoi3):
         k = c.dim - 1
         near: Dict[int, List[int]] = {}
         for f in range(c.n_cells(k)):
-            for key in c.closure_of_cell(k, f):
+            for key in c.closure([(k, f)]):
                 if key[0] == 0:
                     near.setdefault(key[1], []).append(f)
         reps = sector_reps(c).reps

@@ -143,6 +143,18 @@ def test_betti_of_cells_matches_rref_oracle_on_random_closures(spec):
         assert betti_of_cells(c, cells).b == reference_betti(c.subcomplex(cells))
 
 
+@pytest.mark.parametrize("spec", [("torus", 3, 3), ("sphere", 4), ("klein",)])
+def test_betti_of_cells_reads_the_closure_of_an_unclosed_set(spec):
+    c = builtin_manifold(*spec)
+    rng = random.Random(6)
+    for _ in range(40):
+        dims = rng.sample(range(c.dim + 1), rng.randint(1, 2))
+        cells = [(k, i) for k in dims
+                 for i in rng.sample(range(c.n_cells(k)), rng.randint(1, min(c.n_cells(k), 8)))]
+        assert betti_of_cells(c, cells) == betti_of_cells(c, c.closure(cells))
+        assert c.chi_of_cells(cells) == betti_of_cells(c, cells).chi
+
+
 @pytest.mark.parametrize("faces, expected", [
     ([[()], [(0,)]], (0, 0)),  # a 1-cell with one face
     ([[(), ()], [(0, 1, 1)]], (1, 0)),  # a 1-cell with three faces

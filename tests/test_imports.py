@@ -1,6 +1,8 @@
 """gdslab stays pure Python until a command needs numpy or scipy: only
-`torus-voronoi:*` specs load scipy, and only `ed` loads numpy."""
+`torus-voronoi:*` specs load scipy, and only `ed` loads numpy.  Its modules
+import nothing they do not use and keep no private function nothing uses."""
 
+import ast
 import json
 import os
 import subprocess
@@ -89,3 +91,56 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="nonexistent"):
         gdslab.nonexistent
     assert not hasattr(gdslab, "nonexistent")
+
+
+def _names(node):
+    """Every name a node reads, including those inside string annotations."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        annotation = getattr(sub, "returns", None) or getattr(sub, "annotation", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            out |= _names(ast.parse(annotation.value, mode="eval"))
+    return out
+
+
+def _modules():
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted((SRC / "gdslab").glob("*.py"))}
+
+
+def test_every_import_in_src_is_used():
+    unused = []
+    for name, tree in _modules().items():
+        if name == "__init__":
+            continue  # its imports are the package's re-exports
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = _names(tree)
+        unused += [f"{name}.py:{line} {what}" for what, line in imported.items() if what not in used]
+    assert unused == []
+
+
+def test_every_private_function_in_src_is_used_in_src():
+    modules = _modules()
+    # the names read by every top-level statement of src
+    reads = [(stmt, _names(stmt)) for tree in modules.values() for stmt in tree.body]
+    unused = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or not node.name.startswith("_"):
+                continue
+            if node.name.startswith("__"):
+                continue
+            # a reference anywhere in src, other than from the function's own body
+            if not any(node.name in names for stmt, names in reads if stmt is not node):
+                unused.append(f"{name}.{node.name}")
+    assert unused == []

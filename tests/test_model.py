@@ -324,7 +324,7 @@ def closure_chi_table(c, cell):
     faces = c.faces(c.dim, cell)
     masks = {}
     for pos, f in enumerate(faces):
-        for key in c.closure_of_cell(c.dim - 1, f):
+        for key in c.closure([(c.dim - 1, f)]):
             masks[key] = masks.get(key, 0) | (1 << pos)
     by_dim = [[] for _ in range(c.dim)]
     for (k, _), m in masks.items():

@@ -6,7 +6,7 @@ import pytest
 
 from gdslab import f2
 from gdslab import operators as op_mod
-from gdslab.complexes import Chain, dual_of_triangulation
+from gdslab.complexes import Chain, dual_of_triangulation, is_embedded_union
 from gdslab.f2 import Subspace, _set_bits
 from gdslab.homology import _loop_components
 from gdslab.manifolds import (
@@ -30,11 +30,14 @@ from gdslab.operators import (
     open_balloon_apply,
     open_dual_arc_excite,
     overlap_pieces,
+    random_sparse_cycle,
     sample_clean_pair,
     semichar_delta_check,
 )
 from gdslab.phases import MINUS_ONE, ONE
 from gdslab.wavefunction import EVEN_SEMICHAR, ODD_CHI, PhaseFn, reference_phase
+
+from conftest import reference_closure
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +134,57 @@ def test_overlap_pieces_of_one_trial_are_computed_once(torus3, monkeypatch):
     assert swapped is not pieces and calls
 
 
+def pairwise_overlap_pieces(c, l_bits, a_bits):
+    """Oracle for `overlap_pieces`: (clean, chi_shared, chi_boundary) from
+    the closures of the three pieces and of the shared boundary, compared
+    pairwise as sets."""
+    d1 = c.dim - 1
+    b_bits = l_bits & a_bits
+    a_only = l_bits & ~a_bits
+    c_only = a_bits & ~l_bits
+
+    def closure_of(k, bits):
+        return reference_closure(c, [(k, i) for i in _set_bits(bits)])
+
+    def chi(cells):
+        return sum(-1 if k % 2 else 1 for k, _ in cells)
+
+    cl_a, cl_b, cl_c = closure_of(d1, a_only), closure_of(d1, b_bits), closure_of(d1, c_only)
+    m_cells = closure_of(d1 - 1, Chain(c, d1, b_bits).boundary().bits)
+    clean = (
+        (cl_a & cl_b) == m_cells
+        and (cl_b & cl_c) == m_cells
+        and (cl_a & cl_c) == m_cells
+        and is_embedded_union(c, d1, _set_bits(a_only))
+        and is_embedded_union(c, d1, _set_bits(b_bits))
+        and is_embedded_union(c, d1, _set_bits(c_only))
+    )
+    return clean, chi(cl_b), chi(m_cells)
+
+
+@pytest.mark.parametrize("spec", ["torus:3:3", "torus:3:5", "sphere:3", "sphere:4", "voronoi3"])
+def test_overlap_pieces_match_pairwise_oracle(spec, voronoi3):
+    c = voronoi3 if spec == "voronoi3" else builtin_manifold(*[
+        int(x) if x.isdigit() else x for x in spec.split(":")])
+    rng = random.Random(7)
+    reps = sector_reps(c).reps
+    n = c.n_cells(c.dim - 1)
+    seen = set()
+    for trial in range(300):
+        if trial % 2:
+            # arbitrary (d-1)-cell sets, most of them not cycles
+            pair = [Chain.from_cells(c, c.dim - 1, rng.sample(range(n), rng.randint(0, 6)))
+                    for _ in range(2)]
+        else:
+            pair = [random_sparse_cycle(c, rng, reps=reps) for _ in range(2)]
+        l_bits, a_bits = pair[0].bits, pair[1].bits
+        pieces = overlap_pieces(c, l_bits, a_bits)
+        expected = pairwise_overlap_pieces(c, l_bits, a_bits)
+        assert (pieces.clean, pieces.chi_shared, pieces.chi_boundary) == expected
+        seen.add(pieces.clean)
+    assert seen == {True, False}
+
+
 def test_balloon_even_dimension_needs_tag(torus3, sphere4, torus2):
     bubble4 = Chain(sphere4, 3, sphere4.boundary_bits(4, 0))
     assert balloon_sign(sphere4, Balloon(bubble4, True), Chain.empty(sphere4, 3)) in (
@@ -212,10 +266,10 @@ def test_ds2_wilson_matches_loop_count_oracle(fine_sphere):
 def test_ds2_wilson_refuses_two_loops(fine_sphere):
     c = fine_sphere
     first = c.boundary_bits(2, 0)
-    near = c.closure_of_cell(2, 0)
+    near = c.closure([(2, 0)])
     far = next(
         cell for cell in range(1, c.n_cells(2))
-        if not c.closure_of_cell(2, cell) & near
+        if not c.closure([(2, cell)]) & near
     )
     l = Chain(c, 1, first ^ c.boundary_bits(2, far))
     assert len(_loop_components(c, l)) == 2
@@ -455,7 +509,7 @@ def test_open_balloon_rejects_non_embedded_support(sphere4):
     # two 3-cells whose closures meet in cells but share no 2-cell touch
     # tangentially, so their union is not embedded
     def tangent(a, b):
-        shared = sphere4.closure_of_cell(3, a) & sphere4.closure_of_cell(3, b)
+        shared = sphere4.closure([(3, a)]) & sphere4.closure([(3, b)])
         return shared and not set(sphere4.faces(3, a)) & set(sphere4.faces(3, b))
 
     a, b = next(
