@@ -7,7 +7,7 @@ import argparse
 import math
 import random
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import circuit as circuit_mod
 from . import model as model_mod
@@ -56,97 +56,83 @@ def build_manifold(spec: str, points: Optional[int], seed: Optional[int]) -> Cel
     return builtin_manifold(name, *values, points=points, seed=seed)
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+class _Refused(Exception):
+    """A usage error caught before anything is built; its message goes to
+    stderr as it is."""
 
 
-def _cmd_gen(args) -> int:
+def _first(lines: Sequence[str], shown: int, noun: str, prefix: str) -> List[str]:
+    """The first `shown` lines, each after `prefix`, then a count of the rest."""
+    out = [f"{prefix}{line}" for line in lines[:shown]]
+    if len(lines) > shown:
+        out.append(f"{prefix}... and {len(lines) - shown} more "
+                   f"({len(lines)} {noun} in total)")
+    return out
+
+
+def _cmd_gen(args) -> Tuple[str, int]:
     if not args.out:
-        print("--out is required for gen", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refused("--out is required for gen")
     c = build_manifold(args.manifold, args.points, args.seed)
     c.save(args.out)
-    print(f"wrote {args.out}: dim {c.dim}, cells {list(c.cell_counts)}")
-    return EXIT_OK
+    return f"wrote {args.out}: dim {c.dim}, cells {list(c.cell_counts)}\n", EXIT_OK
 
 
-def _cmd_validate(args) -> int:
-    c = build_manifold(args.manifold, args.points, args.seed)
-    report = validate_generic(c)
+def _cmd_validate(args) -> Tuple[str, int]:
+    report = validate_generic(build_manifold(args.manifold, args.points, args.seed))
     lines = ["pass" if report.passed else "FAIL"]
-    shown = 20
-    lines += [f"  {v}" for v in report.violations[:shown]]
-    if len(report.violations) > shown:
-        lines.append(f"  ... and {len(report.violations) - shown} more "
-                     f"({len(report.violations)} violations in total)")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if report.passed else EXIT_FAIL
+    lines += _first(report.violations, 20, "violations", "  ")
+    return "\n".join(lines) + "\n", EXIT_OK if report.passed else EXIT_FAIL
 
 
-def _cmd_homology(args) -> int:
-    c = build_manifold(args.manifold, args.points, args.seed)
-    b = betti(c)
-    text = "b = " + " ".join(str(x) for x in b.b) + f"\nchi = {b.chi}\n"
-    _emit(text, args.out)
-    return EXIT_OK
+def _cmd_homology(args) -> Tuple[str, int]:
+    b = betti(build_manifold(args.manifold, args.points, args.seed))
+    return "b = " + " ".join(str(x) for x in b.b) + f"\nchi = {b.chi}\n", EXIT_OK
 
 
-def _cmd_gsd(args) -> int:
+def _cmd_gsd(args) -> Tuple[str, int]:
     c = build_manifold(args.manifold, args.points, args.seed)
     gsd, _ = model_mod.ground_degeneracy(c, args.model)
-    _emit(f"{gsd}\n", args.out)
-    return EXIT_OK
+    return f"{gsd}\n", EXIT_OK
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> Tuple[str, int]:
     rows = wf_mod.ds_tc_dimension_table(args.tmax)
-    if args.format == "csv":
-        lines = ["t,dim_ds,dim_tc,ratio"]
-        lines += [f"{r.t},{r.dim_ds},{r.dim_tc},{r.ratio}" for r in rows]
-    else:
-        lines = [f"{'t':>3} {'dim_ds':>7} {'dim_tc':>7} {'ratio':>6}"]
-        lines += [
-            f"{r.t:>3} {r.dim_ds:>7} {r.dim_tc:>7} {r.ratio:>6}" for r in rows
-        ]
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    row = "{},{},{},{}" if args.format == "csv" else "{:>3} {:>7} {:>7} {:>6}"
+    lines = [row.format("t", "dim_ds", "dim_tc", "ratio")]
+    lines += [row.format(r.t, r.dim_ds, r.dim_tc, r.ratio) for r in rows]
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def _cmd_circuit(args) -> int:
+def _cmd_circuit(args) -> Tuple[str, int]:
     c = build_manifold(args.manifold, args.points, args.seed)
     gates = circuit_mod.build_gates(c)
     sched = circuit_mod.schedule(gates)
     ok = circuit_mod.verify_conjugation(c, n_states=10, seed=args.seed or 0)
     if args.out:
         sched.save(args.out)
-    print(f"gates {len(gates)}, depth {sched.depth}, conjugation "
-          f"{'ok' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_FAIL
+    return (f"gates {len(gates)}, depth {sched.depth}, conjugation "
+            f"{'ok' if ok else 'FAIL'}\n", EXIT_OK if ok else EXIT_FAIL)
 
 
-def _cmd_ed(args) -> int:
+def _cmd_ed(args) -> Tuple[str, int]:
     from . import ed as ed_mod  # loads numpy
 
     c = build_manifold(args.manifold, args.points, args.seed)
     energy, deg = ed_mod.ground_degeneracy_ed(c, args.model, args.variant)
-    _emit(f"energy {energy:g} degeneracy {deg}\n", args.out)
-    return EXIT_OK
+    return f"energy {energy:g} degeneracy {deg}\n", EXIT_OK
 
 
-def _cmd_balloon(args) -> int:
+def _cmd_balloon(args) -> Tuple[str, int]:
     c = build_manifold(args.manifold, args.points, args.seed)
     rng = random.Random(args.seed or 0)
     reps = model_mod.sector_reps(c).reps
     balloon, alpha = op_mod.sample_clean_pair(c, rng, reps)
     sign = op_mod.balloon_sign(c, balloon, alpha)
     check = op_mod.semichar_delta_check(c, balloon, alpha)
-    print(f"support {balloon.support.count()} cells, state {alpha.count()} "
-          f"cells, sign {sign}, bookkeeping {'ok' if check.holds else 'FAIL'}")
-    return EXIT_OK if check.holds else EXIT_FAIL
+    return (f"support {balloon.support.count()} cells, state {alpha.count()} "
+            f"cells, sign {sign}, bookkeeping {'ok' if check.holds else 'FAIL'}\n",
+            EXIT_OK if check.holds else EXIT_FAIL)
 
 
 def _suite_commutation(c: CellComplex, rng: random.Random) -> List[str]:
@@ -268,24 +254,65 @@ SUITES: Dict[str, Callable[[CellComplex, random.Random], List[str]]] = {
 }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Tuple[str, int]:
     if args.suite not in SUITES:
-        print(f"unknown suite {args.suite!r}; options: {', '.join(sorted(SUITES))}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refused(f"unknown suite {args.suite!r}; options: {', '.join(sorted(SUITES))}")
     c = build_manifold(args.manifold, args.points, args.seed)
-    rng = random.Random(args.seed or 0)
-    problems = SUITES[args.suite](c, rng)
+    problems = SUITES[args.suite](c, random.Random(args.seed or 0))
     if problems:
-        shown = 10
-        for p in problems[:shown]:
-            print(f"FAIL {p}")
-        if len(problems) > shown:
-            print(f"FAIL ... and {len(problems) - shown} more "
-                  f"({len(problems)} problems in total)")
-        return EXIT_FAIL
-    print("ok")
-    return EXIT_OK
+        return "\n".join(_first(problems, 10, "problems", "FAIL ")) + "\n", EXIT_FAIL
+    return "ok\n", EXIT_OK
+
+
+class _Command(NamedTuple):
+    """One subcommand: its help line, its flags in help order, and a runner
+    returning (text, exit code). `dispatch` writes the text to `--out` when
+    it is given, else to stdout; where `out_is_file`, `--out` names the file
+    the runner writes itself and the text goes to stdout."""
+
+    help: str
+    flags: Tuple[Tuple[str, dict], ...]
+    run: Callable[..., Tuple[str, int]]
+    out_is_file: bool = False
+
+
+_OUT_FLAG = ("--out", {})
+_MODEL_FLAG = ("--model", dict(choices=["gds", "gtc"], default="gds"))
+# The flags of every command that builds a complex, in help order.
+_BUILD_FLAGS = (
+    ("--manifold", dict(required=True, help="name:params, e.g. tP:3, sphere:4, torus:3:4, "
+                                            "torus-voronoi:2, klein, genus:2")),
+    ("--seed", dict(type=int)),
+    ("--points", dict(type=int)),
+    _OUT_FLAG,
+)
+
+# Every subcommand, in help order. The rows hold only private runners, which
+# call gdslab functions by their module-global names, so that wrapping those
+# names reaches them.
+COMMANDS: Dict[str, _Command] = {
+    "gen": _Command("build a cellulation and save it", _BUILD_FLAGS, _cmd_gen,
+                    out_is_file=True),
+    "validate": _Command("genericity validation report", _BUILD_FLAGS, _cmd_validate),
+    "homology": _Command("Betti numbers and Euler characteristic", _BUILD_FLAGS,
+                         _cmd_homology),
+    "gsd": _Command("ground state degeneracy by sector sweep",
+                    (*_BUILD_FLAGS, _MODEL_FLAG), _cmd_gsd),
+    "table-thm-a": _Command("semion vs toric-code dimensions on sums of projective planes",
+                            (("--tmax", dict(type=int, default=4)),
+                             ("--format", dict(choices=["text", "csv"], default="text")),
+                             _OUT_FLAG), _cmd_table),
+    "verify": _Command("run a named invariant suite",
+                       (*_BUILD_FLAGS, ("--suite", dict(required=True))), _cmd_verify),
+    "circuit": _Command("build and check the phase circuit", _BUILD_FLAGS, _cmd_circuit,
+                        out_is_file=True),
+    "ed": _Command("exact diagonalization oracle",
+                   (*_BUILD_FLAGS, _MODEL_FLAG,
+                    ("--variant", dict(choices=["plain", "projected"], default="projected"))),
+                   _cmd_ed),
+    "balloon": _Command("sample a balloon application and check it", _BUILD_FLAGS,
+                        _cmd_balloon),
+}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -294,59 +321,10 @@ def make_parser() -> argparse.ArgumentParser:
         description="Toric-code and semion models on generic cellulations",
     )
     sub = parser.add_subparsers(dest="command")
-
-    def common(p, manifold=True):
-        if manifold:
-            p.add_argument("--manifold", required=True,
-                           help="name:params, e.g. tP:3, sphere:4, torus:3:4, "
-                                "torus-voronoi:2, klein, genus:2")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--points", type=int, default=None)
-        p.add_argument("--out", default=None)
-
-    p = sub.add_parser("gen", help="build a cellulation and save it")
-    common(p)
-    p.set_defaults(fn=_cmd_gen)
-
-    p = sub.add_parser("validate", help="genericity validation report")
-    common(p)
-    p.set_defaults(fn=_cmd_validate)
-
-    p = sub.add_parser("homology", help="Betti numbers and Euler characteristic")
-    common(p)
-    p.set_defaults(fn=_cmd_homology)
-
-    p = sub.add_parser("gsd", help="ground state degeneracy by sector sweep")
-    common(p)
-    p.add_argument("--model", choices=["gds", "gtc"], default="gds")
-    p.set_defaults(fn=_cmd_gsd)
-
-    p = sub.add_parser("table-thm-a", help="semion vs toric-code dimensions on "
-                                           "sums of projective planes")
-    p.add_argument("--tmax", type=int, default=4)
-    p.add_argument("--format", choices=["text", "csv"], default="text")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_table)
-
-    p = sub.add_parser("verify", help="run a named invariant suite")
-    common(p)
-    p.add_argument("--suite", required=True)
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("circuit", help="build and check the phase circuit")
-    common(p)
-    p.set_defaults(fn=_cmd_circuit)
-
-    p = sub.add_parser("ed", help="exact diagonalization oracle")
-    common(p)
-    p.add_argument("--model", choices=["gds", "gtc"], default="gds")
-    p.add_argument("--variant", choices=["plain", "projected"], default="projected")
-    p.set_defaults(fn=_cmd_ed)
-
-    p = sub.add_parser("balloon", help="sample a balloon application and check it")
-    common(p)
-    p.set_defaults(fn=_cmd_balloon)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, options in command.flags:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -359,8 +337,18 @@ def dispatch(argv: Sequence[str]) -> int:
     if not getattr(args, "command", None):
         parser.print_usage()
         return EXIT_USAGE
+    command = COMMANDS[args.command]
     try:
-        return args.fn(args)
+        text, code = command.run(args)
+        if args.out and not command.out_is_file:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
+    except _Refused as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

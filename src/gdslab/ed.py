@@ -49,6 +49,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .complexes import CellComplex, ensure_validated
+from .f2 import _span
 from .homology import cycle_space_basis
 from .model import GDS, GTC, _chi_of_pattern, _chi_table
 
@@ -174,10 +175,7 @@ def _cycle_states(c: CellComplex) -> List[int]:
     basis = cycle_space_basis(c, c.dim - 1)
     if len(basis) > 14:
         raise ValueError("cycle space too large for exact kernel enumeration")
-    states = [0]
-    for v in basis:
-        states += [s ^ v for s in states]
-    return sorted(states)
+    return sorted(_span(basis))
 
 
 def _rational_kernel(rows: List[Dict[int, int]]) -> List[List[Fraction]]:

@@ -190,6 +190,15 @@ def _mask_of(ids: Iterable[int]) -> int:
     return mask
 
 
+def _span(basis: Iterable[int]) -> List[int]:
+    """Every sum of a subset of `basis`, by doubling: the sums without the
+    i-th vector come before those with it. The one span enumerator."""
+    out = [0]
+    for b in basis:
+        out += [v ^ b for v in out]
+    return out
+
+
 def reduce_by_rref(vec: int, space: "Subspace") -> int:
     """Canonical (lexicographically least) coset representative of vec + space,
     in O(popcount(vec & pivot mask)) row XORs."""
@@ -251,10 +260,7 @@ class Subspace:
 
     def vectors(self) -> List[int]:
         """All 2^dim elements; only sensible for small subspaces."""
-        out = [0]
-        for b in self.basis:
-            out += [v ^ b for v in out]
-        return out
+        return _span(self.basis)
 
 
 def subspace_intersection_dim(u: Subspace, v: Subspace) -> int:
@@ -397,12 +403,9 @@ def enumerate_max_isotropics(q: F2Matrix, j: int) -> List[Subspace]:
                     sub.dim, n, [q.matvec(b) for b in sub.basis]
                 )
                 perp_basis = constraint.nullspace()
-            span = [0]
-            for b in perp_basis:
-                span += [v ^ b for v in span]
             # One candidate per coset of sub: its reduced representative.
             # Any other vector of the coset spans the same extension.
-            for v in span:
+            for v in _span(perp_basis):
                 if v and reduce_by_rref(v, sub) == v:
                     nxt.add(sub.extend(v))
         level = nxt

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Collection, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .complexes import CellComplex, CellKey, Chain, DisjointSet, _closure_masks
-from .f2 import F2Matrix, Subspace, _mask_of, in_span, reduce_by_rref
+from .f2 import F2Matrix, Subspace, _mask_of, _span, in_span, reduce_by_rref
 
 MAX_SECTOR_RANK = 12  # largest b_p whose 2^b_p sector representatives are listed
 
@@ -159,9 +159,7 @@ def homology_sector_reps(c: CellComplex, p: int) -> SectorSet:
     if len(generators) > MAX_SECTOR_RANK:
         raise ValueError(f"2^{len(generators)} sectors exceed the enumeration guard")
     # a sum of pivot-free cycles is pivot-free: its class's representative
-    rep_bits = [0]
-    for g in generators:
-        rep_bits += [bits ^ g for bits in rep_bits]
+    rep_bits = _span(generators)
     rep_bits.sort(key=lambda bits: (bits.bit_count(), bits))
     assert rep_bits[0] == 0
     return SectorSet(c, p, [Chain(c, p, bits) for bits in rep_bits], bounds)

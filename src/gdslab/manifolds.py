@@ -86,23 +86,22 @@ def barycentric_subdivision(t: Triangulation) -> Triangulation:
     return Triangulation(t.dim, maximal)
 
 
-# Segments per polygon side and concentric rings of `surface_from_word`; the
-# tP, genus and klein cell counts of `SPECS` follow from them.
+# Segments per polygon side of `surface_from_word`; the tP, genus and klein
+# cell counts of `SPECS` follow from it.
 _SEGMENTS = 3
-_RINGS = 2
 
 
 def surface_from_word(word: List[Tuple[int, int]]) -> Triangulation:
     """Triangulate a fundamental polygon and glue its sides by the edge word.
 
-    Each of the k sides is split into _SEGMENTS segments, and _RINGS
-    concentric rings keep every simplex away from its glued partner, so the
-    quotient stays simplicial.
+    Each of the k sides is split into _SEGMENTS segments. An inner ring of as
+    many vertices and a centre keep every simplex away from its glued
+    partner, so the quotient stays simplicial.
     """
     k = len(word)
     if k < 2:
         raise ValueError("need at least two sides")
-    m, rings = _SEGMENTS, _RINGS
+    m = _SEGMENTS
     perimeter = k * m
 
     # Glued boundary positions 0..perimeter-1 share a vertex.
@@ -115,47 +114,20 @@ def surface_from_word(word: List[Tuple[int, int]]) -> Triangulation:
             raise ValueError(f"letter {letter} appears {len(occ)} times")
         (s1, g1), (s2, g2) = occ
         for t in range(m + 1):
-            a = (s1 * m + t) % perimeter
-            if g1 == g2:
-                b = (s2 * m + t) % perimeter
-            else:
-                b = (s2 * m + (m - t)) % perimeter
-            glued.union(a, b)
+            u = t if g1 == g2 else m - t
+            glued.union((s1 * m + t) % perimeter, (s2 * m + u) % perimeter)
 
+    # Outer vertices are numbered by first appearance of their glued root,
+    # then come the inner ring and the centre.
     labels: Dict[int, int] = {}
-    next_id = 0
-
-    def boundary_vertex(pos: int) -> int:
-        nonlocal next_id
-        root = glued.find(pos % perimeter)
-        if root not in labels:
-            labels[root] = next_id
-            next_id = next_id + 1
-        return labels[root]
-
-    for pos in range(perimeter):
-        boundary_vertex(pos)
-    ring_vertex = {}
-    for r in range(1, rings):
-        for j in range(perimeter):
-            ring_vertex[(r, j)] = next_id
-            next_id += 1
-    center = next_id
-
-    def vertex(r: int, j: int) -> int:
-        j %= perimeter
-        if r == 0:
-            return boundary_vertex(j)
-        return ring_vertex[(r, j)]
-
+    outer = [labels.setdefault(glued.find(j), len(labels)) for j in range(perimeter)]
+    inner = range(len(labels), len(labels) + perimeter)
+    center = len(labels) + perimeter
     triangles = []
-    for r in range(rings - 1):
-        for j in range(perimeter):
-            triangles.append((vertex(r, j), vertex(r, j + 1), vertex(r + 1, j + 1)))
-            triangles.append((vertex(r, j), vertex(r + 1, j + 1), vertex(r + 1, j)))
-    inner = rings - 1
     for j in range(perimeter):
-        triangles.append((vertex(inner, j), vertex(inner, j + 1), center))
+        nxt = (j + 1) % perimeter
+        triangles += [(outer[j], outer[nxt], inner[nxt]), (outer[j], inner[nxt], inner[j]),
+                      (inner[j], inner[nxt], center)]
 
     for tri in triangles:
         if len(set(tri)) != 3:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
 from .complexes import CellComplex, Chain
-from .homology import betti, betti_of_cells, is_homologous, bounding_cells, semicharacteristic
+from .homology import betti, betti_of_cells, bounding_cells, semicharacteristic
 from .manifolds import builtin_manifold
 from .model import GDS, GTC, flip, ground_degeneracy, random_cycle
 from .phases import MINUS_ONE, ONE, Phase
@@ -91,9 +91,10 @@ def transported_phase(c: CellComplex, e_from: Chain, e_to: Chain) -> int:
     """
     if not (e_from.is_cycle() and e_to.is_cycle()):
         raise ValueError("endpoints must be cycles")
-    if not is_homologous(c, e_from, e_to):
-        raise ValueError("cycles are not homologous")
-    filler = bounding_cells(c, e_from ^ e_to)
+    try:
+        filler = bounding_cells(c, e_from ^ e_to)
+    except ValueError:
+        raise ValueError("cycles are not homologous") from None
     state = e_from
     sign = 1
     for cell in filler.cells():

@@ -239,6 +239,42 @@ def test_balloon_command(capsys):
     assert "bookkeeping ok" in out
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["validate", "--manifold", "square-grid:2"], EXIT_FAIL),
+    (["homology", "--manifold", "torus:2:3"], EXIT_OK),
+    (["gsd", "--manifold", "tP:2"], EXIT_OK),
+    (["table-thm-a", "--tmax", "2", "--format", "csv"], EXIT_OK),
+    (["ed", "--manifold", "sphere:2"], EXIT_OK),
+    (["verify", "--suite", "commutation", "--manifold", "sphere:2", "--seed", "3"], EXIT_OK),
+    (["verify", "--suite", "appendix", "--manifold", "square-grid:3", "--seed", "2"],
+     EXIT_FAIL),
+    (["balloon", "--manifold", "torus:3:3", "--seed", "5"], EXIT_OK),
+], ids=["validate", "homology", "gsd", "table-thm-a", "ed", "verify-ok", "verify-fail",
+        "balloon"])
+def test_out_receives_the_printed_result(tmp_path, capsys, argv, code):
+    rc, printed, _ = run(argv, capsys)
+    path = tmp_path / "result.txt"
+    rc_out, out, err = run([*argv, "--out", str(path)], capsys)
+    assert rc == rc_out == code
+    assert out == "" and err == ""
+    assert path.read_text(encoding="utf-8") == printed
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["verify", "--suite", "nonsense", "--manifold", "sphere:2"],
+     "unknown suite 'nonsense'; options: appendix, balloon, circuit, commutation, "
+     "flip-consistency, surface-sectors, sweep-order\n"),
+    (["gsd", "--manifold", "genus:7"], "error: 2^14 sectors exceed the enumeration guard\n"),
+    (["balloon", "--manifold", "bogus:1"], "error: unknown manifold name: bogus\n"),
+], ids=["unknown-suite", "sector-guard", "bad-spec"])
+def test_refused_run_writes_nothing(tmp_path, capsys, argv, err):
+    path = tmp_path / "result.txt"
+    rc, out, got = run([*argv, "--out", str(path)], capsys)
+    assert rc == EXIT_USAGE
+    assert out == "" and got == err
+    assert not path.exists()
+
+
 def test_appendix_fail_lines_replay_the_subset(capsys):
     rc, out, err = run(
         ["verify", "--suite", "appendix", "--manifold", "square-grid:3", "--seed", "2"],

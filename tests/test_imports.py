@@ -129,18 +129,38 @@ def test_every_import_in_src_is_used():
     assert unused == []
 
 
-def test_every_private_function_in_src_is_used_in_src():
+def _unread_private(defined):
+    """Every private, non-dunder name that `defined(stmt)` says a top-level
+    statement of src defines, and that no other top-level statement of src
+    reads, as module.name."""
     modules = _modules()
     # the names read by every top-level statement of src
     reads = [(stmt, _names(stmt)) for tree in modules.values() for stmt in tree.body]
     unused = []
     for name, tree in modules.items():
         for node in tree.body:
-            if not isinstance(node, ast.FunctionDef) or not node.name.startswith("_"):
-                continue
-            if node.name.startswith("__"):
-                continue
-            # a reference anywhere in src, other than from the function's own body
-            if not any(node.name in names for stmt, names in reads if stmt is not node):
-                unused.append(f"{name}.{node.name}")
-    assert unused == []
+            for what in defined(node):
+                if not what.startswith("_") or what.startswith("__"):
+                    continue
+                # a reference anywhere in src, other than from the definition itself
+                if not any(what in names for stmt, names in reads if stmt is not node):
+                    unused.append(f"{name}.{what}")
+    return unused
+
+
+def test_every_private_function_in_src_is_used_in_src():
+    assert _unread_private(
+        lambda node: [node.name] if isinstance(node, ast.FunctionDef) else []) == []
+
+
+def _assigned(node):
+    """The names a top-level `NAME = ...` or `NAME: T = ...` binds."""
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def test_every_private_constant_in_src_is_read_in_src():
+    assert _unread_private(_assigned) == []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from gdslab import homology
 from gdslab.complexes import Chain
 from gdslab.manifolds import torus_diagonal_cycles
 from gdslab.phases import MINUS_ONE, ONE
@@ -75,6 +76,20 @@ def test_transported_phase_guards(torus2):
         transported_phase(torus2, e11, Chain.empty(torus2, 1))  # not homologous
     with pytest.raises(ValueError):
         transported_phase(torus2, Chain.from_cells(torus2, 1, [0]), e11)
+
+
+def test_transported_phase_needs_no_boundary_space(monkeypatch, torus2):
+    # bounding_cells alone decides whether the endpoints are homologous
+    def never(c, p):
+        raise AssertionError("boundary_space ran")
+
+    monkeypatch.setattr(homology, "boundary_space", never)
+    e11, e1m1 = torus_diagonal_cycles(torus2)
+    assert transported_phase(torus2, e11, e1m1) == -1
+    assert transported_phase(torus2, e1m1, e11) == -1
+    assert transported_phase(torus2, e11, e11) == 1
+    with pytest.raises(ValueError, match="^cycles are not homologous$"):
+        transported_phase(torus2, e11, Chain.empty(torus2, 1))
 
 
 def test_dimension_table():
