@@ -99,7 +99,6 @@ class Term:
     projected onto the vertex terms of the cell's ridges on both sides.
     """
 
-    n_qubits: int
     kind: str
     diag_masks: Tuple[int, ...]          # vertex-term masks read for projection
     flip_mask: int                       # 0 for diagonal terms
@@ -144,18 +143,18 @@ class Term:
 
 
 def build_term(c: CellComplex, which: str, cell_id: int, model: str = GDS) -> Term:
-    n = _check_size(c)
+    _check_size(c)
     ensure_validated(c)
     if which == H_E:
-        return Term(n, H_E, (c.coboundary_bits(c.dim - 2, cell_id),), 0, (), ())
+        return Term(H_E, (c.coboundary_bits(c.dim - 2, cell_id),), 0, (), ())
     faces, signs = _pattern_table(c, cell_id, model)
     flip_mask = c.boundary_bits(c.dim, cell_id)
     if which == H_C:
-        return Term(n, H_C, (), flip_mask, faces, tuple(signs))
+        return Term(H_C, (), flip_mask, faces, tuple(signs))
     if which == H_C_PROJ:
         ridges = sorted({r for f in faces for r in c.faces(c.dim - 1, f)})
         masks = tuple(c.coboundary_bits(c.dim - 2, e) for e in ridges)
-        return Term(n, H_C_PROJ, masks, flip_mask, faces, tuple(signs))
+        return Term(H_C_PROJ, masks, flip_mask, faces, tuple(signs))
     raise ValueError(f"unknown term kind {which!r}")
 
 

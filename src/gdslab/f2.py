@@ -51,10 +51,6 @@ class F2Matrix:
             self.data = list(data)
 
     @classmethod
-    def identity(cls, n: int) -> "F2Matrix":
-        return cls(n, n, [1 << i for i in range(n)])
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "F2Matrix":
         return cls(rows, cols)
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Collection, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .complexes import CellComplex, CellKey, Chain, DisjointSet, _closure_masks
-from .f2 import F2Matrix, Subspace, _mask_of, _span, in_span, reduce_by_rref
+from .f2 import F2Matrix, Subspace, _mask_of, _span
 
 MAX_SECTOR_RANK = 12  # largest b_p whose 2^b_p sector representatives are listed
 
@@ -106,15 +106,6 @@ def boundary_space(c: CellComplex, p: int) -> Subspace:
     return c._boundary_spaces[p]
 
 
-def is_boundary(c: CellComplex, chain: Chain) -> bool:
-    return in_span(chain.bits, boundary_space(c, chain.dim))
-
-
-def is_homologous(c: CellComplex, a: Chain, b: Chain) -> bool:
-    """Same class iff the difference bounds a set of (p+1)-cells."""
-    return is_boundary(c, a ^ b)
-
-
 def bounding_cells(c: CellComplex, chain: Chain) -> Chain:
     """A set of (p+1)-cells whose boundary is the given null-homologous chain."""
     k, n = chain.dim, c.n_cells(chain.dim + 1)
@@ -133,17 +124,11 @@ def bounding_cells(c: CellComplex, chain: Chain) -> Chain:
 
 @dataclass
 class SectorSet:
-    complex: CellComplex
-    p: int
     reps: List[Chain]
-    boundaries: Subspace
 
     @property
     def class_count(self) -> int:
         return len(self.reps)
-
-    def canonical_bits(self, chain_bits: int) -> int:
-        return reduce_by_rref(chain_bits, self.boundaries)
 
 
 def homology_sector_reps(c: CellComplex, p: int) -> SectorSet:
@@ -162,13 +147,12 @@ def homology_sector_reps(c: CellComplex, p: int) -> SectorSet:
     rep_bits = _span(generators)
     rep_bits.sort(key=lambda bits: (bits.bit_count(), bits))
     assert rep_bits[0] == 0
-    return SectorSet(c, p, [Chain(c, p, bits) for bits in rep_bits], bounds)
+    return SectorSet([Chain(c, p, bits) for bits in rep_bits])
 
 
 @dataclass
 class SideReport:
     one_sided: Tuple[bool, ...]
-    epsilon: int
     w1_eval: int
 
 
@@ -249,5 +233,4 @@ def two_sidedness_d2(c: CellComplex, e: Chain) -> SideReport:
                 # crossing the vertex, the other side passes the third edge
                 side = _corner_face(c, v, third, nxt_edge)
         flags.append(side != start_side)
-    eps = sum(flags) % 2
-    return SideReport(tuple(flags), eps, eps)
+    return SideReport(tuple(flags), sum(flags) % 2)

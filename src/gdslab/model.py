@@ -34,7 +34,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .complexes import CellComplex, CellKey, Chain, _closure_masks, ensure_validated
 from .f2 import F2Matrix, PreconditionError
-from .homology import SectorSet, homology_sector_reps
+from .homology import SectorSet, cycle_space_basis, homology_sector_reps
 
 GDS = "gds"
 GTC = "gtc"
@@ -281,8 +281,6 @@ def _components(c: CellComplex) -> List[CellComplex]:
 
 def random_cycle(c: CellComplex, rng: random.Random) -> Chain:
     """Uniformly random element of the cycle space of states."""
-    from .homology import cycle_space_basis
-
     basis = cycle_space_basis(c, c.dim - 1)
     bits = 0
     for v in basis:

@@ -72,9 +72,6 @@ class TangentialOverlapError(ValueError):
 class OverlapPieces:
     """Support-only, shared, and state-only parts of a balloon application."""
 
-    l_only_bits: int
-    shared_bits: int
-    state_only_bits: int
     clean: bool
     chi_shared: int
     chi_boundary: int
@@ -121,7 +118,7 @@ def overlap_pieces(c: CellComplex, l_bits: int, a_bits: int) -> OverlapPieces:
         and is_embedded_union(c, d1, _set_bits(b_bits))
         and is_embedded_union(c, d1, _set_bits(c_bits_only))
     )
-    pieces = OverlapPieces(a_bits_only, b_bits, c_bits_only, clean, chi_shared, chi_boundary)
+    pieces = OverlapPieces(clean, chi_shared, chi_boundary)
     c._overlap_pieces = (key, pieces)
     return pieces
 

@@ -60,7 +60,6 @@ def reference_phase(f: PhaseFn, e: Chain) -> Phase:
 
 class FlipConsistencyResult(NamedTuple):
     ok: bool
-    steps: int
     first_violation: Optional[Tuple[int, int]]  # (step, cell)
 
 
@@ -79,8 +78,8 @@ def verify_flip_consistency(f: PhaseFn, trials: int, seed: int) -> FlipConsisten
         state, sf = flip(c, cell, state, GDS)
         phase = phase * Phase.from_sign(sf.phase)
         if reference_phase(f, state) != phase:
-            return FlipConsistencyResult(False, step, (step, cell))
-    return FlipConsistencyResult(True, trials, None)
+            return FlipConsistencyResult(False, (step, cell))
+    return FlipConsistencyResult(True, None)
 
 
 def transported_phase(c: CellComplex, e_from: Chain, e_to: Chain) -> int:

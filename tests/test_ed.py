@@ -57,10 +57,10 @@ def _apply_basis(t: Term, x: int) -> List[Tuple[int, Fraction]]:
     return out
 
 
-def _matrix(t: Term) -> Dict[Tuple[int, int], Fraction]:
+def _matrix(c, t: Term) -> Dict[Tuple[int, int], Fraction]:
     """Full matrix of a term as a sparse {(row, col): value} dict."""
     out: Dict[Tuple[int, int], Fraction] = {}
-    for x in range(1 << t.n_qubits):
+    for x in range(1 << c.n_cells(c.dim - 1)):
         for y, a in _apply_basis(t, x):
             out[(y, x)] = out.get((y, x), Fraction(0)) + a
     return {k: v for k, v in out.items() if v}
@@ -267,13 +267,13 @@ def test_plaquette_matches_flip_operator(sphere2):
 def test_projected_term_is_idempotent(sphere2):
     for cell in range(sphere2.n_cells(2)):
         t = build_term(sphere2, H_C_PROJ, cell)
-        m = _matrix(t)
+        m = _matrix(sphere2, t)
         assert _matmul(m, m, 1 << 6) == m
 
 
 def test_projected_term_hermitian(sphere2):
     t = build_term(sphere2, H_C_PROJ, 1)
-    m = _matrix(t)
+    m = _matrix(sphere2, t)
     assert {(c, r): v for (r, c), v in m.items()} == m
 
 

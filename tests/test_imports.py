@@ -1,10 +1,13 @@
 """gdslab stays pure Python until a command needs numpy or scipy: only
 `torus-voronoi:*` specs load scipy, and only `ed` loads numpy.  Its modules
-import nothing they do not use and keep no private function nothing uses."""
+import nothing they do not use, keep no private function nothing uses, and
+keep no public function or class that nothing in the package reads unless the
+README lists it as library API."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -129,10 +132,11 @@ def test_every_import_in_src_is_used():
     assert unused == []
 
 
-def _unread_private(defined):
-    """Every private, non-dunder name that `defined(stmt)` says a top-level
-    statement of src defines, and that no other top-level statement of src
-    reads, as module.name."""
+def _unread(defined, public=False):
+    """Every private, non-dunder name (or, with `public`, every public name)
+    that `defined(stmt)` says a top-level statement of src defines, and that
+    no other top-level statement of src reads, as (module.name, line). A
+    re-export in `__init__` is an import alias, not a read."""
     modules = _modules()
     # the names read by every top-level statement of src
     reads = [(stmt, _names(stmt)) for tree in modules.values() for stmt in tree.body]
@@ -140,17 +144,21 @@ def _unread_private(defined):
     for name, tree in modules.items():
         for node in tree.body:
             for what in defined(node):
-                if not what.startswith("_") or what.startswith("__"):
+                if what.startswith("_") == public or what.startswith("__"):
                     continue
                 # a reference anywhere in src, other than from the definition itself
                 if not any(what in names for stmt, names in reads if stmt is not node):
-                    unused.append(f"{name}.{what}")
+                    unused.append((f"{name}.{what}", node.lineno))
     return unused
 
 
+def _defined(*kinds):
+    """For `_unread`: the name a top-level def of one of these kinds binds."""
+    return lambda node: [node.name] if isinstance(node, kinds) else []
+
+
 def test_every_private_function_in_src_is_used_in_src():
-    assert _unread_private(
-        lambda node: [node.name] if isinstance(node, ast.FunctionDef) else []) == []
+    assert _unread(_defined(ast.FunctionDef)) == []
 
 
 def _assigned(node):
@@ -163,4 +171,33 @@ def _assigned(node):
 
 
 def test_every_private_constant_in_src_is_read_in_src():
-    assert _unread_private(_assigned) == []
+    assert _unread(_assigned) == []
+
+
+def _library_api():
+    """The `module.name` entries of the README's "Library API" list, as
+    (module.name, README line)."""
+    lines = (SRC.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("## Library API") if "## Library API" in lines else len(lines)
+    listed = []
+    for i, line in enumerate(lines[start + 1:], start + 2):
+        if line.startswith("## "):
+            break
+        entry = re.match(r"- `(\w+\.\w+)`", line)
+        if entry:
+            listed.append((entry.group(1), i))
+    return listed
+
+
+def test_every_public_function_in_src_is_read_in_src_or_listed_as_library_api():
+    listed = {name for name, _ in _library_api()}
+    unread = _unread(_defined(ast.FunctionDef, ast.ClassDef), public=True)
+    assert [f"{name}:{line}" for name, line in unread if name not in listed] == []
+
+
+def test_every_library_api_entry_names_a_function_or_class_of_src():
+    kinds = _defined(ast.FunctionDef, ast.ClassDef)
+    defined = {f"{module}.{what}" for module, tree in _modules().items()
+               for node in tree.body for what in kinds(node)}
+    stale = [f"README.md:{line} {name}" for name, line in _library_api() if name not in defined]
+    assert stale == []

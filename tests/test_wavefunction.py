@@ -110,15 +110,17 @@ def test_odd_d_phases_cohere_within_sectors(torus3):
     # times a sign, so a single global rotation makes the sector real
     import random
 
+    from gdslab.f2 import reduce_by_rref
     from gdslab.model import random_cycle, sector_reps
 
     f = PhaseFn(ODD_CHI, torus3)
     sectors = sector_reps(torus3)
+    bounds = homology.boundary_space(torus3, 2)
     parity = {}
     rng = random.Random(9)
     for _ in range(60):
         z = random_cycle(torus3, rng)
-        idx = [r.bits for r in sectors.reps].index(sectors.canonical_bits(z.bits))
+        idx = [r.bits for r in sectors.reps].index(reduce_by_rref(z.bits, bounds))
         exp = reference_phase(f, z).exp
         assert parity.setdefault(idx, exp % 2) == exp % 2
 
