@@ -1,57 +1,47 @@
 """Generalized toric-code and double-semion models on generic cellulations,
 with exact desk-scale verification of their ground-space structure."""
 
-from .complexes import (
-    CellComplex,
-    Chain,
-    Triangulation,
-    closed_subcomplex,
-    dual_of_triangulation,
-    subset_boundary_manifold_check,
-    validate_generic,
-)
-from .homology import betti, homology_sector_reps, semicharacteristic, two_sidedness_d2
-from .manifolds import builtin_manifold, square_grid_torus
-from .model import GDS, GTC, flip, ground_degeneracy, sweep_sign
-from .phases import Phase
-
-# `voronoi` imports scipy, which costs more than the rest of the package;
-# its names resolve on first use (PEP 562) so other commands never load it.
-_VORONOI_NAMES = frozenset({"GeneralPositionError", "PointSet", "torus_voronoi"})
+# Every package-level name and the module that defines it. Importing gdslab
+# loads none of these modules: a name resolves on first access (PEP 562), so
+# a command pays only for the layers it runs, and only the `voronoi` names
+# load scipy.
+_MODULE_OF = {
+    "CellComplex": "complexes",
+    "Chain": "complexes",
+    "Triangulation": "complexes",
+    "closed_subcomplex": "complexes",
+    "dual_of_triangulation": "complexes",
+    "subset_boundary_manifold_check": "complexes",
+    "validate_generic": "complexes",
+    "betti": "homology",
+    "homology_sector_reps": "homology",
+    "semicharacteristic": "homology",
+    "two_sidedness_d2": "homology",
+    "builtin_manifold": "manifolds",
+    "square_grid_torus": "manifolds",
+    "GDS": "model",
+    "GTC": "model",
+    "flip": "model",
+    "ground_degeneracy": "model",
+    "sweep_sign": "model",
+    "Phase": "phases",
+    "GeneralPositionError": "voronoi",
+    "PointSet": "voronoi",
+    "torus_voronoi": "voronoi",
+}
 
 
 def __getattr__(name):
-    # Not cached in these globals: every access returns what `voronoi`
-    # binds at that moment, also while perfbench/tracing.py wraps it.
-    if name in _VORONOI_NAMES:
-        from . import voronoi
+    # Not cached in these globals: every access returns what the defining
+    # module binds at that moment, also while perfbench/tracing.py wraps it.
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
 
-        return getattr(voronoi, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
 
-__all__ = [
-    "CellComplex",
-    "Chain",
-    "Triangulation",
-    "Phase",
-    "PointSet",
-    "GeneralPositionError",
-    "GDS",
-    "GTC",
-    "betti",
-    "builtin_manifold",
-    "closed_subcomplex",
-    "dual_of_triangulation",
-    "flip",
-    "ground_degeneracy",
-    "homology_sector_reps",
-    "semicharacteristic",
-    "square_grid_torus",
-    "subset_boundary_manifold_check",
-    "sweep_sign",
-    "torus_voronoi",
-    "two_sidedness_d2",
-    "validate_generic",
-]
+
+__all__ = list(_MODULE_OF)
 
 __version__ = "0.1.0"

@@ -12,16 +12,14 @@ the phase is i to (#even - #odd firing gates); it telescopes to i^chi.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 from .complexes import CellComplex, Chain, _closure_masks, ensure_validated
 from .model import GDS, flip, random_cycle
 from .phases import ONE, Phase
 
 
-@dataclass(frozen=True)
-class PhaseGate:
+class PhaseGate(NamedTuple):
     dim: int
     cell: int
     support: int   # bitmask of the (d-1)-cells whose closure holds the cell
@@ -43,8 +41,7 @@ def circuit_phase(gates: Sequence[PhaseGate], state: Chain) -> Phase:
     return Phase.i_power(sum(-1 if g.dim % 2 else 1 for g in gates if g.support & bits))
 
 
-@dataclass
-class Schedule:
+class Schedule(NamedTuple):
     rounds: List[List[int]]   # gate indices per round
 
     @property
@@ -80,8 +77,7 @@ def schedule(gates: Sequence[PhaseGate]) -> Schedule:
     return Schedule(rounds)
 
 
-@dataclass(frozen=True)
-class ConjugationReport:
+class ConjugationReport(NamedTuple):
     """Falsy on failure, naming the first failing flip: its trial (1-based),
     the bits of the state before it and the flipped top cell."""
 

@@ -7,15 +7,12 @@ import argparse
 import math
 import random
 import sys
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import circuit as circuit_mod
-from . import model as model_mod
-from . import operators as op_mod
-from . import wavefunction as wf_mod
-from .complexes import CellComplex, subset_boundary_manifold_check, validate_generic
-from .homology import betti, two_sidedness_d2
-from .manifolds import builtin_manifold, manifold_spec
+# Importing this module loads no gdslab layer: each runner imports the
+# layers it calls in its body and reads their functions at call time.
+if TYPE_CHECKING:
+    from .complexes import CellComplex
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -39,11 +36,15 @@ def build_manifold(spec: str, points: Optional[int], seed: Optional[int]) -> Cel
     """
     name, *params = spec.split(":")
     if name == "file":
+        from .complexes import CellComplex
+
         return CellComplex.load(":".join(params))
     if name == "tri":
         from .complexes import Triangulation, dual_of_triangulation
 
         return dual_of_triangulation(Triangulation.load(":".join(params)))
+    from .manifolds import builtin_manifold, manifold_spec
+
     form = manifold_spec(name)
     if not all(p.removeprefix("-").isdecimal() for p in params):
         raise ValueError(form.usage)
@@ -79,6 +80,8 @@ def _cmd_gen(args) -> Tuple[str, int]:
 
 
 def _cmd_validate(args) -> Tuple[str, int]:
+    from .complexes import validate_generic
+
     report = validate_generic(build_manifold(args.manifold, args.points, args.seed))
     lines = ["pass" if report.passed else "FAIL"]
     lines += _first(report.violations, 20, "violations", "  ")
@@ -86,17 +89,23 @@ def _cmd_validate(args) -> Tuple[str, int]:
 
 
 def _cmd_homology(args) -> Tuple[str, int]:
+    from .homology import betti
+
     b = betti(build_manifold(args.manifold, args.points, args.seed))
     return "b = " + " ".join(str(x) for x in b.b) + f"\nchi = {b.chi}\n", EXIT_OK
 
 
 def _cmd_gsd(args) -> Tuple[str, int]:
+    from . import model as model_mod
+
     c = build_manifold(args.manifold, args.points, args.seed)
     gsd, _ = model_mod.ground_degeneracy(c, args.model)
     return f"{gsd}\n", EXIT_OK
 
 
 def _cmd_table(args) -> Tuple[str, int]:
+    from . import wavefunction as wf_mod
+
     rows = wf_mod.ds_tc_dimension_table(args.tmax)
     row = "{},{},{},{}" if args.format == "csv" else "{:>3} {:>7} {:>7} {:>6}"
     lines = [row.format("t", "dim_ds", "dim_tc", "ratio")]
@@ -105,6 +114,8 @@ def _cmd_table(args) -> Tuple[str, int]:
 
 
 def _cmd_circuit(args) -> Tuple[str, int]:
+    from . import circuit as circuit_mod
+
     c = build_manifold(args.manifold, args.points, args.seed)
     gates = circuit_mod.build_gates(c)
     sched = circuit_mod.schedule(gates)
@@ -124,6 +135,9 @@ def _cmd_ed(args) -> Tuple[str, int]:
 
 
 def _cmd_balloon(args) -> Tuple[str, int]:
+    from . import model as model_mod
+    from . import operators as op_mod
+
     c = build_manifold(args.manifold, args.points, args.seed)
     rng = random.Random(args.seed or 0)
     reps = model_mod.sector_reps(c).reps
@@ -136,6 +150,8 @@ def _cmd_balloon(args) -> Tuple[str, int]:
 
 
 def _suite_commutation(c: CellComplex, rng: random.Random) -> List[str]:
+    from . import model as model_mod
+
     problems = []
     trials = 200
     for trial in range(1, trials + 1):
@@ -151,6 +167,8 @@ def _suite_commutation(c: CellComplex, rng: random.Random) -> List[str]:
 
 
 def _suite_sweep_order(c: CellComplex, rng: random.Random) -> List[str]:
+    from . import model as model_mod
+
     problems = []
     reps = model_mod.sector_reps(c).reps
     base = model_mod.sweep_signs(c, reps)
@@ -169,6 +187,8 @@ def _suite_sweep_order(c: CellComplex, rng: random.Random) -> List[str]:
 
 
 def _suite_flip_consistency(c: CellComplex, rng: random.Random) -> List[str]:
+    from . import wavefunction as wf_mod
+
     kind = wf_mod.ODD_CHI if c.dim % 2 else wf_mod.EVEN_SEMICHAR
     try:
         fn = wf_mod.PhaseFn(kind, c)
@@ -179,6 +199,9 @@ def _suite_flip_consistency(c: CellComplex, rng: random.Random) -> List[str]:
 
 
 def _suite_surface_sectors(c: CellComplex, rng: random.Random) -> List[str]:
+    from . import model as model_mod
+    from .homology import two_sidedness_d2
+
     if c.dim != 2:
         raise ValueError("surface suite needs a 2-complex")
     chi = c.euler_characteristic()
@@ -192,6 +215,8 @@ def _suite_surface_sectors(c: CellComplex, rng: random.Random) -> List[str]:
 
 
 def _suite_appendix(c: CellComplex, rng: random.Random) -> List[str]:
+    from .complexes import subset_boundary_manifold_check, validate_generic
+
     problems = []
     if not validate_generic(c).passed:
         problems.append("complex fails genericity validation")
@@ -210,6 +235,8 @@ def _suite_appendix(c: CellComplex, rng: random.Random) -> List[str]:
 
 
 def _suite_circuit(c: CellComplex, rng: random.Random) -> List[str]:
+    from . import circuit as circuit_mod
+
     trials = 20
     report = circuit_mod.verify_conjugation(c, n_states=trials, seed=rng.randrange(1 << 30))
     if report:
@@ -219,6 +246,10 @@ def _suite_circuit(c: CellComplex, rng: random.Random) -> List[str]:
 
 
 def _suite_balloon(c: CellComplex, rng: random.Random) -> List[str]:
+    from . import model as model_mod
+    from . import operators as op_mod
+    from . import wavefunction as wf_mod
+
     problems = []
     reps = model_mod.sector_reps(c).reps
     fn = None
@@ -288,8 +319,8 @@ _BUILD_FLAGS = (
 )
 
 # Every subcommand, in help order. The rows hold only private runners, which
-# call gdslab functions by their module-global names, so that wrapping those
-# names reaches them.
+# look gdslab functions up on their modules at call time, so that wrapping
+# those names reaches them.
 COMMANDS: Dict[str, _Command] = {
     "gen": _Command("build a cellulation and save it", _BUILD_FLAGS, _cmd_gen,
                     out_is_file=True),

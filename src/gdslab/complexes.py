@@ -30,8 +30,7 @@ classes as vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Set, Tuple
 
 from .f2 import Subspace, _mask_of, _set_bits
 
@@ -384,18 +383,32 @@ class CellComplex:
         )
 
 
-@dataclass(frozen=True)
-class Chain:
-    """A per-dimension bit vector over the cells of one complex."""
-
-    complex: CellComplex = field(compare=False)
+class _ChainFields(NamedTuple):
+    complex: CellComplex
     dim: int
     bits: int
 
-    def __post_init__(self):
-        n = self.complex.n_cells(self.dim)
-        if self.bits >> n:
+
+class Chain(_ChainFields):
+    """A per-dimension bit vector over the cells of one complex; equality and
+    hash read the dimension and the bits, not the complex."""
+
+    __slots__ = ()
+
+    def __new__(cls, complex: CellComplex, dim: int, bits: int) -> "Chain":
+        if bits >> complex.n_cells(dim):
             raise ValueError("chain has bits beyond the cell count")
+        return tuple.__new__(cls, (complex, dim, bits))
+
+    def __eq__(self, other) -> bool:
+        return (other.__class__ is self.__class__
+                and self.dim == other.dim and self.bits == other.bits)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.bits))
 
     @classmethod
     def from_cells(cls, complex: CellComplex, dim: int, cells: Iterable[int]) -> "Chain":
@@ -455,8 +468,7 @@ def dual_of_triangulation(t: Triangulation) -> CellComplex:
     return CellComplex(d, faces)
 
 
-@dataclass
-class GenericityReport:
+class GenericityReport(NamedTuple):
     passed: bool
     violations: List[str]
 

@@ -42,9 +42,8 @@ smoke layer for the unprojected variant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -90,8 +89,7 @@ def _odd(x: np.ndarray, mask: int) -> np.ndarray:
     return (np.bitwise_count(x & mask) & 1).astype(np.int8)
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     """One Hamiltonian term, acting on basis states as a single bit flip.
 
     H_e is the parity of the vertex mask; H_c is (1 - s(x) X_f)/2 with the

@@ -26,7 +26,6 @@ rejects a basis that is not in RREF, so this invariant always holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
@@ -211,25 +210,29 @@ def in_span(vec: int, space: "Subspace") -> bool:
     return reduce_by_rref(vec, space) == 0
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace of F2^n held as its canonical RREF basis, so equality is
-    bitwise; the derived pivot -> row map and pivot mask are not compared."""
-
+class _SubspaceFields(NamedTuple):
     ambient_dim: int
     basis: Tuple[int, ...]
-    _pivot_rows: Dict[int, int] = field(init=False, compare=False, repr=False)
-    _pivot_mask: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        pivots = [row & -row for row in self.basis]
+
+class Subspace(_SubspaceFields):
+    """A subspace of F2^n held as its canonical RREF basis, so equality is
+    bitwise; the derived pivot -> row map and pivot mask are instance
+    attributes, neither compared nor shown."""
+
+    _pivot_rows: Dict[int, int]
+    _pivot_mask: int
+
+    def __new__(cls, ambient_dim: int, basis: Tuple[int, ...]) -> "Subspace":
+        pivots = [row & -row for row in basis]
         mask = sum(pivots)
         increasing = all(a < b for a, b in zip([0] + pivots, pivots))
-        if not increasing or any(row & mask != p for row, p in zip(self.basis, pivots)):
+        if not increasing or any(row & mask != p for row, p in zip(basis, pivots)):
             raise ValueError("basis is not in RREF")
-        rows = {p.bit_length() - 1: row for row, p in zip(self.basis, pivots)}
-        object.__setattr__(self, "_pivot_rows", rows)
-        object.__setattr__(self, "_pivot_mask", mask)
+        self = tuple.__new__(cls, (ambient_dim, basis))
+        self._pivot_rows = {p.bit_length() - 1: row for row, p in zip(basis, pivots)}
+        self._pivot_mask = mask
+        return self
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[int]) -> "Subspace":

@@ -3,8 +3,7 @@ representatives, and side analysis of curves on surfaces."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Collection, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Collection, Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .complexes import CellComplex, CellKey, Chain, DisjointSet, _closure_masks
 from .f2 import F2Matrix, Subspace, _mask_of, _span
@@ -12,9 +11,19 @@ from .f2 import F2Matrix, Subspace, _mask_of, _span
 MAX_SECTOR_RANK = 12  # largest b_p whose 2^b_p sector representatives are listed
 
 
-@dataclass(frozen=True)
-class BettiVector:
+class _BettiFields(NamedTuple):
     b: Tuple[int, ...]
+
+
+class BettiVector(_BettiFields):
+    """Betti numbers b_0..b_top; indexing past either end reads 0, and
+    iteration and length run over the numbers, not the one field."""
+
+    __slots__ = ()
+
+    def __getnewargs__(self) -> Tuple[Tuple[int, ...]]:
+        # copy and pickle rebuild from this; the inherited one reads __iter__
+        return (self.b,)
 
     @property
     def chi(self) -> int:
@@ -122,8 +131,7 @@ def bounding_cells(c: CellComplex, chain: Chain) -> Chain:
     return Chain(c, k + 1, x)
 
 
-@dataclass
-class SectorSet:
+class SectorSet(NamedTuple):
     reps: List[Chain]
 
     @property
@@ -150,8 +158,7 @@ def homology_sector_reps(c: CellComplex, p: int) -> SectorSet:
     return SectorSet([Chain(c, p, bits) for bits in rep_bits])
 
 
-@dataclass
-class SideReport:
+class SideReport(NamedTuple):
     one_sided: Tuple[bool, ...]
     w1_eval: int
 

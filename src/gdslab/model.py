@@ -29,8 +29,7 @@ the cell boundary.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .complexes import CellComplex, CellKey, Chain, _closure_masks, ensure_validated
 from .f2 import F2Matrix, PreconditionError
@@ -41,21 +40,24 @@ GTC = "gtc"
 MODELS = (GDS, GTC)
 
 
-@dataclass(frozen=True)
-class SignedFlip:
+class _SignedFlipFields(NamedTuple):
     cell: int
     chi_up: int
     phase: int
     model: str
 
-    def __post_init__(self):
-        expected = -((-1) ** self.chi_up) if self.model == GDS else 1
-        if self.phase != expected:
+
+class SignedFlip(_SignedFlipFields):
+    __slots__ = ()
+
+    def __new__(cls, cell: int, chi_up: int, phase: int, model: str) -> "SignedFlip":
+        expected = -((-1) ** chi_up) if model == GDS else 1
+        if phase != expected:
             raise ValueError("phase inconsistent with chi_up")
+        return tuple.__new__(cls, (cell, chi_up, phase, model))
 
 
-@dataclass
-class SectorReport:
+class SectorReport(NamedTuple):
     sector: int
     rep: Chain
     sweep_sign: int

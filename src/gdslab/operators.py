@@ -4,8 +4,7 @@ linking term, dual Wilson loops and arcs, and open-balloon excitations."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 from .complexes import (
     CellComplex,
@@ -20,25 +19,28 @@ from .homology import _loop_components, betti_of_cells, cycle_space_basis, semic
 from .phases import MINUS_ONE, Phase
 
 
-@dataclass(frozen=True)
-class Balloon:
-    """Codimension-1 operator support: a set of (d-1)-cells, closed or open."""
-
+class _BalloonFields(NamedTuple):
     support: Chain
     closed: bool = True
 
-    def __post_init__(self):
-        if self.support.dim != self.support.complex.dim - 1:
+
+class Balloon(_BalloonFields):
+    """Codimension-1 operator support: a set of (d-1)-cells, closed or open."""
+
+    __slots__ = ()
+
+    def __new__(cls, support: Chain, closed: bool = True) -> "Balloon":
+        if support.dim != support.complex.dim - 1:
             raise ValueError("balloon support must consist of (d-1)-cells")
-        has_boundary = self.support.boundary().bits != 0
-        if self.closed and has_boundary:
+        has_boundary = support.boundary().bits != 0
+        if closed and has_boundary:
             raise ValueError("closed balloon support must be a cycle")
-        if not self.closed and not has_boundary:
+        if not closed and not has_boundary:
             raise ValueError("open balloon support must have boundary")
+        return tuple.__new__(cls, (support, closed))
 
 
-@dataclass(frozen=True)
-class DualLoop:
+class DualLoop(NamedTuple):
     """A walk in the dual graph given by the (d-1)-cells it crosses."""
 
     cells: Tuple[int, ...]
@@ -68,8 +70,7 @@ class TangentialOverlapError(ValueError):
     assigned on the unrefined complex."""
 
 
-@dataclass(frozen=True)
-class OverlapPieces:
+class OverlapPieces(NamedTuple):
     """Support-only, shared, and state-only parts of a balloon application."""
 
     clean: bool
@@ -149,8 +150,9 @@ def balloon_sign(c: CellComplex, l: Balloon, alpha: Chain) -> Phase:
         chi_l = l.support.euler_characteristic()
         return Phase.i_power(chi_l) * Phase.from_sign((-1) ** pieces.chi_shared)
     if d == 2:
-        raise ValueError("use ds2_wilson_sign for surfaces; the point boundary"
-                         " case carries an extra linking term")
+        raise ValueError("balloon signs are not defined on surfaces; there the"
+                         " overlap boundary is points and the sign carries a"
+                         " linking term")
     if not c.meta.get("balloon_even_ok"):
         raise ValueError(
             "even-dimensional balloon signs are only defined on complexes "
@@ -168,8 +170,7 @@ def apply_balloon(c: CellComplex, l: Balloon, alpha: Chain) -> Tuple[Chain, Phas
     return alpha ^ l.support, sign
 
 
-@dataclass
-class WilsonData:
+class WilsonData(NamedTuple):
     phase: Phase
     endpoint_count: int
     link: int
@@ -262,8 +263,7 @@ def is_dual_nullhomologous(c: CellComplex, loop: DualLoop) -> bool:
     return not any((bits & z).bit_count() & 1 for z in cycle_space_basis(c, c.dim - 1))
 
 
-@dataclass
-class ArcExcitation:
+class ArcExcitation(NamedTuple):
     violated_cells: FrozenSet[int]
     sector_phases: Tuple[int, ...]
 
@@ -317,8 +317,7 @@ def open_balloon_apply(
     return new_state, phase, violated
 
 
-@dataclass
-class DeltaCheck:
+class DeltaCheck(NamedTuple):
     holds: bool
     lhs: int
     rhs: int

@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _REPR = {0: "+1", 1: "+i", 2: "-1", 3: "-i"}
 
 
-@dataclass(frozen=True)
-class Phase:
-    """A unit phase in {+1, +i, -1, -i}; multiplication adds exponents mod 4."""
-
+class _PhaseFields(NamedTuple):
     exp: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "exp", self.exp % 4)
+
+class Phase(_PhaseFields):
+    """A unit phase in {+1, +i, -1, -i}; multiplication adds exponents mod 4."""
+
+    __slots__ = ()
+
+    def __new__(cls, exp: int) -> "Phase":
+        return tuple.__new__(cls, (exp % 4,))
 
     @classmethod
     def i_power(cls, k: int) -> "Phase":

@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
@@ -47,22 +46,27 @@ class GeneralPositionError(ValueError):
         self.subset = tuple(subset)
 
 
-@dataclass(frozen=True)
-class PointSet:
+class _PointSetFields(NamedTuple):
     dim: int
     coords: Tuple[Tuple[int, ...], ...]  # numerators over SCALE, in [0, SCALE)
     seed: Optional[int] = None
 
-    def __post_init__(self):
+
+class PointSet(_PointSetFields):
+    __slots__ = ()
+
+    def __new__(cls, dim: int, coords: Tuple[Tuple[int, ...], ...],
+                seed: Optional[int] = None) -> "PointSet":
         seen = set()
-        for p in self.coords:
-            if len(p) != self.dim:
+        for p in coords:
+            if len(p) != dim:
                 raise ValueError("coordinate arity mismatch")
             if not all(0 <= x < SCALE for x in p):
                 raise ValueError("coordinates must lie in the unit box")
             if p in seen:
                 raise ValueError(f"duplicate point {p}")
             seen.add(p)
+        return tuple.__new__(cls, (dim, coords, seed))
 
     @classmethod
     def random(cls, dim: int, n: int, seed: int) -> "PointSet":

@@ -9,7 +9,6 @@ vectors here: they are phases evaluated on demand.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
 from .complexes import CellComplex, Chain
@@ -22,27 +21,31 @@ ODD_CHI = "odd-chi"
 EVEN_SEMICHAR = "even-semichar"
 
 
-@dataclass(frozen=True)
-class PhaseFn:
+class _PhaseFnFields(NamedTuple):
     kind: str
     complex: CellComplex
 
-    def __post_init__(self):
-        d = self.complex.dim
-        if self.kind == ODD_CHI:
+
+class PhaseFn(_PhaseFnFields):
+    __slots__ = ()
+
+    def __new__(cls, kind: str, complex: CellComplex) -> "PhaseFn":
+        d = complex.dim
+        if kind == ODD_CHI:
             if d % 2 == 0:
                 raise ValueError("odd-chi phase needs odd ambient dimension")
-        elif self.kind == EVEN_SEMICHAR:
+        elif kind == EVEN_SEMICHAR:
             if d % 2 == 1:
                 raise ValueError("even-semichar phase needs even ambient dimension")
-            b = betti(self.complex)
+            b = betti(complex)
             if b[d - 1] != 0 or b[d // 2] != 0:
                 raise ValueError(
                     "even-semichar phase needs vanishing homology in "
                     "codimension 1 and middle dimension"
                 )
         else:
-            raise ValueError(f"unknown phase kind {self.kind!r}")
+            raise ValueError(f"unknown phase kind {kind!r}")
+        return tuple.__new__(cls, (kind, complex))
 
 
 def reference_phase(f: PhaseFn, e: Chain) -> Phase:
@@ -103,8 +106,7 @@ def transported_phase(c: CellComplex, e_from: Chain, e_to: Chain) -> int:
     return sign
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     t: int
     dim_ds: int
     dim_tc: int

@@ -239,6 +239,15 @@ def test_balloon_command(capsys):
     assert "bookkeeping ok" in out
 
 
+@pytest.mark.parametrize("spec", ["klein", "tP:3"])
+def test_balloon_suite_on_a_surface_exits_2_naming_no_function(capsys, spec):
+    rc, out, err = run(["verify", "--suite", "balloon", "--manifold", spec], capsys)
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert err == ("error: balloon signs are not defined on surfaces; there the overlap "
+                   "boundary is points and the sign carries a linking term\n")
+
+
 @pytest.mark.parametrize("argv,code", [
     (["validate", "--manifold", "square-grid:2"], EXIT_FAIL),
     (["homology", "--manifold", "torus:2:3"], EXIT_OK),

@@ -1,6 +1,5 @@
 """Exact diagonalization oracle: term structure, kernels, commutators."""
 
-import dataclasses
 import random
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -366,7 +365,7 @@ def _flip_sign_entry(terms: List[Term], k: int, pattern: int) -> List[Term]:
     t = terms[k]
     table = list(t.sign_table)
     table[pattern] = -table[pattern]
-    return terms[:k] + [dataclasses.replace(t, sign_table=tuple(table))] + terms[k + 1:]
+    return terms[:k] + [t._replace(sign_table=tuple(table))] + terms[k + 1:]
 
 
 @pytest.mark.parametrize("spec,points,seed", SMALL_SHIPPED)

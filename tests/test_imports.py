@@ -1,8 +1,12 @@
-"""gdslab stays pure Python until a command needs numpy or scipy: only
-`torus-voronoi:*` specs load scipy, and only `ed` loads numpy.  Its modules
-import nothing they do not use, keep no private function nothing uses, and
-keep no public function or class that nothing in the package reads unless the
-README lists it as library API."""
+"""Each command loads only what it runs. `import gdslab.cli` loads no gdslab
+layer, every package-level name resolves on first access, and each command
+loads the layers it calls and nothing else; gdslab stays pure Python until a
+command needs numpy or scipy (only `torus-voronoi:*` specs load scipy, and
+only `ed` loads numpy), and a command that needs neither loads no
+`dataclasses` or `inspect`.
+Its modules import nothing they do not use, keep no private function nothing
+uses, and keep no public function or class that nothing in the package reads
+unless the README lists it as library API."""
 
 import ast
 import json
@@ -19,7 +23,11 @@ from gdslab import voronoi
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-HEAVY = ("numpy", "scipy", "scipy.spatial")
+HEAVY = {"numpy", "scipy", "scipy.spatial"}
+# `dataclasses` alone loads `inspect`, `ast`, `dis` and `tokenize`, which cost
+# more than a layer; scipy loads `dataclasses` and numpy `inspect`, so only the
+# commands that load neither are checked for them.
+INTROSPECTION = {"dataclasses", "inspect"}
 
 # Runs `python -m gdslab ARGV...` in the same interpreter as the report that
 # follows it, and fails on a non-zero exit code.
@@ -36,8 +44,8 @@ except SystemExit as exc:
 
 def _loaded_after(code: str):
     """Run `code` in a fresh interpreter and return (stdout lines before the
-    report, heavy modules it loaded)."""
-    report = f"\nimport json, sys\nprint(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n"
+    report, every module it loaded)."""
+    report = "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     proc = subprocess.run(
         [sys.executable, "-c", code + report],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -48,15 +56,37 @@ def _loaded_after(code: str):
     return out, set(json.loads(last))
 
 
+def _layers(loaded):
+    """The gdslab modules among `loaded`, by their names within the package."""
+    return {m.removeprefix("gdslab.") for m in loaded if m.startswith("gdslab.")}
+
+
 def test_cli_import_loads_neither_numpy_nor_scipy():
     _, loaded = _loaded_after("import gdslab.cli")
-    assert loaded == set()
+    assert loaded & HEAVY == set()
 
 
 def test_gsd_loads_neither_numpy_nor_scipy():
     out, loaded = _loaded_after(RUN_CLI.format(argv=["gsd", "--model", "gds", "--manifold", "tP:3"]))
     assert out == ["4"]
-    assert loaded == set()
+    assert loaded & HEAVY == set()
+
+
+BUILD = {"cli", "manifolds", "complexes", "f2"}
+
+
+@pytest.mark.parametrize("argv,layers", [
+    (None, {"cli"}),
+    (["gsd", "--manifold", "tP:3"], BUILD | {"homology", "model"}),
+    (["homology", "--manifold", "sphere:3"], BUILD | {"homology"}),
+    (["validate", "--manifold", "sphere:3"], BUILD),
+    (["table-thm-a", "--tmax", "3"], BUILD | {"homology", "model", "phases", "wavefunction"}),
+], ids=["import", "gsd", "homology", "validate", "table-thm-a"])
+def test_command_loads_only_the_layers_it_runs(argv, layers):
+    # argv None: only `import gdslab.cli`
+    _, loaded = _loaded_after("import gdslab.cli" if argv is None else RUN_CLI.format(argv=argv))
+    assert "gdslab" in loaded and _layers(loaded) == layers
+    assert loaded & (HEAVY | INTROSPECTION) == set()
 
 
 def test_ed_loads_numpy_but_not_scipy_spatial():
