@@ -1,12 +1,32 @@
 """Z2 cellular homology: Betti numbers, semicharacteristic, sector
-representatives, and side analysis of curves on surfaces."""
+representatives, and side analysis of curves on surfaces.
+
+The classes of H_{d-1} come from one propagation over the top-cell graph,
+whose nodes are the d-cells and whose edges are the (d-1)-cells, each
+joining its two cofaces. It needs no elimination of boundary rows:
+
+- The pivot columns of the RREF of boundary_d are the greedy column basis
+  of a graphic matroid, so they are the spanning forest that Kruskal builds
+  scanning the (d-1)-cells in id order. A cycle with no boundary pivot bit,
+  the canonical representative of its class, is zero on that forest.
+- Those cycles are found by propagation. Forest cells are 0. A (d-2)-cell
+  with one unknown coface forces it to the XOR of the known ones, a linear
+  form over the parameters; when nothing is forced, the lowest unknown cell
+  becomes a new parameter; a (d-2)-cell whose cofaces are all known gives a
+  constraint form. The parameter vectors that meet every constraint, expanded
+  and reduced to the echelon basis by highest bit, are the class generators.
+- So rank boundary_d is the forest's size, b_{d-1} the parameter count less
+  the constraint rank, and rank boundary_{d-1} = n_{d-1} - rank boundary_d -
+  b_{d-1}. `betti` reads them there and keeps the forward pass for the middle
+  ranks only.
+"""
 
 from __future__ import annotations
 
 from typing import Collection, Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .complexes import CellComplex, CellKey, Chain, DisjointSet, _closure_masks
-from .f2 import F2Matrix, Subspace, _mask_of, _span
+from .f2 import F2Matrix, Subspace, _mask_of, _set_bits, _span
 
 MAX_SECTOR_RANK = 12  # largest b_p whose 2^b_p sector representatives are listed
 
@@ -41,20 +61,31 @@ class BettiVector(_BettiFields):
 
 def betti(c: CellComplex) -> BettiVector:
     """Betti numbers of c, with b_k = 0 for the top dimensions that hold no
-    cells; the cell set is closed, so no closure pass is needed."""
-    return _betti(c, [range(c.n_cells(k)) for k in range(c.dim + 1)])
+    cells; the cell set is closed, so no closure pass is needed.
+
+    Where d >= 2 and every (d-1)-cell lies in two distinct d-cells, the top
+    two ranks come from the propagation; otherwise, and for the middle ranks,
+    from `_betti`'s union-find and forward passes.
+    """
+    d = c.dim
+    known: Dict[int, int] = {}
+    if d >= 2 and _unpaired_cell(c) is None:
+        sweep = _propagate(c)
+        known[d] = len(sweep.forest)
+        known[d - 1] = c.n_cells(d - 1) - known[d] - len(_solutions(sweep))
+    return _betti(c, [range(c.n_cells(k)) for k in range(d + 1)], known)
 
 
 def betti_of_cells(c: CellComplex, cells: Iterable[CellKey]) -> BettiVector:
     """Betti numbers of the closure of a cell set, b_k = dim ker boundary_k -
     rank boundary_{k+1} over F2, computed in place from the cells of each
     dimension that one closure pass keys."""
-    return _betti(c, _closure_masks(c, dict.fromkeys(cells, 1)))
+    return _betti(c, _closure_masks(c, dict.fromkeys(cells, 1)), {})
 
 
-def _betti(c: CellComplex, ids: Sequence[Collection[int]]) -> BettiVector:
+def _betti(c: CellComplex, ids: Sequence[Collection[int]], known: Dict[int, int]) -> BettiVector:
     """Betti numbers of a face-closed cell set, given as its cell ids per
-    dimension.
+    dimension; a rank in `known`, keyed by dimension, is taken as given.
 
     Where every 1-cell of the set has exactly two faces (a loop counts), the
     rank of boundary_1 is the vertex count less the number of components, from
@@ -67,14 +98,16 @@ def _betti(c: CellComplex, ids: Sequence[Collection[int]]) -> BettiVector:
     top = len(ids) - 1
     ranks = [0] * (top + 2)
     for k in range(1, top + 1):
-        if k == 1 and all(len(c.faces(1, e)) == 2 for e in ids[1]):
+        if k in known:
+            ranks[k] = known[k]
+        elif k == 1 and all(len(c.faces(1, e)) == 2 for e in ids[1]):
             graph = DisjointSet(ids[0])
             for e in ids[1]:
                 graph.union(*c.faces(1, e))
             ranks[1] = len(ids[0]) - len({graph.find(v) for v in ids[0]})
-            continue
-        rows = [_mask_of(c.faces(k, i)) for i in ids[k]]
-        ranks[k] = F2Matrix(len(rows), c.n_cells(k - 1), rows).rank()
+        else:
+            rows = [_mask_of(c.faces(k, i)) for i in ids[k]]
+            ranks[k] = F2Matrix(len(rows), c.n_cells(k - 1), rows).rank()
     return BettiVector(tuple(len(ids[k]) - ranks[k] - ranks[k + 1] for k in range(top + 1)))
 
 
@@ -86,22 +119,128 @@ def semicharacteristic(b: BettiVector, k: int, start: int = 0) -> int:
     return sum(b[i] for i in range(start, k + 1)) % 2
 
 
-def cycle_space_basis(c: CellComplex, p: int) -> Tuple[int, ...]:
-    """Basis of ker boundary_p as bitmasks over p-cells, computed once per
-    complex and dimension: the boundary basis, then one generator per class.
+class _Propagation(NamedTuple):
+    forest: List[int]  # the min-id spanning forest of the top-cell graph
+    forms: List[int]  # per (d-1)-cell, its value as a form over the parameters
+    params: int
+    constraints: List[int]  # nonzero forms that every class generator meets
 
-    Each class holds one cycle with no pivot bit of the boundary space; these
-    cycles are the kernel of the coboundary rows with the pivot columns
-    masked out, less the unit vectors of the masked columns.
+
+def _unpaired_cell(c: CellComplex) -> int | None:
+    """The lowest (d-1)-cell that is not a face of exactly two distinct
+    d-cells, or None; without one the top-cell graph is a graph."""
+    d = c.dim
+    for e in range(c.n_cells(d - 1)):
+        ends = c.cofaces(d - 1, e)
+        if len(ends) != 2 or ends[0] == ends[1]:
+            return e
+    return None
+
+
+def _propagate(c: CellComplex) -> _Propagation:
+    """The cycles of (d-1)-chains that are zero on the min-id spanning forest,
+    as one linear form per (d-1)-cell (see the module docstring).
+
+    Each (d-2)-cell counts its unknown cofaces, with multiplicity, and XORs
+    the forms of its known ones; a face listed twice cancels, as over F2.
     """
+    d = c.dim
+    n = c.n_cells(d - 1)
+    faces, cofaces = c.faces, c.cofaces
+    tops = DisjointSet(range(c.n_cells(d)))
+    forest = []
+    for e in range(n):
+        a, b = cofaces(d - 1, e)
+        if tops.find(a) != tops.find(b):
+            tops.union(a, b)
+            forest.append(e)
+    unknown = [len(cofaces(d - 2, r)) for r in range(c.n_cells(d - 2))]
+    known = [0] * len(unknown)
+    ready = [r for r, count in enumerate(unknown) if count == 1]
+    forms: List[int | None] = [None] * n
+    constraints: List[int] = []
+
+    def settle(e: int, form: int) -> None:
+        forms[e] = form
+        for r in faces(d - 1, e):
+            unknown[r] -= 1
+            known[r] ^= form
+            if unknown[r] == 1:
+                ready.append(r)
+            elif not unknown[r] and known[r]:
+                constraints.append(known[r])
+
+    for e in forest:
+        settle(e, 0)
+    params = lowest = 0
+    while True:
+        while ready:
+            r = ready.pop()
+            if unknown[r] == 1:
+                settle(next(e for e in cofaces(d - 2, r) if forms[e] is None), known[r])
+        while lowest < n and forms[lowest] is not None:
+            lowest += 1
+        if lowest == n:
+            return _Propagation(forest, forms, params, constraints)
+        settle(lowest, 1 << params)
+        params += 1
+
+
+def _top_sweep(c: CellComplex, p: int) -> _Propagation:
+    """The propagation, once its precondition holds: p = d-1, and every
+    (d-1)-cell lies in two distinct d-cells (every validated complex)."""
+    if p != c.dim - 1:
+        raise ValueError(f"class generators are computed for p = {c.dim - 1} only, not {p}")
+    e = _unpaired_cell(c)
+    if e is not None:
+        raise ValueError(f"{p}-cell {e} is not a face of exactly two distinct {c.dim}-cells")
+    return _propagate(c)
+
+
+def _solutions(sweep: _Propagation) -> List[int]:
+    """A basis of the parameter vectors that meet every constraint form; its
+    length is b_{d-1}. Only a complex with constraint forms eliminates."""
+    if not sweep.constraints:
+        return [1 << i for i in range(sweep.params)]
+    return F2Matrix(len(sweep.constraints), sweep.params, sweep.constraints).nullspace()
+
+
+def _expand(sweep: _Propagation, solutions: Sequence[int]) -> Tuple[int, ...]:
+    """The cycles of the given parameter vectors, as the echelon basis of
+    their span reduced by highest bit, in increasing order of that bit: each
+    holds its own highest bit and no other one's."""
+    cells: List[List[int]] = [[] for _ in range(sweep.params)]
+    for e, form in enumerate(sweep.forms):
+        if form:
+            for i in _set_bits(form):
+                cells[i].append(e)
+    masks = [_mask_of(ids) for ids in cells]
+    rows: Dict[int, int] = {}
+    for s in solutions:
+        z = 0
+        for i in _set_bits(s):
+            z ^= masks[i]
+        for top, row in rows.items():
+            if z >> top & 1:
+                z ^= row
+        # z holds no highest bit of a row now, so its own is new; clearing it
+        # from the rows that hold it leaves their highest bits where they are
+        top = z.bit_length() - 1
+        for t, row in rows.items():
+            if row >> top & 1:
+                rows[t] = row ^ z
+        rows[top] = z
+    return tuple(rows[t] for t in sorted(rows))
+
+
+def cycle_space_basis(c: CellComplex, p: int) -> Tuple[int, ...]:
+    """Basis of ker boundary_p for p = d-1 as bitmasks over p-cells, computed
+    once per complex: the boundary basis, then one generator per class."""
     basis = c._cycle_bases.get(p)
     if basis is None:
-        bounds = boundary_space(c, p)
-        mask = bounds._pivot_mask
-        rows = [c.coboundary_bits(p - 1, j) & ~mask for j in range(c.n_cells(p - 1))]
-        kernel = F2Matrix(len(rows), c.n_cells(p), rows).nullspace()
-        basis = bounds.basis + tuple(v for v in kernel if not v & mask)
-        c._cycle_bases[p] = basis
+        sweep = _top_sweep(c, p)
+        generators = _expand(sweep, _solutions(sweep))
+        basis = c._cycle_bases[p] = boundary_space(c, p).basis + generators
     return basis
 
 
@@ -140,19 +279,19 @@ class SectorSet(NamedTuple):
 
 
 def homology_sector_reps(c: CellComplex, p: int) -> SectorSet:
-    """One canonical cycle per Z2 homology class of dimension p.
+    """One canonical cycle per Z2 homology class of dimension p = d-1.
 
     A class is represented by its one cycle with no pivot bit of the boundary
     space (its reduced form in lexicographic pivot order), so the empty chain
     represents the trivial class and the choice is reproducible. The
-    generators are the class part of `cycle_space_basis`.
+    generators are those of `cycle_space_basis`, with no boundary space built.
     """
-    bounds = boundary_space(c, p)
-    generators = cycle_space_basis(c, p)[bounds.dim:]
-    if len(generators) > MAX_SECTOR_RANK:
-        raise ValueError(f"2^{len(generators)} sectors exceed the enumeration guard")
+    sweep = _top_sweep(c, p)
+    solutions = _solutions(sweep)
+    if len(solutions) > MAX_SECTOR_RANK:
+        raise ValueError(f"2^{len(solutions)} sectors exceed the enumeration guard")
     # a sum of pivot-free cycles is pivot-free: its class's representative
-    rep_bits = _span(generators)
+    rep_bits = _span(_expand(sweep, solutions))
     rep_bits.sort(key=lambda bits: (bits.bit_count(), bits))
     assert rep_bits[0] == 0
     return SectorSet([Chain(c, p, bits) for bits in rep_bits])

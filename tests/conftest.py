@@ -1,6 +1,7 @@
 import pytest
 
 from gdslab.f2 import F2Matrix
+from gdslab.homology import boundary_space
 from gdslab.manifolds import builtin_manifold
 from gdslab.voronoi import PointSet, torus_voronoi
 
@@ -68,6 +69,17 @@ def reference_betti(c):
     dense incidence rows."""
     ranks = [0] + [len(dense_incidence(c, k).rref()[1]) for k in range(1, c.dim + 1)] + [0]
     return tuple(c.n_cells(k) - ranks[k] - ranks[k + 1] for k in range(c.dim + 1))
+
+
+def masked_kernel_generators(c, p):
+    """Oracle for the class generators of the ridge propagation: the masked
+    kernel it replaced. It is the kernel of the coboundary rows with the
+    boundary pivot columns masked out, less the unit vectors of the masked
+    columns, one vector per free column in increasing order."""
+    mask = boundary_space(c, p)._pivot_mask
+    rows = [c.coboundary_bits(p - 1, j) & ~mask for j in range(c.n_cells(p - 1))]
+    kernel = F2Matrix(len(rows), c.n_cells(p), rows).nullspace()
+    return tuple(v for v in kernel if not v & mask)
 
 
 def reference_closure(c, cells):

@@ -637,3 +637,14 @@ def test_build_manifold_helper():
     assert c.euler_characteristic() == -2
     with pytest.raises(ValueError):
         build_manifold("torus-voronoi:2:9", 5, 1)
+
+
+def test_ridge_cell_in_one_top_cell_exits_2(tmp_path, capsys):
+    # a disk: each edge of its one 2-cell is a face of that cell only, so the
+    # class generators have no top-cell graph; the command still exits 2
+    path = tmp_path / "bigon.cplx"
+    CellComplex(2, [[(), ()], [(0, 1), (0, 1)], [(0, 1)]]).save(str(path))
+    rc, out, err = run(["gsd", "--manifold", f"file:{path}"], capsys)
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -23,8 +23,10 @@ from gdslab.manifolds import builtin_manifold
 from gdslab.model import random_cycle
 
 from conftest import (
+    ORACLE_SPECS,
     SHIPPED_COMPLEXES,
     dense_incidence,
+    masked_kernel_generators,
     reference_betti,
     reference_nullspace,
     reference_rref,
@@ -170,16 +172,20 @@ def test_betti_of_hand_built_complexes(faces, expected):
 
 
 def test_betti_eliminates_boundary_2_only(monkeypatch):
-    # rank boundary_1 comes from the union-find, so the one forward pass is
-    # the one of boundary_2, and betti never takes an RREF
-    c = builtin_manifold("tP", 300)
+    # the top two ranks come from the propagation and rank boundary_1 from
+    # the union-find, so only d >= 4 has a forward pass, the one of
+    # boundary_2, and betti never takes an RREF
     calls = []
     forward = f2._forward
     monkeypatch.setattr(f2, "_forward", lambda rows: calls.append(len(rows)) or forward(rows))
     monkeypatch.setattr(F2Matrix, "rref", None)
     monkeypatch.setattr(homology, "boundary_space", None)
-    assert betti(c).b == (1, 300, 1)
-    assert calls == [c.n_cells(2)]
+    for spec, expected in [(("tP", 300), (1, 300, 1)), (("torus", 3, 5), (1, 3, 3, 1)),
+                           (("torus", 4, 3), (1, 4, 6, 4, 1))]:
+        c = builtin_manifold(*spec)
+        calls.clear()
+        assert betti(c).b == expected
+        assert calls == ([c.n_cells(2)] if c.dim == 4 else [])
 
 
 def test_sector_counts(sphere2, torus2):
@@ -245,29 +251,158 @@ def test_sector_reps_match_per_sector_reduction(spec):
         c = build_manifold(*spec)
     else:
         c = builtin_manifold(*spec)
-    for p in range(c.dim + 1):
-        got = [r.bits for r in homology_sector_reps(c, p).reps]
-        assert got == reference_sector_bits(c, p)
+    p = c.dim - 1
+    got = [r.bits for r in homology_sector_reps(c, p).reps]
+    assert got == reference_sector_bits(c, p)
 
 
 @pytest.mark.parametrize("spec", SHIPPED_COMPLEXES)
 def test_class_generators_are_independent_pivot_free_cycles(spec):
     c = build_manifold(spec, 60, 1)
-    b = betti(c)
-    for p in range(c.dim + 1):
-        bounds = boundary_space(c, p)
-        basis = cycle_space_basis(c, p)
-        assert basis[:bounds.dim] == bounds.basis
-        generators = basis[bounds.dim:]
-        assert len(generators) == b[p]
-        _, ref_pivots = reference_rref(dense_incidence(c, p + 1))
-        pivot_bits = sum(1 << q for q in ref_pivots)
-        boundary = dense_incidence(c, p).transpose()
-        for g in generators:
-            assert boundary.matvec(g) == 0
-            assert g & pivot_bits == 0
-        _, pivots = reference_rref(F2Matrix(len(generators), c.n_cells(p), generators))
-        assert len(pivots) == len(generators)
+    p = c.dim - 1
+    bounds = boundary_space(c, p)
+    basis = cycle_space_basis(c, p)
+    assert basis[:bounds.dim] == bounds.basis
+    generators = basis[bounds.dim:]
+    assert len(generators) == betti(c)[p]
+    _, ref_pivots = reference_rref(dense_incidence(c, p + 1))
+    pivot_bits = sum(1 << q for q in ref_pivots)
+    boundary = dense_incidence(c, p).transpose()
+    for g in generators:
+        assert boundary.matvec(g) == 0
+        assert g & pivot_bits == 0
+    _, pivots = reference_rref(F2Matrix(len(generators), c.n_cells(p), generators))
+    assert len(pivots) == len(generators)
+
+
+def relabelled(c, seed):
+    """c with the cell ids of every dimension permuted at random."""
+    rng = random.Random(seed)
+    perms = []
+    for k in range(c.dim + 1):
+        perm = list(range(c.n_cells(k)))
+        rng.shuffle(perm)
+        perms.append(perm)
+    faces = []
+    for k in range(c.dim + 1):
+        table = [()] * c.n_cells(k)
+        for i in range(c.n_cells(k)):
+            table[perms[k][i]] = tuple(perms[k - 1][f] for f in c.faces(k, i)) if k else ()
+        faces.append(table)
+    return CellComplex(c.dim, faces)
+
+
+def disjoint_union(a, b):
+    """The complex with a's cells, then b's, in every dimension."""
+    faces = []
+    for k in range(a.dim + 1):
+        shift = a.n_cells(k - 1) if k else 0
+        faces.append([a.faces(k, i) for i in range(a.n_cells(k))]
+                     + [tuple(f + shift for f in b.faces(k, i)) for i in range(b.n_cells(k))])
+    return CellComplex(a.dim, faces)
+
+
+def assert_generators_match_oracles(c):
+    p = c.dim - 1
+    generators = masked_kernel_generators(c, p)
+    assert cycle_space_basis(c, p) == boundary_space(c, p).basis + generators
+    assert [r.bits for r in homology_sector_reps(c, p).reps] == reference_sector_bits(c, p)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS + ["torus:3:7"])
+def test_class_generators_match_the_masked_kernel(spec):
+    assert_generators_match_oracles(build_manifold(spec, 60, 1))
+
+
+def test_class_generators_of_voronoi3_match_the_masked_kernel(voronoi3):
+    assert_generators_match_oracles(voronoi3)
+
+
+def test_class_generators_of_a_disjoint_union_match_the_masked_kernel():
+    c = disjoint_union(builtin_manifold("torus", 3, 3), builtin_manifold("sphere", 3))
+    assert betti(c).b == (2, 3, 3, 2)
+    assert_generators_match_oracles(c)
+
+
+@pytest.mark.parametrize("spec, seed", [
+    (("torus", 3, 3), 0), (("tP", 3), 0), (("torus", 4, 3), 4), (("genus", 2), 1),
+])
+def test_class_generators_match_the_masked_kernel_with_constraint_ridges(spec, seed):
+    # in id order these complexes propagate without a constraint; a random
+    # relabelling makes the parameter picks land where some ridge closes
+    # with all its cofaces known
+    c = relabelled(builtin_manifold(*spec), seed)
+    sweep = homology._propagate(c)
+    assert sweep.constraints
+    assert len(homology._solutions(sweep)) < sweep.params
+    assert betti(c).b == reference_betti(c)
+    assert_generators_match_oracles(c)
+
+
+def kruskal_forest(c):
+    """The (d-1)-cells that join two components of the top cells when they
+    are added in id order."""
+    root = list(range(c.n_cells(c.dim)))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    forest = []
+    for e in range(c.n_cells(c.dim - 1)):
+        a, b = (find(x) for x in c.cofaces(c.dim - 1, e))
+        if a != b:
+            root[b] = a
+            forest.append(e)
+    return forest
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_boundary_pivots_are_the_min_id_spanning_forest(spec):
+    c = build_manifold(spec, 60, 1)
+    pivots = boundary_space(c, c.dim - 1)._pivot_rows
+    assert sorted(pivots) == kruskal_forest(c) == homology._propagate(c).forest
+
+
+def test_boundary_pivots_of_voronoi3_are_the_min_id_spanning_forest(voronoi3):
+    pivots = boundary_space(voronoi3, 2)._pivot_rows
+    assert sorted(pivots) == kruskal_forest(voronoi3) == homology._propagate(voronoi3).forest
+
+
+def test_ground_degeneracy_runs_no_elimination(monkeypatch, voronoi3):
+    from gdslab.model import ground_degeneracy
+
+    def never(*args):
+        raise AssertionError("an elimination ran")
+
+    monkeypatch.setattr(F2Matrix, "rref", never)
+    monkeypatch.setattr(F2Matrix, "nullspace", never)
+    monkeypatch.setattr(f2, "_forward", never)
+    for c in (builtin_manifold("torus", 3, 5), voronoi3):
+        assert ground_degeneracy(c)[0] == 8
+        assert not homology._propagate(c).constraints
+
+
+def test_class_generators_need_p_one_below_the_top(torus3, torus2):
+    for c in (torus3, torus2):
+        for p in range(c.dim + 1):
+            if p != c.dim - 1:
+                with pytest.raises(ValueError, match=f"p = {c.dim - 1} only"):
+                    cycle_space_basis(c, p)
+                with pytest.raises(ValueError, match=f"p = {c.dim - 1} only"):
+                    homology_sector_reps(c, p)
+
+
+def test_class_generators_need_every_ridge_cell_in_two_top_cells():
+    # a disk: one 2-cell on two edges between two vertices, so each edge is
+    # a face of one 2-cell only
+    c = CellComplex(2, [[(), ()], [(0, 1), (0, 1)], [(0, 1)]])
+    message = "^1-cell 0 is not a face of exactly two distinct 2-cells$"
+    for fn in (cycle_space_basis, homology_sector_reps):
+        with pytest.raises(ValueError, match=message):
+            fn(c, 1)
+    assert betti(c).b == reference_betti(c) == (1, 0, 0)
 
 
 def test_cycle_basis_does_not_reach_the_sector_guard():
