@@ -22,39 +22,43 @@ table entry lies in {-1, 0, 1, 2}.  Each caller tabulates each term once:
       offset f_A^f_B    O_A(x^f_B)   O_B(x)
 
   with the target state x ^ offset.  Tables are indexed by the state, so
-  D_A(x^f_B) over all x is the gather D_A[arange(2^n) ^ f_B]; it is the
-  per-state action of A evaluated at the state B produced, with nothing
-  recomputed.  Branches with equal offsets are summed, and distinct offsets
-  reach distinct targets, so AB = BA exactly when every offset's array agrees
-  on all 2^n states.  An entry sums at most four products of magnitude at
-  most 4, so int8 (|v| <= 127) cannot overflow.
+  D_A(x^f_B) over all x is the gather D_A[arange(2^n) ^ f_B].  Branches with
+  equal offsets are summed, and distinct offsets reach distinct targets, so
+  AB = BA exactly when every offset's array agrees on all 2^n states.  The
+  first row is D_A(x) D_B(x) in 4AB and D_B(x) D_A(x) in 4BA, one array, so
+  both sides leave it out; no comparison changes, also when f_A = f_B puts
+  the last row on offset 0.  An entry sums at most four products of
+  magnitude at most 4, so int8 cannot overflow.  A projected plaquette reads
+  the parities of its ridges' vertex masks off the vertex terms' D tables.
 - `_plain_spectrum` sums the branches of all terms by offset into one CSR
   matrix; its entries are sums of halves, so they are exact in float.  It is
   diagonalized densely for small spaces and is the `eigsh` operator otherwise.
 - `exact_zero_space` tabulates the plaquette terms on the cycle states only,
-  and finds the kernel of twice the restricted matrix, an integer matrix, by
-  fraction-free elimination; only the kernel vectors are `Fraction`s.
+  and finds the kernel of twice the restricted matrix, a dense int64 matrix,
+  by fraction-free elimination in whole-array passes (in Python ints once an
+  entry could overflow); only the kernel vectors are `Fraction`s.
 
-Everything that feeds an assertion is exact.  The numeric eigensolve is a
+Everything that feeds an assertion is exact; the numeric eigensolve is a
 smoke layer for the unprojected variant.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .complexes import CellComplex, ensure_validated
 from .f2 import _span
 from .homology import cycle_space_basis
-from .model import GDS, GTC, _chi_of_pattern, _chi_table
+from .model import GDS, GTC, MODELS, _chi_of_pattern, _chi_table
 
 QUBIT_LIMIT = 20
 # Largest Hilbert space diagonalized densely; bigger ones go to eigsh.
 _DENSE_SPECTRUM_MAX_DIM = 4096
+# Kernel entries below 2^30 keep |p*x - f*y| < 2 * 2^30 * 2^30 = 2^61 inside int64.
+_INT64_SAFE = 1 << 30
 
 H_E = "H_e"
 H_C = "H_c"
@@ -118,9 +122,11 @@ class Term(NamedTuple):
             bits |= m
         return bits
 
-    def tabulate(self, x: np.ndarray) -> List[Branch]:
+    def tabulate(self, x: np.ndarray, vertex_d: Optional[Dict[int, np.ndarray]] = None) -> List[Branch]:
         """The term's branches on the int64 states x, as int8 coefficients:
-        (0, D) and, for a plaquette term, (flip_mask, O)."""
+        (0, D) and, for a plaquette term, (flip_mask, O).  A projected
+        plaquette reads the parity under a mask from `vertex_d` (mask -> that
+        vertex term's D table on x, twice the parity) where it is there."""
         if self.kind == H_E:
             return [(0, 2 * _odd(x, self.diag_masks[0]))]
         pat = np.zeros(len(x), dtype=np.intp)
@@ -134,13 +140,16 @@ class Term(NamedTuple):
         ok_x = np.ones(len(x), dtype=np.int8)
         ok_y = np.ones(len(x), dtype=np.int8)
         for m in self.diag_masks:
-            odd = _odd(x, m)
+            d = vertex_d.get(m) if vertex_d else None
+            odd = _odd(x, m) if d is None else d >> 1
             ok_x &= 1 - odd
             ok_y &= 1 - (odd ^ ((self.flip_mask & m).bit_count() & 1))
         return [(0, ok_x), (self.flip_mask, flip * ok_x * ok_y)]
 
 
 def build_term(c: CellComplex, which: str, cell_id: int, model: str = GDS) -> Term:
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
     _check_size(c)
     ensure_validated(c)
     if which == H_E:
@@ -156,12 +165,16 @@ def build_term(c: CellComplex, which: str, cell_id: int, model: str = GDS) -> Te
     raise ValueError(f"unknown term kind {which!r}")
 
 
+def _plaquette_kind(variant: str) -> str:
+    if variant not in ("projected", "plain"):
+        raise ValueError(f"unknown variant {variant!r}")
+    return H_C_PROJ if variant == "projected" else H_C
+
+
 def all_terms(c: CellComplex, model: str, variant: str) -> List[Term]:
-    plaquette = H_C_PROJ if variant == "projected" else H_C
+    plaquette = _plaquette_kind(variant)
     terms = [build_term(c, H_E, e, model) for e in range(c.n_cells(c.dim - 2))]
-    terms += [
-        build_term(c, plaquette, i, model) for i in range(c.n_cells(c.dim))
-    ]
+    terms += [build_term(c, plaquette, i, model) for i in range(c.n_cells(c.dim))]
     return terms
 
 
@@ -175,56 +188,41 @@ def _cycle_states(c: CellComplex) -> List[int]:
     return sorted(_span(basis))
 
 
-def _rational_kernel(rows: List[Dict[int, int]]) -> List[List[Fraction]]:
-    """Kernel basis of a square integer matrix, given as one {column: value}
-    dict of nonzero entries per row, by fraction-free Gauss-Jordan elimination.
+def _rational_kernel(matrix: np.ndarray) -> List[List[Fraction]]:
+    """Kernel basis of a square int64 matrix by fraction-free Gauss-Jordan
+    elimination, one whole-array pass per pivot.
 
     Pivots are taken column by column from the first remaining row that has
-    the column.  Eliminating with a pivot p multiplies the target row by p
-    and then divides it by its content, so every row stays a nonzero integer
-    multiple of the row rational elimination in that order would hold.  The
-    pivots, and the reduced row echelon form read off at the end, are
-    therefore those of the rational elimination, and so is the basis.  A
-    row update only touches the pivot row's nonzero columns.
+    the column.  A pass sets each other row holding the column, with entry
+    f there, to p * row - f * pivot_row and divides it by its content, so
+    every row stays an integer multiple (nonzero where that is) of the row
+    rational elimination would hold: the pivots, the reduced row echelon form
+    and the basis are the rational ones.  Before a pass, a matrix with an
+    entry of magnitude `_INT64_SAFE` or more becomes dtype=object for good.
     """
-    n = len(rows)
-    work = [dict(r) for r in rows]
+    work = np.array(matrix, dtype=np.int64)
+    n = len(work)
     pivots: List[Tuple[int, int]] = []
-    row = 0
     for col in range(n):
-        sel = next((r for r in range(row, n) if col in work[r]), None)
-        if sel is None:
+        row = len(pivots)
+        hits = np.flatnonzero(work[row:, col])
+        if not len(hits):
             continue
-        work[row], work[sel] = work[sel], work[row]
-        pivot = work[row]
-        p = pivot[col]
-        for r, target in enumerate(work):
-            factor = target.get(col)
-            if r == row or factor is None:
-                continue
-            for j in target:
-                target[j] *= p
-            for j, v in pivot.items():
-                new = target.get(j, 0) - factor * v
-                if new:
-                    target[j] = new
-                else:
-                    del target[j]
-            content = math.gcd(*target.values())
-            if content > 1:
-                for j in target:
-                    target[j] //= content
+        if work.dtype != object and np.abs(work).max() >= _INT64_SAFE:
+            work = work.astype(object)
+        work[[row, row + hits[0]]] = work[[row + hits[0], row]]
+        others = np.flatnonzero(work[:, col])
+        others = others[others != row]
+        new = work[others] * work[row, col] - work[others, col][:, None] * work[row]
+        work[others] = new // np.maximum(np.gcd.reduce(new, axis=1), 1)[:, None]
         pivots.append((row, col))
-        row += 1
-    pivot_cols = {col for _, col in pivots}
+    rows = work.tolist()
     basis = []
-    for free in range(n):
-        if free in pivot_cols:
-            continue
+    for free in sorted(set(range(n)) - {col for _, col in pivots}):
         vec = [Fraction(0)] * n
         vec[free] = Fraction(1)
         for r, col in pivots:
-            vec[col] = -Fraction(work[r].get(free, 0), work[r][col])
+            vec[col] = -Fraction(rows[r][free], rows[r][col])
         basis.append(vec)
     return basis
 
@@ -241,18 +239,15 @@ def exact_zero_space(c: CellComplex, model: str) -> Tuple[List[int], List[List[F
     states = _cycle_states(c)
     x = np.array(states, dtype=np.int64)
     n = len(states)
-    twice: List[Dict[int, int]] = [{} for _ in range(n)]   # row -> {col: 2*entry}
+    twice = np.zeros((n, n), dtype=np.int64)   # [dst, src] = 2 * entry
     for cell in range(c.n_cells(c.dim)):
         for offset, coef in build_term(c, H_C, cell, model).tabulate(x):
             y = x ^ offset
             target = np.minimum(np.searchsorted(x, y), n - 1)
             if not np.array_equal(x[target], y):
                 raise AssertionError("a plaquette flip left the cycle states")
-            for src, dst, v in zip(range(n), target.tolist(), coef.tolist()):
-                if v:
-                    entries = twice[dst]
-                    entries[src] = entries.get(src, 0) + v
-    return states, _rational_kernel([{j: v for j, v in r.items() if v} for r in twice])
+            twice[target, np.arange(n)] += coef   # x -> x ^ offset is one-to-one
+    return states, _rational_kernel(twice)
 
 
 def ground_degeneracy_ed(
@@ -261,13 +256,11 @@ def ground_degeneracy_ed(
     """Exact zero-space dimension (projected variant) or a numeric smoke test
     of the unprojected Hamiltonian."""
     n = _check_size(c)
-    if variant == "projected":
+    if _plaquette_kind(variant) == H_C_PROJ:
         _, kernel = exact_zero_space(c, model)
         if kernel:
             return 0.0, len(kernel)
         return float("nan"), 0
-    if variant != "plain":
-        raise ValueError(f"unknown variant {variant!r}")
     evals = _plain_spectrum(c, model, k=16)
     ground = evals[0]
     degeneracy = int(sum(1 for v in evals if abs(v - ground) < 1e-9))
@@ -320,13 +313,16 @@ def _plain_spectrum(c: CellComplex, model: str, k: int) -> np.ndarray:
 
 
 def _product_branches(a: List[Branch], b: List[Branch], index: np.ndarray) -> Dict[int, np.ndarray]:
-    """4AB on all basis states, as {XOR offset: int8 coefficient at the source}."""
+    """4AB on all basis states less its D_A(x) D_B(x) product, as {XOR
+    offset: int8 coefficient at the source}.  That product is also the one
+    left out of 4BA, so the two sides still compare as AB and BA do."""
     out: Dict[int, np.ndarray] = {}
     for fb, cb in b:
         for fa, ca in a:
-            coef = (ca[index ^ fb] if fb else ca) * cb
-            key = fa ^ fb
-            out[key] = out[key] + coef if key in out else coef
+            if fa or fb:
+                coef = (ca[index ^ fb] if fb else ca) * cb
+                key = fa ^ fb
+                out[key] = out[key] + coef if key in out else coef
     return out
 
 
@@ -340,7 +336,11 @@ def verify_full_commutation(c: CellComplex, variant: str = "projected", model: s
     n = _check_size(c)
     terms = all_terms(c, model, variant)
     index = np.arange(1 << n, dtype=np.int64)
-    tables = [t.tabulate(index) for t in terms]
+    tables, vertex_d = [], {}   # vertex_d: mask -> that vertex term's D table
+    for t in terms:
+        tables.append(t.tabulate(index, vertex_d))
+        if t.kind == H_E:
+            vertex_d[t.diag_masks[0]] = tables[-1][0][1]
     for i, a in enumerate(terms):
         for j in range(i + 1, len(terms)):
             b = terms[j]
@@ -350,7 +350,7 @@ def verify_full_commutation(c: CellComplex, variant: str = "projected", model: s
                 continue
             ab = _product_branches(tables[i], tables[j], index)
             ba = _product_branches(tables[j], tables[i], index)
-            # both products have the offsets {0, f_a} ^ {0, f_b}
+            # both sides pair the same offsets: {0, f_a} x {0, f_b} less (0, 0)
             if not all(np.array_equal(ab[key], ba[key]) for key in ab):
                 return False
     return True

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -395,6 +396,58 @@ def test_every_flipped_sign_entry_agrees_with_reference(monkeypatch, sphere2):
             assert got == _reference_full_commutation(bad, 6), (k, pattern)
 
 
+def _with_vertex_mask(terms: List[Term], k: int, mask: int) -> List[Term]:
+    return terms[:k] + [terms[k]._replace(diag_masks=(mask,))] + terms[k + 1:]
+
+
+def _checked_tabulate(original):
+    """`Term.tabulate` that asserts the parities read from `vertex_d` are the
+    ones the term's own masks give."""
+    def tabulate(self, x, vertex_d=None):
+        got = original(self, x, vertex_d)
+        for (f, a), (g, b) in zip(got, original(self, x)):
+            assert f == g and np.array_equal(a, b), self
+        return got
+    return tabulate
+
+
+@pytest.mark.parametrize("fixture", ["sphere2", "sphere3"])
+def test_corrupted_vertex_mask_agrees_with_reference(monkeypatch, request, fixture):
+    # A vertex term whose mask has one bit flipped no longer matches the
+    # masks its plaquettes project with, and its pairs with them skip the
+    # D_A D_B product.  One that takes the next vertex term's mask is still a
+    # commuting term.  Either way the plaquettes must read their own masks.
+    monkeypatch.setattr(Term, "tabulate", _checked_tabulate(Term.tabulate))
+    c = request.getfixturevalue(fixture)
+    n = c.n_cells(c.dim - 1)
+    for model in (GDS, GTC):
+        for variant in ("projected", "plain"):
+            terms = all_terms(c, model, variant)
+            vertex = [k for k, t in enumerate(terms) if t.kind == H_E]
+            for i, k in enumerate(vertex):
+                flipped = terms[k].diag_masks[0] ^ (1 << (k % n))
+                other = terms[vertex[(i + 1) % len(vertex)]].diag_masks[0]
+                for mask, commutes in ((flipped, False), (other, True)):
+                    bad = _with_vertex_mask(terms, k, mask)
+                    monkeypatch.setattr(ed, "all_terms", lambda *args: bad)
+                    got = verify_full_commutation(c, variant, model)
+                    assert got == _reference_full_commutation(bad, n), (model, variant, k)
+                    assert got is (commutes and (variant == "projected" or model == GTC))
+
+
+@pytest.mark.parametrize("call", [
+    lambda c: verify_full_commutation(c, "projectd"),
+    lambda c: verify_full_commutation(c, "projected", "gdss"),
+    lambda c: exact_zero_space(c, "whatever"),
+    lambda c: ground_degeneracy_ed(c, GDS, "exact"),
+    lambda c: all_terms(c, GTC, "projectd"),
+    lambda c: build_term(c, H_E, 0, "gdss"),
+])
+def test_unknown_model_or_variant_raises(sphere2, call):
+    with pytest.raises(ValueError, match=r"unknown (model|variant) '(projectd|gdss|whatever|exact)'"):
+        call(sphere2)
+
+
 def test_csr_plain_hamiltonian_matches_per_term_dense(sphere2, sphere3):
     # entries are sums of halves, so float equality is exact
     for c in (sphere2, sphere3):
@@ -409,6 +462,66 @@ def test_sparse_kernel_matches_dense_elimination(sphere2, sphere3, sphere4, rp2)
     for c in (sphere2, sphere3, sphere4, rp2, small_voronoi):
         for model in (GDS, GTC):
             assert exact_zero_space(c, model) == _reference_zero_space(c, model)
+
+
+def _planted_kernel_matrix(rng: random.Random, n: int, rank: int, bits: int) -> List[List[int]]:
+    """An n x n integer product of an n x rank and a rank x n matrix."""
+    b = [[rng.randint(-(1 << bits), 1 << bits) for _ in range(rank)] for _ in range(n)]
+    c = [[rng.randint(-(1 << bits), 1 << bits) for _ in range(n)] for _ in range(rank)]
+    return [[sum(b[i][k] * c[k][j] for k in range(rank)) for j in range(n)] for i in range(n)]
+
+
+class _GcdSpy:
+    """numpy for `ed`, recording the dtype of each elimination pass."""
+
+    def __init__(self):
+        self.dtypes: List[np.dtype] = []
+        self.gcd = SimpleNamespace(reduce=self._reduce)
+
+    def _reduce(self, a, axis):
+        self.dtypes.append(a.dtype)
+        return np.gcd.reduce(a, axis=axis)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _kernel_against_reference(monkeypatch, matrix: List[List[int]]):
+    """The kernel, checked against the rational reference, and the dtype of
+    each elimination pass."""
+    spy = _GcdSpy()
+    monkeypatch.setattr(ed, "np", spy)
+    got = ed._rational_kernel(np.array(matrix, dtype=np.int64))
+    monkeypatch.undo()
+    assert got == _reference_rational_kernel([[Fraction(v) for v in row] for row in matrix])
+    return got, spy.dtypes
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rational_kernel_matches_reference_on_planted_kernels(monkeypatch, seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    rank = rng.randint(0, n)
+    kernel, _ = _kernel_against_reference(monkeypatch, _planted_kernel_matrix(rng, n, rank, 2))
+    assert len(kernel) >= n - rank
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rational_kernel_starts_on_python_ints_past_the_bound(monkeypatch, seed):
+    matrix = _planted_kernel_matrix(random.Random(seed), 7, 5, 17)
+    assert max(abs(v) for row in matrix for v in row) >= ed._INT64_SAFE
+    _, dtypes = _kernel_against_reference(monkeypatch, matrix)
+    assert dtypes and all(d == object for d in dtypes)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rational_kernel_moves_to_python_ints_mid_elimination(monkeypatch, seed):
+    # entries below 2^21 give products near 2^42 in the first pass, and
+    # later passes would leave int64 without the move
+    matrix = _planted_kernel_matrix(random.Random(seed), 8, 6, 9)
+    assert max(abs(v) for row in matrix for v in row) < ed._INT64_SAFE
+    _, dtypes = _kernel_against_reference(monkeypatch, matrix)
+    assert dtypes[0] == np.int64 and dtypes[-1] == object
 
 
 def test_plain_variant_smoke(sphere2):
