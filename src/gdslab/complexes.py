@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Set, Tuple
 
-from .f2 import Subspace, _mask_of, _set_bits
+from .f2 import _mask_of, _set_bits
 
 CellKey = Tuple[int, int]  # (dimension, id)
 
@@ -202,12 +202,10 @@ class CellComplex:
         self._cofaces: List[List[Tuple[int, ...]]] | None = None
         # boundary bitmasks of every k-cell, kept by boundary_bits
         self._boundary_rows: Dict[int, List[int]] = {}
-        # boundary basis + class generators, kept by homology.cycle_space_basis
+        # non-root top-cell boundaries + generators, kept by homology.cycle_space_basis
         self._cycle_bases: Dict[int, Tuple[int, ...]] = {}
         # per top cell chi_up tables, kept by model._chi_table
         self._chi_tables: Dict[int, tuple] = {}
-        # reduced boundary spaces, kept by homology.boundary_space
-        self._boundary_spaces: Dict[int, Subspace] = {}
         # ((support bits, state bits), pieces) of the latest pair, kept by
         # operators.overlap_pieces: one balloon trial asks three times
         self._overlap_pieces: tuple | None = None

@@ -1,20 +1,26 @@
 """Z2 cellular homology: Betti numbers, semicharacteristic, sector
-representatives, and side analysis of curves on surfaces.
+representatives, fillers, and side analysis of curves on surfaces.
 
-The classes of H_{d-1} come from one propagation over the top-cell graph,
-whose nodes are the d-cells and whose edges are the (d-1)-cells, each
-joining its two cofaces. It needs no elimination of boundary rows:
+Every question about (d-1)-cycles and boundaries is answered on the top-cell
+graph, whose nodes are the d-cells and whose edges are the (d-1)-cells, each
+joining its two cofaces, with no elimination of boundary rows:
 
 - The pivot columns of the RREF of boundary_d are the greedy column basis
   of a graphic matroid, so they are the spanning forest that Kruskal builds
   scanning the (d-1)-cells in id order. A cycle with no boundary pivot bit,
   the canonical representative of its class, is zero on that forest.
-- Those cycles are found by propagation. Forest cells are 0. A (d-2)-cell
-  with one unknown coface forces it to the XOR of the known ones, a linear
-  form over the parameters; when nothing is forced, the lowest unknown cell
-  becomes a new parameter; a (d-2)-cell whose cofaces are all known gives a
-  constraint form. The parameter vectors that meet every constraint, expanded
-  and reduced to the echelon basis by highest bit, are the class generators.
+- The boundaries of a component's top cells sum to 0, and those of no proper
+  subset do. So its root, its highest-id top cell, is its one free column in
+  the RREF of the (d-1)-cells' coboundary rows: the other top cells'
+  boundaries are a basis of the boundaries, and a boundary's filler with
+  every root outside, the RREF's, is one walk of the forest (a cut's).
+- The cycles zero on the forest are found by propagation. Forest cells are 0.
+  A (d-2)-cell with one unknown coface forces it to the XOR of the known
+  ones, a linear form over the parameters; when nothing is forced, the lowest
+  unknown cell becomes a new parameter; a (d-2)-cell whose cofaces are all
+  known gives a constraint form. The parameter vectors that meet every
+  constraint, expanded and reduced to the echelon basis by highest bit, are
+  the class generators.
 - So rank boundary_d is the forest's size, b_{d-1} the parameter count less
   the constraint rank, and rank boundary_{d-1} = n_{d-1} - rank boundary_d -
   b_{d-1}. `betti` reads them there and keeps the forward pass for the middle
@@ -23,10 +29,10 @@ joining its two cofaces. It needs no elimination of boundary rows:
 
 from __future__ import annotations
 
-from typing import Collection, Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Collection, Dict, Iterable, Iterator, List, NamedTuple, Sequence, Set, Tuple
 
 from .complexes import CellComplex, CellKey, Chain, DisjointSet, _closure_masks
-from .f2 import F2Matrix, Subspace, _mask_of, _set_bits, _span
+from .f2 import F2Matrix, _mask_of, _set_bits, _span
 
 MAX_SECTOR_RANK = 12  # largest b_p whose 2^b_p sector representatives are listed
 
@@ -69,8 +75,11 @@ def betti(c: CellComplex) -> BettiVector:
     """
     d = c.dim
     known: Dict[int, int] = {}
-    if d >= 2 and _unpaired_cell(c) is None:
-        sweep = _propagate(c)
+    try:
+        sweep = _propagate(c, d - 1) if d >= 2 else None
+    except ValueError:  # a (d-1)-cell that is not in two distinct d-cells
+        sweep = None
+    if sweep is not None:
         known[d] = len(sweep.forest)
         known[d - 1] = c.n_cells(d - 1) - known[d] - len(_solutions(sweep))
     return _betti(c, [range(c.n_cells(k)) for k in range(d + 1)], known)
@@ -121,25 +130,34 @@ def semicharacteristic(b: BettiVector, k: int, start: int = 0) -> int:
 
 class _Propagation(NamedTuple):
     forest: List[int]  # the min-id spanning forest of the top-cell graph
+    roots: Set[int]  # the highest-id top cell of each component
     forms: List[int]  # per (d-1)-cell, its value as a form over the parameters
     params: int
     constraints: List[int]  # nonzero forms that every class generator meets
 
 
-def _unpaired_cell(c: CellComplex) -> int | None:
-    """The lowest (d-1)-cell that is not a face of exactly two distinct
-    d-cells, or None; without one the top-cell graph is a graph."""
+def _top_forest(c: CellComplex, p: int) -> Tuple[List[int], Set[int]]:
+    """The min-id spanning forest of the top-cell graph, and the root of each
+    component, its highest-id top cell; the graph needs p = d-1 and every
+    (d-1)-cell in two distinct d-cells (every validated complex)."""
     d = c.dim
-    for e in range(c.n_cells(d - 1)):
-        ends = c.cofaces(d - 1, e)
+    if p != d - 1:
+        raise ValueError(f"class generators are computed for p = {d - 1} only, not {p}")
+    tops = DisjointSet(range(c.n_cells(d)))
+    forest = []
+    for e in range(c.n_cells(p)):
+        ends = c.cofaces(p, e)
         if len(ends) != 2 or ends[0] == ends[1]:
-            return e
-    return None
+            raise ValueError(f"{p}-cell {e} is not a face of exactly two distinct {d}-cells")
+        if tops.find(ends[0]) != tops.find(ends[1]):
+            tops.union(*ends)
+            forest.append(e)
+    return forest, set({tops.find(t): t for t in range(c.n_cells(d))}.values())
 
 
-def _propagate(c: CellComplex) -> _Propagation:
-    """The cycles of (d-1)-chains that are zero on the min-id spanning forest,
-    as one linear form per (d-1)-cell (see the module docstring).
+def _propagate(c: CellComplex, p: int) -> _Propagation:
+    """The p-cycles that are zero on the top-cell forest, as one linear form
+    per p-cell (see the module docstring); raises where `_top_forest` does.
 
     Each (d-2)-cell counts its unknown cofaces, with multiplicity, and XORs
     the forms of its known ones; a face listed twice cancels, as over F2.
@@ -147,13 +165,7 @@ def _propagate(c: CellComplex) -> _Propagation:
     d = c.dim
     n = c.n_cells(d - 1)
     faces, cofaces = c.faces, c.cofaces
-    tops = DisjointSet(range(c.n_cells(d)))
-    forest = []
-    for e in range(n):
-        a, b = cofaces(d - 1, e)
-        if tops.find(a) != tops.find(b):
-            tops.union(a, b)
-            forest.append(e)
+    forest, roots = _top_forest(c, p)
     unknown = [len(cofaces(d - 2, r)) for r in range(c.n_cells(d - 2))]
     known = [0] * len(unknown)
     ready = [r for r, count in enumerate(unknown) if count == 1]
@@ -181,20 +193,9 @@ def _propagate(c: CellComplex) -> _Propagation:
         while lowest < n and forms[lowest] is not None:
             lowest += 1
         if lowest == n:
-            return _Propagation(forest, forms, params, constraints)
+            return _Propagation(forest, roots, forms, params, constraints)
         settle(lowest, 1 << params)
         params += 1
-
-
-def _top_sweep(c: CellComplex, p: int) -> _Propagation:
-    """The propagation, once its precondition holds: p = d-1, and every
-    (d-1)-cell lies in two distinct d-cells (every validated complex)."""
-    if p != c.dim - 1:
-        raise ValueError(f"class generators are computed for p = {c.dim - 1} only, not {p}")
-    e = _unpaired_cell(c)
-    if e is not None:
-        raise ValueError(f"{p}-cell {e} is not a face of exactly two distinct {c.dim}-cells")
-    return _propagate(c)
 
 
 def _solutions(sweep: _Propagation) -> List[int]:
@@ -235,39 +236,39 @@ def _expand(sweep: _Propagation, solutions: Sequence[int]) -> Tuple[int, ...]:
 
 def cycle_space_basis(c: CellComplex, p: int) -> Tuple[int, ...]:
     """Basis of ker boundary_p for p = d-1 as bitmasks over p-cells, computed
-    once per complex: the boundary basis, then one generator per class."""
+    once per complex: the boundary of every top cell but the component roots,
+    in increasing id, then one generator per class."""
     basis = c._cycle_bases.get(p)
     if basis is None:
-        sweep = _top_sweep(c, p)
-        generators = _expand(sweep, _solutions(sweep))
-        basis = c._cycle_bases[p] = boundary_space(c, p).basis + generators
+        sweep = _propagate(c, p)
+        top = range(c.n_cells(p + 1))
+        bounds = tuple(c.boundary_bits(p + 1, t) for t in top if t not in sweep.roots)
+        basis = c._cycle_bases[p] = bounds + _expand(sweep, _solutions(sweep))
     return basis
 
 
-def boundary_space(c: CellComplex, p: int) -> Subspace:
-    """The boundaries inside the p-chains (the row space of boundary_{p+1}),
-    computed once per complex and dimension."""
-    if p not in c._boundary_spaces:
-        rows = [c.boundary_bits(p + 1, i) for i in range(c.n_cells(p + 1))]
-        basis = F2Matrix(len(rows), c.n_cells(p), rows).row_space_basis()
-        c._boundary_spaces[p] = Subspace(c.n_cells(p), tuple(basis))
-    return c._boundary_spaces[p]
-
-
 def bounding_cells(c: CellComplex, chain: Chain) -> Chain:
-    """A set of (p+1)-cells whose boundary is the given null-homologous chain."""
-    k, n = chain.dim, c.n_cells(chain.dim + 1)
-    # solve boundary(x) = chain.bits: one equation per k-cell, over the
-    # (k+1)-cells it is a face of, with the chain's bit as the last column
-    aug = [c.coboundary_bits(k, r) | ((chain.bits >> r) & 1) << n for r in range(c.n_cells(k))]
-    red, pivots = F2Matrix(len(aug), n + 1, aug).rref()
-    x = 0
-    for r, p in enumerate(pivots):
-        if p == n:
+    """The d-cells, no component root among them, whose boundary is the given
+    null-homologous (d-1)-chain: one walk of the top-cell forest."""
+    d, n = c.dim, c.n_cells(c.dim - 1)
+    forest, roots = _top_forest(c, chain.dim)
+    holds = [bit == "1" for bit in reversed(f"{chain.bits:0{n}b}")]  # per (d-1)-cell
+    tree, inside = set(forest), dict.fromkeys(roots, False)
+    # roots are outside, and crossing a forest cell flips membership iff the
+    # chain holds it; every other cell must then agree with the chain
+    todo = list(roots)
+    while todo:
+        t = todo.pop()
+        for e in tree.intersection(c.faces(d, t)):
+            u = sum(c.cofaces(d - 1, e)) - t
+            if u not in inside:
+                inside[u] = inside[t] ^ holds[e]
+                todo.append(u)
+    for e in range(n):
+        a, b = c.cofaces(d - 1, e)
+        if inside[a] ^ inside[b] != holds[e]:
             raise ValueError("chain is not a boundary")
-        if (red.data[r] >> n) & 1:
-            x |= 1 << p
-    return Chain(c, k + 1, x)
+    return Chain.from_cells(c, d, [t for t, x in inside.items() if x])
 
 
 class SectorSet(NamedTuple):
@@ -279,14 +280,12 @@ class SectorSet(NamedTuple):
 
 
 def homology_sector_reps(c: CellComplex, p: int) -> SectorSet:
-    """One canonical cycle per Z2 homology class of dimension p = d-1.
-
-    A class is represented by its one cycle with no pivot bit of the boundary
-    space (its reduced form in lexicographic pivot order), so the empty chain
-    represents the trivial class and the choice is reproducible. The
-    generators are those of `cycle_space_basis`, with no boundary space built.
-    """
-    sweep = _top_sweep(c, p)
+    """One canonical cycle per Z2 homology class of dimension p = d-1: its one
+    cycle with no pivot bit of the boundary space (its reduced form in
+    lexicographic pivot order), a sum of the generators of `cycle_space_basis`.
+    So the empty chain represents the trivial class, and the choice is
+    reproducible."""
+    sweep = _propagate(c, p)
     solutions = _solutions(sweep)
     if len(solutions) > MAX_SECTOR_RANK:
         raise ValueError(f"2^{len(solutions)} sectors exceed the enumeration guard")

@@ -95,7 +95,9 @@ def transported_phase(c: CellComplex, e_from: Chain, e_to: Chain) -> int:
         raise ValueError("endpoints must be cycles")
     try:
         filler = bounding_cells(c, e_from ^ e_to)
-    except ValueError:
+    except ValueError as err:
+        if str(err) != "chain is not a boundary":
+            raise  # a precondition of the filler, not of the endpoints
         raise ValueError("cycles are not homologous") from None
     state = e_from
     sign = 1

@@ -1,7 +1,7 @@
 import pytest
 
-from gdslab.f2 import F2Matrix
-from gdslab.homology import boundary_space
+from gdslab.complexes import Chain
+from gdslab.f2 import F2Matrix, Subspace
 from gdslab.manifolds import builtin_manifold
 from gdslab.voronoi import PointSet, torus_voronoi
 
@@ -69,6 +69,30 @@ def reference_betti(c):
     dense incidence rows."""
     ranks = [0] + [len(dense_incidence(c, k).rref()[1]) for k in range(1, c.dim + 1)] + [0]
     return tuple(c.n_cells(k) - ranks[k] - ranks[k + 1] for k in range(c.dim + 1))
+
+
+def boundary_space(c, p):
+    """Oracle for the boundaries inside the p-chains: the RREF of the rows of
+    boundary_{p+1}, as a Subspace; the top-cell forest of `homology`
+    replaced it."""
+    rows = [c.boundary_bits(p + 1, i) for i in range(c.n_cells(p + 1))]
+    return Subspace(c.n_cells(p), tuple(F2Matrix(len(rows), c.n_cells(p), rows).row_space_basis()))
+
+
+def reference_bounding_cells(c, chain):
+    """Oracle for `homology.bounding_cells`: the filler that the RREF of the
+    coboundary rows, augmented by the chain's bits, picks with every free
+    column 0."""
+    k, n = chain.dim, c.n_cells(chain.dim + 1)
+    aug = [c.coboundary_bits(k, r) | ((chain.bits >> r) & 1) << n for r in range(c.n_cells(k))]
+    red, pivots = F2Matrix(len(aug), n + 1, aug).rref()
+    x = 0
+    for r, p in enumerate(pivots):
+        if p == n:
+            raise ValueError("chain is not a boundary")
+        if (red.data[r] >> n) & 1:
+            x |= 1 << p
+    return Chain(c, k + 1, x)
 
 
 def masked_kernel_generators(c, p):

@@ -25,7 +25,8 @@ from gdslab.cli import (
     dispatch,
 )
 from gdslab.complexes import CellComplex, Chain
-from gdslab.manifolds import SPECS
+from gdslab.f2 import F2Matrix
+from gdslab.manifolds import SPECS, builtin_manifold, torus_diagonal_cycles, torus_dual_loops
 from gdslab.phases import ONE
 
 
@@ -334,16 +335,16 @@ def test_commutation_fail_lines_replay_the_state(monkeypatch, capsys):
                       "--seed", "3"], capsys)
     assert rc == EXIT_FAIL
     assert out.splitlines() == [
-        "FAIL commutation fails at cells 2,4 (trial 1 of 200, state 0x336)",
-        "FAIL projector fails at cell 2 (trial 1 of 200, state 0x336)",
-        "FAIL commutation fails at cells 4,0 (trial 2 of 200, state 0x336)",
-        "FAIL projector fails at cell 4 (trial 2 of 200, state 0x336)",
-        "FAIL commutation fails at cells 4,1 (trial 3 of 200, state 0x1e3)",
-        "FAIL projector fails at cell 4 (trial 3 of 200, state 0x1e3)",
-        "FAIL commutation fails at cells 4,4 (trial 4 of 200, state 0x336)",
-        "FAIL projector fails at cell 4 (trial 4 of 200, state 0x336)",
-        "FAIL commutation fails at cells 1,1 (trial 5 of 200, state 0x1ec)",
-        "FAIL projector fails at cell 1 (trial 5 of 200, state 0x1ec)",
+        "FAIL commutation fails at cells 2,4 (trial 1 of 200, state 0x1e3)",
+        "FAIL projector fails at cell 2 (trial 1 of 200, state 0x1e3)",
+        "FAIL commutation fails at cells 4,0 (trial 2 of 200, state 0x1e3)",
+        "FAIL projector fails at cell 4 (trial 2 of 200, state 0x1e3)",
+        "FAIL commutation fails at cells 4,1 (trial 3 of 200, state 0x7e)",
+        "FAIL projector fails at cell 4 (trial 3 of 200, state 0x7e)",
+        "FAIL commutation fails at cells 4,4 (trial 4 of 200, state 0x1e3)",
+        "FAIL projector fails at cell 4 (trial 4 of 200, state 0x1e3)",
+        "FAIL commutation fails at cells 1,1 (trial 5 of 200, state 0x336)",
+        "FAIL projector fails at cell 1 (trial 5 of 200, state 0x336)",
         "FAIL ... and 390 more (400 problems in total)",
     ]
 
@@ -355,9 +356,9 @@ def test_circuit_fail_line_replays_the_flip(monkeypatch, capsys):
     rc, out, _ = run(["verify", "--suite", "circuit", "--manifold", "sphere:3",
                       "--seed", "3"], capsys)
     assert rc == EXIT_FAIL
-    assert out == "FAIL circuit conjugation fails at top cell 2 (trial 4 of 20, state 0x192)\n"
+    assert out == "FAIL circuit conjugation fails at top cell 1 (trial 4 of 20, state 0x71)\n"
     c = build_manifold("sphere:3", None, 3)
-    _, sf = model_mod.flip(c, 2, Chain(c, 2, 0x192), model_mod.GDS)
+    _, sf = model_mod.flip(c, 1, Chain(c, 2, 0x71), model_mod.GDS)
     assert sf.phase == -1
 
 
@@ -648,3 +649,40 @@ def test_ridge_cell_in_one_top_cell_exits_2(tmp_path, capsys):
     assert rc == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.fixture
+def no_rref(monkeypatch):
+    def never(*args):
+        raise AssertionError("an RREF ran")
+
+    monkeypatch.setattr(F2Matrix, "rref", never)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["verify", "--suite", "commutation", "--manifold", "torus:3:3"], (EXIT_OK, "ok\n", "")),
+    (["verify", "--suite", "commutation", "--manifold", "sphere:4"], (EXIT_OK, "ok\n", "")),
+    (["verify", "--suite", "flip-consistency", "--manifold", "torus:3:3"], (EXIT_OK, "ok\n", "")),
+    (["verify", "--suite", "flip-consistency", "--manifold", "sphere:4"], (EXIT_OK, "ok\n", "")),
+    (["circuit", "--manifold", "torus:3:3"], (EXIT_OK, "gates 675, depth 17, conjugation ok\n", "")),
+    (["circuit", "--manifold", "sphere:4"],
+     (EXIT_USAGE, "", "error: the conjugating circuit exists in odd dimension\n")),
+    (["ed", "--manifold", "sphere:4", "--variant", "projected"], (EXIT_OK, "energy 0 degeneracy 1\n", "")),
+    (["ed", "--manifold", "tP:1", "--variant", "projected"], (EXIT_OK, "energy 0 degeneracy 1\n", "")),
+])
+def test_cycle_space_and_fillers_take_no_rref(no_rref, capsys, argv, expected):
+    # the cycle basis, random cycles and fillers come from the top-cell
+    # forest; these complexes have no constraint form, so no path eliminates
+    assert run(argv, capsys) == expected
+
+
+def test_filler_and_dual_loop_checks_take_no_rref(no_rref):
+    from gdslab.wavefunction import transported_phase
+
+    torus2 = builtin_manifold("torus", 2, 3)  # fresh, so no basis is cached
+    e11, e1m1 = torus_diagonal_cycles(torus2)
+    assert transported_phase(torus2, e11, e1m1) == -1
+    h_cells, v_cells = torus_dual_loops(torus2)
+    for cells in (h_cells, v_cells):
+        assert not op_mod.is_dual_nullhomologous(torus2, op_mod.DualLoop(cells, closed=True))
+    assert op_mod.is_dual_nullhomologous(torus2, op_mod.DualLoop(torus2.cofaces(0, 0), closed=True))

@@ -7,7 +7,7 @@ import pytest
 from gdslab import f2, homology
 from gdslab.complexes import CellComplex, Chain
 from gdslab.cli import build_manifold
-from gdslab.f2 import F2Matrix, in_span, reduce_by_rref
+from gdslab.f2 import F2Matrix, Subspace, in_span, reduce_by_rref
 from gdslab.homology import (
     betti,
     betti_of_cells,
@@ -16,7 +16,6 @@ from gdslab.homology import (
     semicharacteristic,
     two_sidedness_d2,
     _loop_components,
-    boundary_space,
     cycle_space_basis,
 )
 from gdslab.manifolds import builtin_manifold
@@ -25,9 +24,11 @@ from gdslab.model import random_cycle
 from conftest import (
     ORACLE_SPECS,
     SHIPPED_COMPLEXES,
+    boundary_space,
     dense_incidence,
     masked_kernel_generators,
     reference_betti,
+    reference_bounding_cells,
     reference_nullspace,
     reference_rref,
 )
@@ -101,7 +102,7 @@ def test_betti_of_disjoint_union_adds(torus3):
     assert union.chi == 2 * single.chi
 
 
-def test_boundary_spaces_are_cached_and_give_the_ranks(monkeypatch):
+def test_boundary_spaces_give_the_ranks():
     c = builtin_manifold("torus", 3, 3)
     for p in range(c.dim + 1):
         space = boundary_space(c, p)
@@ -110,16 +111,9 @@ def test_boundary_spaces_are_cached_and_give_the_ranks(monkeypatch):
             dense_incidence(c, p + 1).row_space_basis() if p < c.dim else []
         )
     reps = [r.bits for r in homology_sector_reps(c, 2).reps]
-    assert betti(c).b == (1, 3, 3, 1)  # betti reads no boundary space
-    calls = []
-    forward = f2._forward
-    monkeypatch.setattr(f2, "_forward", lambda rows: calls.append(rows) or forward(rows))
-    # every later span question reads the cached spaces: no elimination
+    assert betti(c).b == (1, 3, 3, 1)
     assert in_span(c.boundary_bits(3, 0), boundary_space(c, 2))
     assert not in_span(reps[1], boundary_space(c, 2))
-    assert [r.bits for r in homology_sector_reps(c, 2).reps] == reps
-    assert boundary_space(c, 1) is boundary_space(c, 1)
-    assert calls == []
 
 
 @pytest.mark.parametrize("spec", SHIPPED_COMPLEXES + ["torus:3:5", "torus:4:3", "square-grid:3"])
@@ -179,7 +173,6 @@ def test_betti_eliminates_boundary_2_only(monkeypatch):
     forward = f2._forward
     monkeypatch.setattr(f2, "_forward", lambda rows: calls.append(len(rows)) or forward(rows))
     monkeypatch.setattr(F2Matrix, "rref", None)
-    monkeypatch.setattr(homology, "boundary_space", None)
     for spec, expected in [(("tP", 300), (1, 300, 1)), (("torus", 3, 5), (1, 3, 3, 1)),
                            (("torus", 4, 3), (1, 4, 6, 4, 1))]:
         c = builtin_manifold(*spec)
@@ -256,15 +249,33 @@ def test_sector_reps_match_per_sector_reduction(spec):
     assert got == reference_sector_bits(c, p)
 
 
+def rref_roots(c):
+    """The free columns of the RREF of the coboundary rows of the (d-1)-cells:
+    the top cells that the RREF filler leaves out."""
+    _, pivots = reference_rref(dense_incidence(c, c.dim).transpose())
+    return sorted(set(range(c.n_cells(c.dim))) - set(pivots))
+
+
+def non_root_boundaries(c):
+    """The boundary rows of the top cells that are no RREF root, in id order."""
+    roots = rref_roots(c)
+    return tuple(row for t, row in enumerate(dense_incidence(c, c.dim).data) if t not in roots)
+
+
 @pytest.mark.parametrize("spec", SHIPPED_COMPLEXES)
 def test_class_generators_are_independent_pivot_free_cycles(spec):
     c = build_manifold(spec, 60, 1)
     p = c.dim - 1
     bounds = boundary_space(c, p)
     basis = cycle_space_basis(c, p)
-    assert basis[:bounds.dim] == bounds.basis
-    generators = basis[bounds.dim:]
+    head = non_root_boundaries(c)
+    assert len(head) == bounds.dim
+    assert basis[:len(head)] == head
+    generators = basis[len(head):]
+    assert generators == masked_kernel_generators(c, p)
     assert len(generators) == betti(c)[p]
+    n = c.n_cells(p)
+    assert Subspace.from_vectors(n, basis) == Subspace.from_vectors(n, bounds.basis + generators)
     _, ref_pivots = reference_rref(dense_incidence(c, p + 1))
     pivot_bits = sum(1 << q for q in ref_pivots)
     boundary = dense_incidence(c, p).transpose()
@@ -305,7 +316,10 @@ def disjoint_union(a, b):
 def assert_generators_match_oracles(c):
     p = c.dim - 1
     generators = masked_kernel_generators(c, p)
-    assert cycle_space_basis(c, p) == boundary_space(c, p).basis + generators
+    basis = cycle_space_basis(c, p)
+    assert basis == non_root_boundaries(c) + generators
+    n, bounds = c.n_cells(p), boundary_space(c, p)
+    assert Subspace.from_vectors(n, basis) == Subspace.from_vectors(n, bounds.basis + generators)
     assert [r.bits for r in homology_sector_reps(c, p).reps] == reference_sector_bits(c, p)
 
 
@@ -332,7 +346,7 @@ def test_class_generators_match_the_masked_kernel_with_constraint_ridges(spec, s
     # relabelling makes the parameter picks land where some ridge closes
     # with all its cofaces known
     c = relabelled(builtin_manifold(*spec), seed)
-    sweep = homology._propagate(c)
+    sweep = homology._propagate(c, c.dim - 1)
     assert sweep.constraints
     assert len(homology._solutions(sweep)) < sweep.params
     assert betti(c).b == reference_betti(c)
@@ -362,12 +376,58 @@ def kruskal_forest(c):
 def test_boundary_pivots_are_the_min_id_spanning_forest(spec):
     c = build_manifold(spec, 60, 1)
     pivots = boundary_space(c, c.dim - 1)._pivot_rows
-    assert sorted(pivots) == kruskal_forest(c) == homology._propagate(c).forest
+    assert sorted(pivots) == kruskal_forest(c) == homology._propagate(c, c.dim - 1).forest
 
 
 def test_boundary_pivots_of_voronoi3_are_the_min_id_spanning_forest(voronoi3):
     pivots = boundary_space(voronoi3, 2)._pivot_rows
-    assert sorted(pivots) == kruskal_forest(voronoi3) == homology._propagate(voronoi3).forest
+    assert sorted(pivots) == kruskal_forest(voronoi3) == homology._propagate(voronoi3, 2).forest
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_forest_roots_are_the_free_columns_of_the_filler_rref(spec):
+    c = build_manifold(spec, 60, 1)
+    assert sorted(homology._propagate(c, c.dim - 1).roots) == rref_roots(c)
+
+
+def boundary_of(c, cells):
+    bits = 0
+    for t in cells:
+        bits ^= c.boundary_bits(c.dim, t)
+    return Chain(c, c.dim - 1, bits)
+
+
+def assert_filler_matches_the_rref_filler(c, cell_sets):
+    for cells in cell_sets:
+        chain = boundary_of(c, cells)
+        filler = bounding_cells(c, chain)
+        assert filler == reference_bounding_cells(c, chain)
+        assert boundary_of(c, filler.cells()) == chain
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_filler_matches_the_rref_filler(spec):
+    c = build_manifold(spec, 60, 1)
+    top = range(c.n_cells(c.dim))
+    rng = random.Random(12)
+    drawn = [rng.sample(top, rng.randint(1, len(top))) for _ in range(6)]
+    assert_filler_matches_the_rref_filler(c, [[], list(top), [top[-1]]] + drawn)
+    for g in masked_kernel_generators(c, c.dim - 1):
+        chain = boundary_of(c, rng.sample(top, rng.randint(0, len(top)))) ^ Chain(c, c.dim - 1, g)
+        for fill in (bounding_cells, reference_bounding_cells):
+            with pytest.raises(ValueError, match="^chain is not a boundary$"):
+                fill(c, chain)
+
+
+def test_filler_of_a_disjoint_union_leaves_each_root_out():
+    c = disjoint_union(builtin_manifold("torus", 3, 3), builtin_manifold("sphere", 3))
+    first = builtin_manifold("torus", 3, 3).n_cells(3)
+    top = range(c.n_cells(3))
+    assert rref_roots(c) == [first - 1, len(top) - 1]
+    rng = random.Random(13)
+    cell_sets = [list(range(first)), list(range(first, len(top))), [first - 1, len(top) - 1]]
+    cell_sets += [rng.sample(top, rng.randint(1, len(top))) for _ in range(4)]
+    assert_filler_matches_the_rref_filler(c, cell_sets)
 
 
 def test_ground_degeneracy_runs_no_elimination(monkeypatch, voronoi3):
@@ -381,7 +441,7 @@ def test_ground_degeneracy_runs_no_elimination(monkeypatch, voronoi3):
     monkeypatch.setattr(f2, "_forward", never)
     for c in (builtin_manifold("torus", 3, 5), voronoi3):
         assert ground_degeneracy(c)[0] == 8
-        assert not homology._propagate(c).constraints
+        assert not homology._propagate(c, c.dim - 1).constraints
 
 
 def test_class_generators_need_p_one_below_the_top(torus3, torus2):
@@ -392,6 +452,8 @@ def test_class_generators_need_p_one_below_the_top(torus3, torus2):
                     cycle_space_basis(c, p)
                 with pytest.raises(ValueError, match=f"p = {c.dim - 1} only"):
                     homology_sector_reps(c, p)
+                with pytest.raises(ValueError, match=f"p = {c.dim - 1} only"):
+                    bounding_cells(c, Chain.empty(c, p))
 
 
 def test_class_generators_need_every_ridge_cell_in_two_top_cells():
@@ -402,6 +464,8 @@ def test_class_generators_need_every_ridge_cell_in_two_top_cells():
     for fn in (cycle_space_basis, homology_sector_reps):
         with pytest.raises(ValueError, match=message):
             fn(c, 1)
+    with pytest.raises(ValueError, match=message):
+        bounding_cells(c, Chain(c, 1, 0b11))
     assert betti(c).b == reference_betti(c) == (1, 0, 0)
 
 

@@ -145,7 +145,7 @@ def test_barycentric_subdivision_counts():
 
 def test_diagonal_cycles_are_homologous_cycles(torus2):
     from gdslab.f2 import in_span
-    from gdslab.homology import boundary_space
+    from conftest import boundary_space
 
     e11, e1m1 = torus_diagonal_cycles(torus2)
     assert e11.is_cycle() and e1m1.is_cycle()

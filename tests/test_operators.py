@@ -8,7 +8,7 @@ from gdslab import f2
 from gdslab import operators as op_mod
 from gdslab.complexes import Chain, dual_of_triangulation, is_embedded_union
 from gdslab.f2 import Subspace, _set_bits, reduce_by_rref
-from gdslab.homology import _loop_components, boundary_space
+from gdslab.homology import _loop_components
 from gdslab.manifolds import (
     barycentric_subdivision,
     builtin_manifold,
@@ -37,7 +37,7 @@ from gdslab.operators import (
 from gdslab.phases import MINUS_ONE, ONE
 from gdslab.wavefunction import EVEN_SEMICHAR, ODD_CHI, PhaseFn, reference_phase
 
-from conftest import reference_closure
+from conftest import boundary_space, reference_closure
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@
 import importlib.util
 from pathlib import Path
 
-from gdslab import cli
+from gdslab import cli, homology
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -45,3 +45,15 @@ def test_spec_table_builders_reach_the_traced_functions():
     assert {"manifolds.square_grid_torus", "complexes.dual_of_triangulation",
             "manifolds.freudenthal_torus"} <= names
     assert tr.counters["complexes.cells_built"] == sum(sum(c.cell_counts) for c in built)
+
+
+def test_cycle_basis_hook_binds_its_parameters_by_name():
+    # the hook reads the complex and the dimension as `c` and `p`; a repeat
+    # call on the same complex counts once
+    tracing = _load_tracing()
+    tr = tracing.Tracer()
+    c = cli.build_manifold("torus:2:3", None, None)
+    with tracing.installed(tr):
+        first = homology.cycle_space_basis(c, 1)
+        assert homology.cycle_space_basis(c, p=1) is first
+    assert tr.counters["homology.cycle_basis_repeats"] == 1

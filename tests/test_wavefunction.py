@@ -2,8 +2,8 @@
 
 import pytest
 
-from gdslab import homology
-from gdslab.complexes import Chain
+from gdslab.complexes import CellComplex, Chain
+from gdslab.f2 import F2Matrix
 from gdslab.manifolds import torus_diagonal_cycles
 from gdslab.phases import MINUS_ONE, ONE
 from gdslab.wavefunction import (
@@ -15,6 +15,8 @@ from gdslab.wavefunction import (
     transported_phase,
     verify_flip_consistency,
 )
+
+from conftest import boundary_space
 
 
 def test_reference_phase_odd_dimension(torus3):
@@ -79,17 +81,28 @@ def test_transported_phase_guards(torus2):
 
 
 def test_transported_phase_needs_no_boundary_space(monkeypatch, torus2):
-    # bounding_cells alone decides whether the endpoints are homologous
-    def never(c, p):
-        raise AssertionError("boundary_space ran")
+    # bounding_cells alone decides whether the endpoints are homologous, by a
+    # walk of the top-cell forest with no elimination
+    def never(*args):
+        raise AssertionError("an RREF ran")
 
-    monkeypatch.setattr(homology, "boundary_space", never)
+    monkeypatch.setattr(F2Matrix, "rref", never)
     e11, e1m1 = torus_diagonal_cycles(torus2)
     assert transported_phase(torus2, e11, e1m1) == -1
     assert transported_phase(torus2, e1m1, e11) == -1
     assert transported_phase(torus2, e11, e11) == 1
     with pytest.raises(ValueError, match="^cycles are not homologous$"):
         transported_phase(torus2, e11, Chain.empty(torus2, 1))
+
+
+def test_transported_phase_reports_a_filler_precondition():
+    # a disk: one 2-cell on two edges between two vertices, so the filler's
+    # top-cell graph does not exist; that is no statement about homology
+    c = CellComplex(2, [[(), ()], [(0, 1), (0, 1)], [(0, 1)]])
+    rim = Chain(c, 1, 0b11)
+    assert rim.is_cycle()
+    with pytest.raises(ValueError, match="^1-cell 0 is not a face of exactly two distinct 2-cells$"):
+        transported_phase(c, Chain.empty(c, 1), rim)
 
 
 def test_dimension_table():
@@ -115,7 +128,7 @@ def test_odd_d_phases_cohere_within_sectors(torus3):
 
     f = PhaseFn(ODD_CHI, torus3)
     sectors = sector_reps(torus3)
-    bounds = homology.boundary_space(torus3, 2)
+    bounds = boundary_space(torus3, 2)
     parity = {}
     rng = random.Random(9)
     for _ in range(60):
