@@ -99,7 +99,7 @@ def _cmd_gsd(args) -> Tuple[str, int]:
     from . import model as model_mod
 
     c = build_manifold(args.manifold, args.points, args.seed)
-    gsd, _ = model_mod.ground_degeneracy(c, args.model)
+    gsd = model_mod.ground_degeneracy(c, args.model)
     return f"{gsd}\n", EXIT_OK
 
 
@@ -206,8 +206,7 @@ def _suite_surface_sectors(c: CellComplex, rng: random.Random) -> List[str]:
         raise ValueError("surface suite needs a 2-complex")
     chi = c.euler_characteristic()
     problems = []
-    _, reports = model_mod.ground_degeneracy(c, model_mod.GDS)
-    for rep in reports:
+    for rep in model_mod.sector_reports(c, model_mod.GDS):
         w1 = two_sidedness_d2(c, rep.rep).w1_eval
         if rep.survives != ((w1 + chi) % 2 == 0):
             problems.append(f"sector {rep.sector}: survival vs orientation parity")

@@ -25,6 +25,17 @@ joining its two cofaces, with no elimination of boundary rows:
   the constraint rank, and rank boundary_{d-1} = n_{d-1} - rank boundary_d -
   b_{d-1}. `betti` reads them there and keeps the forward pass for the middle
   ranks only.
+- A `SectorSet` holds those b generators, not the 2^b classes: class j of
+  the span numbering is the sum of the generators picked by the bits of j,
+  and `SectorSet.reps` builds the listing, by weight and then bits, only when
+  it is read. The 2^MAX_SECTOR_RANK guard is on the generator count.
+
+Every rank of a closed cell set comes from `_rank`. The semicharacteristic
+needs only a parity of Betti numbers, and b_i = n_i - r_i - r_{i+1} (r_i
+the rank of boundary_i, r_0 = 0) telescopes: b_start + ... + b_k = n_start +
+... + n_k + r_start + r_{k+1} mod 2. So `semicharacteristic_of_cells` takes
+one closure pass and at most two ranks, where `betti_of_cells` takes them
+all.
 """
 
 from __future__ import annotations
@@ -92,9 +103,9 @@ def betti_of_cells(c: CellComplex, cells: Iterable[CellKey]) -> BettiVector:
     return _betti(c, _closure_masks(c, dict.fromkeys(cells, 1)), {})
 
 
-def _betti(c: CellComplex, ids: Sequence[Collection[int]], known: Dict[int, int]) -> BettiVector:
-    """Betti numbers of a face-closed cell set, given as its cell ids per
-    dimension; a rank in `known`, keyed by dimension, is taken as given.
+def _rank(c: CellComplex, ids: Sequence[Collection[int]], k: int) -> int:
+    """rank boundary_k of a face-closed cell set, given as its cell ids per
+    dimension; 0 for k = 0 and past the set's top dimension.
 
     Where every 1-cell of the set has exactly two faces (a loop counts), the
     rank of boundary_1 is the vertex count less the number of components, from
@@ -102,21 +113,25 @@ def _betti(c: CellComplex, ids: Sequence[Collection[int]], known: Dict[int, int]
     elimination of the set's boundary rows, built from the face tuples; the
     set is closed, so they have no bit outside it.
     """
+    if not 0 < k < len(ids):
+        return 0
+    if k == 1 and all(len(c.faces(1, e)) == 2 for e in ids[1]):
+        graph = DisjointSet(ids[0])
+        for e in ids[1]:
+            graph.union(*c.faces(1, e))
+        return len(ids[0]) - len({graph.find(v) for v in ids[0]})
+    rows = [_mask_of(c.faces(k, i)) for i in ids[k]]
+    return F2Matrix(len(rows), c.n_cells(k - 1), rows).rank()
+
+
+def _betti(c: CellComplex, ids: Sequence[Collection[int]], known: Dict[int, int]) -> BettiVector:
+    """Betti numbers of a face-closed cell set, given as its cell ids per
+    dimension, from `_rank`; a rank in `known`, keyed by dimension, is taken
+    as given."""
     if not ids:
         return BettiVector((0,))
     top = len(ids) - 1
-    ranks = [0] * (top + 2)
-    for k in range(1, top + 1):
-        if k in known:
-            ranks[k] = known[k]
-        elif k == 1 and all(len(c.faces(1, e)) == 2 for e in ids[1]):
-            graph = DisjointSet(ids[0])
-            for e in ids[1]:
-                graph.union(*c.faces(1, e))
-            ranks[1] = len(ids[0]) - len({graph.find(v) for v in ids[0]})
-        else:
-            rows = [_mask_of(c.faces(k, i)) for i in ids[k]]
-            ranks[k] = F2Matrix(len(rows), c.n_cells(k - 1), rows).rank()
+    ranks = [known[k] if k in known else _rank(c, ids, k) for k in range(top + 2)]
     return BettiVector(tuple(len(ids[k]) - ranks[k] - ranks[k + 1] for k in range(top + 1)))
 
 
@@ -126,6 +141,17 @@ def semicharacteristic(b: BettiVector, k: int, start: int = 0) -> int:
     if start not in (0, 1):
         raise ValueError("start must be 0 or 1")
     return sum(b[i] for i in range(start, k + 1)) % 2
+
+
+def semicharacteristic_of_cells(c: CellComplex, cells: Iterable[CellKey], k: int, start: int = 0) -> int:
+    """`semicharacteristic` of the closure of a cell set, from at most two
+    ranks: b_i = n_i - r_i - r_{i+1} telescopes, so the sum of b_start .. b_k
+    is n_start + ... + n_k + r_start + r_{k+1} mod 2, and r_0 = 0."""
+    if start not in (0, 1):
+        raise ValueError("start must be 0 or 1")
+    ids = _closure_masks(c, dict.fromkeys(cells, 1))
+    counts = sum(len(ids[i]) for i in range(start, min(k + 1, len(ids))))
+    return (counts + _rank(c, ids, start) + _rank(c, ids, k + 1)) % 2
 
 
 class _Propagation(NamedTuple):
@@ -272,28 +298,44 @@ def bounding_cells(c: CellComplex, chain: Chain) -> Chain:
 
 
 class SectorSet(NamedTuple):
-    reps: List[Chain]
+    """The Z2 homology classes of p-cycles on a complex, as the b echelon
+    generators of `_expand`; class j of the span numbering (bit k of j picks
+    generator k, as `_span` lists them) is never built unless listed."""
+
+    complex: CellComplex
+    dim: int
+    generators: Tuple[int, ...]
 
     @property
     def class_count(self) -> int:
-        return len(self.reps)
+        return 1 << len(self.generators)
+
+    def listing(self) -> Tuple[List[int], List[int]]:
+        """Every class's representative bits in span numbering, and the span
+        indices in listing order: by weight, then by bits, so the empty
+        chain is sector 0."""
+        span = _span(self.generators)
+        return span, sorted(range(len(span)), key=lambda j: (span[j].bit_count(), span[j]))
+
+    @property
+    def reps(self) -> List[Chain]:
+        """The representatives in listing order."""
+        span, order = self.listing()
+        return [Chain(self.complex, self.dim, span[j]) for j in order]
 
 
 def homology_sector_reps(c: CellComplex, p: int) -> SectorSet:
-    """One canonical cycle per Z2 homology class of dimension p = d-1: its one
-    cycle with no pivot bit of the boundary space (its reduced form in
-    lexicographic pivot order), a sum of the generators of `cycle_space_basis`.
-    So the empty chain represents the trivial class, and the choice is
-    reproducible."""
+    """The classes of dimension p = d-1, each represented by its one cycle
+    with no pivot bit of the boundary space (its reduced form in
+    lexicographic pivot order), a sum of the generators of
+    `cycle_space_basis`: a sum of pivot-free cycles is pivot-free. So the
+    empty chain represents the trivial class, and the choice is
+    reproducible. Raises past 2^MAX_SECTOR_RANK classes."""
     sweep = _propagate(c, p)
     solutions = _solutions(sweep)
     if len(solutions) > MAX_SECTOR_RANK:
         raise ValueError(f"2^{len(solutions)} sectors exceed the enumeration guard")
-    # a sum of pivot-free cycles is pivot-free: its class's representative
-    rep_bits = _span(_expand(sweep, solutions))
-    rep_bits.sort(key=lambda bits: (bits.bit_count(), bits))
-    assert rep_bits[0] == 0
-    return SectorSet([Chain(c, p, bits) for bits in rep_bits])
+    return SectorSet(c, p, _expand(sweep, solutions))
 
 
 class SideReport(NamedTuple):

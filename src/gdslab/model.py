@@ -17,13 +17,23 @@ masks, so their order within a dimension is free.
 
 The flip phase -(-1)^chi_up depends on chi_up only mod 2, and mod 2 every
 cell counts +1 whatever its dimension: the phase is -1 exactly when an even
-number of sigma meet the pattern.  `sweep_signs` uses this to flip every
-sector at once, bit-sliced: the states are stored transposed, one int per
-(d-1)-cell whose bit j says whether sector j's state contains that cell.
+number of sigma meet the pattern.  `_sweep`, the one sweep loop, uses this
+to flip many states at once, bit-sliced: the states are stored transposed,
+one int per (d-1)-cell whose bit j says whether state j contains that cell.
 OR-ing the columns of the faces selected by mask_sigma gives, for all
-sectors in one int, whether sigma is up; XOR-ing those over sigma gives the
-parity of chi_up, and a flip XORs the all-sectors mask into the columns of
+states in one int, whether sigma is up; XOR-ing those over sigma gives the
+parity of chi_up, and a flip XORs the all-states mask into the columns of
 the cell boundary.
+
+`sweep_signs` transposes an explicit list of chains into those columns.
+The sectors need no list: with generators g_0 .. g_{b-1}, sector j of the
+span numbering is the sum of the g_k with bit k of j set, so its column
+bit at a cell f is the parity of the generators holding f that j picks.
+That is the XOR, over the generators holding f, of the Walsh masks W_k,
+whose bit j is bit k of j (2^k zeros, then 2^k ones, repeated over 2^b
+bits). `ground_degeneracy` reads the count off the sign mask alone, and
+`sector_reports` numbers the sectors in listing order, by weight and then
+bits (`SectorSet.listing`), as `SectorSet.reps` lists them.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ import random
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .complexes import CellComplex, CellKey, Chain, _closure_masks, ensure_validated
-from .f2 import F2Matrix, PreconditionError
+from .f2 import F2Matrix, PreconditionError, _set_bits
 from .homology import SectorSet, cycle_space_basis, homology_sector_reps
 
 GDS = "gds"
@@ -182,12 +192,20 @@ def sweep_signs(
     ensure_validated(c)
     if not c.is_connected():
         raise ValueError("sweep is defined per connected component")
-    d = c.dim
     for e in reps:
         _check_state(c, e)
     # bit j of cols[f]: does reps[j] contain (d-1)-cell f
-    cols = F2Matrix(len(reps), c.n_cells(d - 1), [e.bits for e in reps]).transpose().data
-    # the boundaries of all reps at once, one int per (d-2)-cell; a repeated face cancels
+    cols = F2Matrix(len(reps), c.n_cells(c.dim - 1), [e.bits for e in reps]).transpose().data
+    negative = _sweep(c, cols, len(reps), order)
+    return [-1 if (negative >> j) & 1 else 1 for j in range(len(reps))]
+
+
+def _sweep(c: CellComplex, cols: List[int], n: int, order: Optional[Sequence[int]]) -> int:
+    """The one bit-sliced sweep of n cycles stored transposed, bit j of
+    cols[f] saying whether cycle j contains (d-1)-cell f; returns the mask of
+    the cycles whose sweep sign is -1. Flips the columns in place and back."""
+    d = c.dim
+    # the boundaries of all cycles at once, one int per (d-2)-cell; a repeated face cancels
     ridge_sums = [0] * c.n_cells(d - 2)
     for f, col in enumerate(cols):
         if col:
@@ -200,7 +218,7 @@ def sweep_signs(
     if sorted(cells) != list(range(n_top)):
         raise ValueError("order must visit every top cell exactly once")
     start = list(cols)
-    full = (1 << len(reps)) - 1
+    full = (1 << n) - 1
     negative = 0
     for cell in cells:
         faces, masks = _chi_table(c, cell)
@@ -220,48 +238,78 @@ def sweep_signs(
             cols[f] ^= full
     if cols != start:
         raise AssertionError("sweep did not return to its starting cycle")
-    return [-1 if (negative >> j) & 1 else 1 for j in range(len(reps))]
+    return negative
+
+
+def _walsh(k: int, b: int) -> int:
+    """W_k over the 2^b classes in span numbering: bit j is bit k of j, a
+    run of 2^k zeros then 2^k ones, repeated by one multiplication."""
+    run = 1 << k
+    period = ((1 << run) - 1) << run
+    return period * ((1 << (1 << b)) - 1) // ((1 << 2 * run) - 1)
+
+
+def _negative_sectors(c: CellComplex, sectors: SectorSet) -> int:
+    """The classes whose sweep sign is -1, as a mask in span numbering: the
+    column of a (d-1)-cell is the XOR of W_k over the generators k holding
+    it, so no class is built."""
+    b = len(sectors.generators)
+    cols = [0] * c.n_cells(c.dim - 1)
+    for k, g in enumerate(sectors.generators):
+        w = _walsh(k, b)
+        for f in _set_bits(g):
+            cols[f] ^= w
+    return _sweep(c, cols, 1 << b, None)
 
 
 def sector_reps(c: CellComplex) -> SectorSet:
     return homology_sector_reps(c, c.dim - 1)
 
 
-def ground_degeneracy(
-    c: CellComplex, model: str = GDS
-) -> Tuple[int, List[SectorReport]]:
-    """Zero-energy dimension by per-sector sweep (semion model) or by the
-    homology count (toric code).
+def ground_degeneracy(c: CellComplex, model: str = GDS) -> int:
+    """Zero-energy dimension by the generator sweep (semion model): 2^b less
+    the negative sectors; or by the homology count 2^b (toric code).
 
     A disconnected complex factorizes: the dimension is the product over
-    components and the reports are listed per component.
+    components.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     ensure_validated(c)
     if not c.is_connected():
         gsd = 1
-        reports: List[SectorReport] = []
         for piece in _components(c):
-            part_gsd, part_reports = ground_degeneracy(piece, model)
-            gsd *= part_gsd
-            reports.extend(part_reports)
-        return gsd, reports
+            gsd *= ground_degeneracy(piece, model)
+        return gsd
     sectors = sector_reps(c)
-    chi = c.euler_characteristic()
     if model == GTC:
-        signs = [1] * len(sectors.reps)
-    else:
-        signs = sweep_signs(c, sectors.reps)
+        return sectors.class_count
+    return sectors.class_count - _negative_sectors(c, sectors).bit_count()
+
+
+def sector_reports(c: CellComplex, model: str = GDS) -> List[SectorReport]:
+    """One report per sector, numbered in listing order (`SectorSet.reps`):
+    its representative, sweep sign (+1 throughout for the toric code),
+    survival and, in even d, epsilon. A disconnected complex's reports are
+    listed per component, each numbered from 0."""
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    ensure_validated(c)
+    if not c.is_connected():
+        return [r for piece in _components(c) for r in sector_reports(piece, model)]
+    sectors = sector_reps(c)
+    negative = _negative_sectors(c, sectors) if model == GDS else 0
+    chi = c.euler_characteristic()
+    span, listing = sectors.listing()
     reports = []
-    for idx, (rep, sign) in enumerate(zip(sectors.reps, signs)):
-        survives = sign == 1
+    for idx, j in enumerate(listing):
+        survives = not (negative >> j) & 1
         eps = None
         if c.dim % 2 == 0:
             eps = (chi % 2) if survives else (chi + 1) % 2
-        reports.append(SectorReport(idx, rep, sign, survives, eps))
-    gsd = sum(1 for r in reports if r.survives)
-    return gsd, reports
+        rep = Chain(c, c.dim - 1, span[j])
+        reports.append(SectorReport(idx, rep, 1 if survives else -1, survives, eps))
+    return reports
 
 
 def _components(c: CellComplex) -> List[CellComplex]:

@@ -15,7 +15,7 @@ from .complexes import (
     is_embedded_union,
 )
 from .f2 import _set_bits
-from .homology import _loop_components, betti_of_cells, cycle_space_basis, semicharacteristic
+from .homology import _loop_components, cycle_space_basis, semicharacteristic_of_cells
 from .phases import MINUS_ONE, Phase
 
 
@@ -126,7 +126,7 @@ def overlap_pieces(c: CellComplex, l_bits: int, a_bits: int) -> OverlapPieces:
 
 def _semichar(c: CellComplex, chain: Chain, k: int, start: int) -> int:
     """The semicharacteristic of the closure of a chain's cells."""
-    return semicharacteristic(betti_of_cells(c, ((chain.dim, i) for i in chain.cells())), k, start)
+    return semicharacteristic_of_cells(c, ((chain.dim, i) for i in chain.cells()), k, start)
 
 
 def balloon_sign(c: CellComplex, l: Balloon, alpha: Chain) -> Phase:

@@ -12,7 +12,7 @@ import random
 from typing import List, NamedTuple, Optional, Tuple
 
 from .complexes import CellComplex, Chain
-from .homology import betti, betti_of_cells, bounding_cells, semicharacteristic
+from .homology import betti, bounding_cells, semicharacteristic_of_cells
 from .manifolds import builtin_manifold
 from .model import GDS, GTC, flip, ground_degeneracy, random_cycle
 from .phases import MINUS_ONE, ONE, Phase
@@ -57,7 +57,7 @@ def reference_phase(f: PhaseFn, e: Chain) -> Phase:
     if f.kind == ODD_CHI:
         return Phase.i_power(e.euler_characteristic())
     k = (f.complex.dim - 2) // 2
-    s = semicharacteristic(betti_of_cells(f.complex, ((e.dim, i) for i in e.cells())), k, start=0)
+    s = semicharacteristic_of_cells(f.complex, ((e.dim, i) for i in e.cells()), k, start=0)
     return MINUS_ONE if s else ONE
 
 
@@ -131,7 +131,7 @@ def ds_tc_dimension_table(t_max: int) -> List[TableRow]:
     rows = []
     for t in range(1, t_max + 1):
         c = builtin_manifold("tP", t)
-        ds, _ = ground_degeneracy(c, GDS)
-        tc, _ = ground_degeneracy(c, GTC)
+        ds = ground_degeneracy(c, GDS)
+        tc = ground_degeneracy(c, GTC)
         rows.append(TableRow(t, ds, tc))
     return rows

@@ -186,3 +186,31 @@ def voronoi3():
 @pytest.fixture(scope="session")
 def small_voronoi2():
     return torus_voronoi(2, PointSet.random(2, 5, seed=11))
+
+
+def reference_sector_reports(c, model):
+    """Oracle for `model.sector_reports`: the reports that built every class
+    representative as a Chain, sorted by weight then bits, and swept them as
+    explicit chains through the transposing `sweep_signs`; a disconnected
+    complex's are listed per component."""
+    from gdslab import homology
+    from gdslab import model as model_mod
+    from gdslab.f2 import _span
+
+    if not c.is_connected():
+        return [r for piece in model_mod._components(c)
+                for r in reference_sector_reports(piece, model)]
+    p = c.dim - 1
+    sweep = homology._propagate(c, p)
+    rep_bits = _span(homology._expand(sweep, homology._solutions(sweep)))
+    reps = [Chain(c, p, bits) for bits in sorted(rep_bits, key=lambda b: (b.bit_count(), b))]
+    signs = [1] * len(reps) if model == model_mod.GTC else model_mod.sweep_signs(c, reps)
+    chi = c.euler_characteristic()
+    reports = []
+    for idx, (rep, sign) in enumerate(zip(reps, signs)):
+        survives = sign == 1
+        eps = None
+        if c.dim % 2 == 0:
+            eps = (chi % 2) if survives else (chi + 1) % 2
+        reports.append(model_mod.SectorReport(idx, rep, sign, survives, eps))
+    return reports

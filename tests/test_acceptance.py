@@ -39,6 +39,7 @@ from gdslab.model import (
     GTC,
     ground_degeneracy,
     random_cycle,
+    sector_reports,
     sector_reps,
     sweep_sign,
     verify_commutation,
@@ -105,7 +106,7 @@ def test_criterion_02_surface_sector_identity():
     checked = 0
     for name, c in surfaces:
         chi = c.euler_characteristic()
-        _, reports = ground_degeneracy(c, GDS)
+        reports = sector_reports(c, GDS)
         for rep in reports:
             w1 = two_sidedness_d2(c, rep.rep).w1_eval
             assert rep.survives == ((w1 + chi) % 2 == 0), (name, rep.sector)
@@ -121,8 +122,8 @@ def test_criterion_03_odd_dimension_equivalence():
         assert c.meta["generic_validated"], seed
         cases.append((f"voronoi3-seed{seed}", c, 2 ** betti(c)[2]))
     for name, c, expected in cases:
-        gds, _ = ground_degeneracy(c, GDS)
-        gtc, _ = ground_degeneracy(c, GTC)
+        gds = ground_degeneracy(c, GDS)
+        gtc = ground_degeneracy(c, GTC)
         b = betti(c)[c.dim - 1]
         assert gds == gtc == 2**b == expected, name
         res = verify_flip_consistency(PhaseFn(ODD_CHI, c), 1000, seed=101)
@@ -133,7 +134,7 @@ def test_criterion_03_odd_dimension_equivalence():
 
 def test_criterion_04_even_sphere():
     c = builtin_manifold("sphere", 4)
-    gds_sweep, _ = ground_degeneracy(c, GDS)
+    gds_sweep = ground_degeneracy(c, GDS)
     energy, gds_ed = ground_degeneracy_ed(c, GDS, "projected")
     assert gds_sweep == gds_ed == 1 and energy == 0.0
     res = verify_flip_consistency(PhaseFn(EVEN_SEMICHAR, c), 1000, seed=7)
@@ -163,7 +164,7 @@ def test_criterion_07_oracle_equivalence():
         dims.add(c.dim)
         for model in (GDS, GTC):
             _, deg = ground_degeneracy_ed(c, model, "projected")
-            sweep_deg, _ = ground_degeneracy(c, model)
+            sweep_deg = ground_degeneracy(c, model)
             assert deg == sweep_deg, (name, model)
     assert dims == {2, 3, 4}
     assert len(complexes) >= 6

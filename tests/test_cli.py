@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -84,6 +85,48 @@ def test_sector_guard_exits_2(capsys, spec, rank):
     assert rc == EXIT_USAGE
     assert out == ""
     assert err == f"error: 2^{rank} sectors exceed the enumeration guard\n"
+
+
+@pytest.mark.parametrize("model", ["gds", "gtc"])
+@pytest.mark.parametrize("spec,rank", [("genus:7", 14), ("tP:14", 14)])
+def test_sector_guard_exits_2_under_both_models(capsys, model, spec, rank):
+    from gdslab.homology import homology_sector_reps
+
+    message = f"2^{rank} sectors exceed the enumeration guard"
+    rc, out, err = run(["gsd", "--model", model, "--manifold", spec], capsys)
+    assert (rc, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+    # the guard is on the count path, not on the lazy listing
+    c = build_manifold(spec, None, None)
+    for call in (lambda: homology_sector_reps(c, c.dim - 1),
+                 lambda: model_mod.ground_degeneracy(c, model),
+                 lambda: model_mod.sector_reports(c, model)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+@pytest.mark.parametrize("model,spec,b,expected", [("gds", "tP:11", 11, 2 ** 10),
+                                                  ("gtc", "tP:12", 12, 2 ** 12)])
+def test_gsd_builds_no_sector_chains(monkeypatch, capsys, model, spec, b, expected):
+    def never(self):
+        raise AssertionError("the sector representatives were transposed")
+
+    built = []
+    real_new = Chain.__new__
+
+    def counted(cls, complex, dim, bits):
+        if dim == complex.dim - 1:
+            built.append(bits)
+        return real_new(cls, complex, dim, bits)
+
+    monkeypatch.setattr(F2Matrix, "transpose", never)
+    monkeypatch.setattr(Chain, "__new__", counted)
+    rc, out, err = run(["gsd", "--model", model, "--manifold", spec], capsys)
+    assert (rc, out, err) == (EXIT_OK, f"{expected}\n", "")
+    assert len(built) <= b + 4
+    # the count is live: listing the 4 sectors of tP:2 builds 4 chains
+    before = len(built)
+    model_mod.sector_reps(builtin_manifold("tP", 2)).reps
+    assert len(built) == before + 4
 
 
 def test_homology_output(capsys):

@@ -291,7 +291,7 @@ def test_oracle_matches_sweep_on_builtins(name, params):
     for model in (GDS, GTC):
         energy, deg = ground_degeneracy_ed(c, model, "projected")
         assert energy == 0.0
-        assert deg == ground_degeneracy(c, model)[0]
+        assert deg == ground_degeneracy(c, model)
 
 
 def test_oracle_matches_sweep_on_small_voronoi():
@@ -300,7 +300,7 @@ def test_oracle_matches_sweep_on_small_voronoi():
         assert c.meta["generic_validated"], (n, seed)
         for model in (GDS, GTC):
             _, deg = ground_degeneracy_ed(c, model, "projected")
-            assert deg == ground_degeneracy(c, model)[0]
+            assert deg == ground_degeneracy(c, model)
 
 
 def test_kernel_amplitudes_match_reference_phase(sphere3, sphere4, sphere2):

@@ -14,12 +14,13 @@ from gdslab.homology import (
     bounding_cells,
     homology_sector_reps,
     semicharacteristic,
+    semicharacteristic_of_cells,
     two_sidedness_d2,
     _loop_components,
     cycle_space_basis,
 )
 from gdslab.manifolds import builtin_manifold
-from gdslab.model import random_cycle
+from gdslab.model import random_cycle, sector_reps
 
 from conftest import (
     ORACLE_SPECS,
@@ -84,6 +85,54 @@ def test_semicharacteristic_of_embedded_3_sphere(sphere4):
     bubble = Chain(sphere4, 3, sphere4.boundary_bits(4, 0))
     assert semicharacteristic(betti_of_cells(sphere4, bubble.closure()), k=1) == 1
     assert betti_of_cells(sphere4, bubble.closure()).b == (1, 0, 0, 1)
+
+
+def semicharacteristic_chains(c, rng, count):
+    """The empty (d-1)-chain and `count` random ones. A third are uniform
+    random cycles, where the complex has under 1000 (d-1)-cells, and sums of
+    one to four top-cell boundaries elsewhere; a third are a random class
+    representative plus such a sum; a third are random sets of up to 40
+    cells, most of them no cycle."""
+    d, n = c.dim, c.n_cells(c.dim - 1)
+    reps = sector_reps(c).reps
+    chains = [Chain.empty(c, d - 1)]
+    for i in range(count):
+        if i % 3 == 2:
+            chains.append(Chain.from_cells(c, d - 1, rng.sample(range(n), rng.randint(1, min(n, 40)))))
+            continue
+        if i % 3 == 0 and n < 1000:
+            chains.append(random_cycle(c, rng))
+            continue
+        bits = rng.choice(reps).bits if i % 3 else 0
+        for t in rng.sample(range(c.n_cells(d)), rng.randint(1, 4)):
+            bits ^= c.boundary_bits(d, t)
+        chains.append(Chain(c, d - 1, bits))
+    return chains
+
+
+@pytest.mark.parametrize("spec", ["sphere:2", "sphere:4", "sphere:6", "klein", "tP:3", "genus:2", "torus:4:3"])
+def test_semicharacteristic_of_cells_matches_the_betti_oracle(spec):
+    c = build_manifold(spec, None, None)
+    chains = semicharacteristic_chains(c, random.Random(41), 150)
+    assert any(not e.is_cycle() for e in chains) and any(e.bits and e.is_cycle() for e in chains)
+    for e in chains:
+        cells = [(e.dim, i) for i in e.cells()]
+        b = betti_of_cells(c, cells)
+        for k in range(c.dim):
+            for start in (0, 1):
+                got = semicharacteristic_of_cells(c, cells, k, start)
+                assert got == semicharacteristic(b, k, start), (e.bits, k, start)
+
+
+def test_semicharacteristic_of_cells_reads_cells_of_any_dimension(sphere4):
+    bubble = Chain(sphere4, 3, sphere4.boundary_bits(4, 0))
+    # the closure of the bubble is an embedded 3-sphere, b = 1 0 0 1
+    for cells in (bubble.closure(), [(3, i) for i in bubble.cells()]):
+        assert [semicharacteristic_of_cells(sphere4, cells, k, 0) for k in range(4)] == [1, 1, 1, 0]
+        assert [semicharacteristic_of_cells(sphere4, cells, k, 1) for k in range(4)] == [0, 0, 0, 1]
+    assert semicharacteristic_of_cells(sphere4, [], 3, 0) == 0
+    with pytest.raises(ValueError, match="^start must be 0 or 1$"):
+        semicharacteristic_of_cells(sphere4, [], 1, 2)
 
 
 def test_betti_of_disjoint_union_adds(torus3):
@@ -440,7 +489,7 @@ def test_ground_degeneracy_runs_no_elimination(monkeypatch, voronoi3):
     monkeypatch.setattr(F2Matrix, "nullspace", never)
     monkeypatch.setattr(f2, "_forward", never)
     for c in (builtin_manifold("torus", 3, 5), voronoi3):
-        assert ground_degeneracy(c)[0] == 8
+        assert ground_degeneracy(c) == 8
         assert not homology._propagate(c, c.dim - 1).constraints
 
 

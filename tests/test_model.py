@@ -11,13 +11,16 @@ from gdslab.manifolds import builtin_manifold
 from gdslab.model import (
     GDS,
     GTC,
+    MODELS,
     SignedFlip,
+    _components,
     _chi_table,
     chi_up,
     flip,
     ground_degeneracy,
     hplus_violations,
     random_cycle,
+    sector_reports,
     sector_reps,
     sweep_sign,
     sweep_signs,
@@ -25,7 +28,7 @@ from gdslab.model import (
     verify_projector,
 )
 
-from conftest import ORACLE_SPECS, dense_incidence, reference_nullspace
+from conftest import ORACLE_SPECS, dense_incidence, reference_nullspace, reference_sector_reports
 
 
 def closure_chi_up(c, cell, s):
@@ -208,26 +211,26 @@ def test_sweep_rejects_noncycle(torus2):
 @pytest.mark.parametrize("t,expected", [(1, 1), (2, 2), (3, 4), (4, 8)])
 def test_ground_degeneracy_projective_sums(t, expected):
     c = builtin_manifold("tP", t)
-    gds, _ = ground_degeneracy(c, GDS)
-    gtc, _ = ground_degeneracy(c, GTC)
+    gds = ground_degeneracy(c, GDS)
+    gtc = ground_degeneracy(c, GTC)
     assert gds == expected
     assert gtc == 2**t
 
 
 def test_ground_degeneracy_odd_dimension(torus3, sphere3):
-    assert ground_degeneracy(torus3, GDS)[0] == 8
-    assert ground_degeneracy(torus3, GTC)[0] == 8
-    assert ground_degeneracy(sphere3, GDS)[0] == 1
+    assert ground_degeneracy(torus3, GDS) == 8
+    assert ground_degeneracy(torus3, GTC) == 8
+    assert ground_degeneracy(sphere3, GDS) == 1
 
 
 def test_ground_degeneracy_even_sphere(sphere4):
-    gsd, reports = ground_degeneracy(sphere4, GDS)
+    gsd, reports = ground_degeneracy(sphere4, GDS), sector_reports(sphere4, GDS)
     assert gsd == 1
     assert reports[0].survives and reports[0].epsilon == 0
 
 
 def test_sector_reports_flag_consistency(klein):
-    gsd, reports = ground_degeneracy(klein, GDS)
+    gsd, reports = ground_degeneracy(klein, GDS), sector_reports(klein, GDS)
     assert gsd == 2
     for r in reports:
         assert r.survives == (r.sweep_sign == 1)
@@ -248,8 +251,8 @@ def test_disconnected_complex_factorizes():
         + [tuple(v + shift for v in s) for s in t_rp2.simplices],
     )
     c = dual_of_triangulation(merged)
-    assert ground_degeneracy(c, GDS)[0] == 4 * 1
-    assert ground_degeneracy(c, GTC)[0] == 4 * 2
+    assert ground_degeneracy(c, GDS) == 4 * 1
+    assert ground_degeneracy(c, GTC) == 4 * 2
     # Reports come per component, the torus (lowest vertex ids) first.
     torus, rp2 = (18, 27, 9), (10, 15, 6)
     golden = {
@@ -261,7 +264,7 @@ def test_disconnected_complex_factorizes():
               (rp2, 0, 0, 1, True, 1), (rp2, 1, 11456, 1, True, 1)],
     }
     for model, expected in golden.items():
-        reports = ground_degeneracy(c, model)[1]
+        reports = sector_reports(c, model)
         assert [
             (r.rep.complex.cell_counts, r.sector, r.rep.bits, r.sweep_sign,
              r.survives, r.epsilon)
@@ -362,6 +365,77 @@ def test_sweep_signs_match_reference_sweep(small_complex):
         expected = [reference_sweep_sign(c, e, order) for e in reps]
         assert sweep_signs(c, reps, order) == expected
         assert [sweep_sign(c, e, order) for e in reps] == expected
+
+
+# the small complexes and the larger ones up to the sector guard (b = 12)
+GENERATOR_SWEEP_COMPLEXES = SMALL_COMPLEXES + [
+    (spec, None, None)
+    for spec in [f"tP:{t}" for t in range(7, 13)] + ["torus:4:3"] + [f"genus:{g}" for g in range(3, 7)]
+]
+
+
+@pytest.mark.parametrize("spec,points,seed", GENERATOR_SWEEP_COMPLEXES,
+                         ids=[spec for spec, _, _ in GENERATOR_SWEEP_COMPLEXES])
+def test_generator_sweep_matches_the_sweep_of_listed_reps(spec, points, seed):
+    c = build_manifold(spec, points, seed)
+    signs = sweep_signs(c, sector_reps(c).reps)
+    assert [r.sweep_sign for r in sector_reports(c, GDS)] == signs
+    assert ground_degeneracy(c, GDS) == signs.count(1)
+    assert ground_degeneracy(c, GTC) == len(signs)
+    for model in MODELS:
+        assert sector_reports(c, model) == reference_sector_reports(c, model)
+
+
+@pytest.mark.parametrize("spec", ["tP:2", "tP:5", "klein"])
+def test_walsh_columns_follow_the_span_numbering(spec):
+    # generators whose sweep signs are not a symmetric function of the
+    # class index: g_0, then g_0 + g_k, each plus the boundary of a top cell
+    from gdslab.f2 import _span
+    from gdslab.homology import SectorSet
+    from gdslab.model import _negative_sectors
+
+    c = build_manifold(spec, None, None)
+    g = sector_reps(c).generators
+    mixed = [g[0]] + [g[0] ^ x for x in g[1:]]
+    mixed = tuple(x ^ c.boundary_bits(c.dim, k % c.n_cells(c.dim)) for k, x in enumerate(mixed))
+    span = _span(mixed)
+    expected = sweep_signs(c, [Chain(c, c.dim - 1, x) for x in span])
+    negative = _negative_sectors(c, SectorSet(c, c.dim - 1, mixed))
+    assert [-1 if (negative >> j) & 1 else 1 for j in range(len(span))] == expected
+
+
+def disjoint_union(*triangulations):
+    """The dual of the disjoint union of triangulations of one dimension."""
+    from gdslab.complexes import Triangulation, dual_of_triangulation
+
+    simplices, shift = [], 0
+    for t in triangulations:
+        simplices += [tuple(v + shift for v in s) for s in t.simplices]
+        shift += t.n_vertices
+    return dual_of_triangulation(Triangulation(triangulations[0].dim, simplices))
+
+
+def test_generator_sweep_matches_the_reference_on_disconnected_complexes():
+    from gdslab.manifolds import freudenthal_torus, klein_bottle, nonorientable_surface
+
+    for parts in (
+        (freudenthal_torus(2, 3), nonorientable_surface(1)),
+        (nonorientable_surface(1), nonorientable_surface(1)),
+        (nonorientable_surface(3), klein_bottle(), freudenthal_torus(2, 3)),
+    ):
+        c = disjoint_union(*parts)
+        pieces = _components(c)
+        assert len(pieces) == len(parts)
+        for model in MODELS:
+            reports = sector_reports(c, model)
+            assert reports == reference_sector_reports(c, model)
+            assert [r.rep.complex.cell_counts for r in reports] == [
+                p.cell_counts for p in pieces for _ in range(sector_reps(p).class_count)
+            ]
+            expected = 1
+            for p in pieces:
+                expected *= sum(r.survives for r in reference_sector_reports(p, model))
+            assert ground_degeneracy(c, model) == expected
 
 
 def test_sweep_signs_error_messages(torus2):

@@ -140,9 +140,9 @@ def test_odd_d_phases_cohere_within_sectors(torus3):
 
 def test_klein_survivors_are_orientation_preserving(klein):
     from gdslab.homology import two_sidedness_d2
-    from gdslab.model import GDS, ground_degeneracy
+    from gdslab.model import GDS, sector_reports
 
-    _, reports = ground_degeneracy(klein, GDS)
+    reports = sector_reports(klein, GDS)
     for r in reports:
         w1 = two_sidedness_d2(klein, r.rep).w1_eval
         assert r.survives == (w1 == 0)
