@@ -169,16 +169,21 @@ def _suite_commutation(c: CellComplex, rng: random.Random) -> List[str]:
 def _suite_sweep_order(c: CellComplex, rng: random.Random) -> List[str]:
     from . import model as model_mod
 
+    # every sweep reads the same sector columns, in span numbering; a sector
+    # is reported by its place in the listing order of `SectorSet.reps`
     problems = []
-    reps = model_mod.sector_reps(c).reps
-    base = model_mod.sweep_signs(c, reps)
+    sectors = model_mod.sector_reps(c)
+    cols = model_mod._sector_columns(c, sectors)
+    n = sectors.class_count
+    base = model_mod._sweep(c, cols, n, None)
+    listing = sectors.listing()[1]
     rounds = 20
     for round_no in range(1, rounds + 1):
         order = list(range(c.n_cells(c.dim)))
         rng.shuffle(order)
-        got = model_mod.sweep_signs(c, reps, order)
-        if got != base:
-            sector = next(j for j, (a, b) in enumerate(zip(got, base)) if a != b)
+        changed = model_mod._sweep(c, cols, n, order) ^ base
+        if changed:
+            sector = next(i for i, j in enumerate(listing) if changed >> j & 1)
             problems.append(
                 f"sweep sign depends on the flip order "
                 f"(round {round_no} of {rounds}, sector {sector})"

@@ -6,9 +6,10 @@ its only incidence.  Face tuples may contain repeats (a cell glued to the
 same face twice); boundaries over F2 use the parity of the multiplicity,
 coface counts use the multiplicity itself.  A cell's boundary or coboundary
 as a bitmask is the XOR of its face or coface ids, built on request.
-Validation reads the face tables in flat passes: coface counts from one
-counting pass per dimension, and the boundary of a k-cell's boundary vanishes
-iff the sorted list of its faces' faces pairs up.
+Validation reads the face tables in flat passes: coface counts from the
+complex's one coface table (built once, and read next by homology), and the
+boundary of a k-cell's boundary vanishes iff the sorted list of its faces'
+faces pairs up.
 
 Closures come from one downward pass, `_closure_masks`: masks on seed cells
 of any dimensions are ORed into their faces one dimension at a time.  The
@@ -16,20 +17,31 @@ closure of a cell set is the key set of that pass with every mask 1; callers
 that only count cells (Euler characteristics, Betti numbers, clean-overlap
 tests) read its per-dimension dicts instead.
 
-A triangulation's faces are enumerated in one place, `_cofacets`, which
-lists every facet of the k-simplices with the ids of the simplices that
-contain it.  Applied top-down it gives `faces_by_dim`; applied once to the
-top simplices it gives the closed pseudo-manifold check its ridge counts and
-vertex links; and its id lists are the face tuples of `dual_of_triangulation`,
-which checks its own top-level table rather than calling `validate`.  The
-vertex links are checked by one union-find over flags, a flag being a vertex
-of one top simplex: a ridge joins the flags of each of its vertices in the
-simplices it lies in, and every link is connected iff there are as many
-classes as vertices.
+A triangulation's facets come from `itertools.combinations` on each sorted
+simplex.  `faces_by_dim` keeps the sorted facet sets; `_cofacets` lists the
+facets with the ids of the simplices holding them, and below the top level
+those id lists, in sorted facet order, are the face tuples of
+`dual_of_triangulation`.  A flag j*w + p is the vertex at position p of top
+simplex j (w vertices each).  At the top level each ridge lists, per simplex
+holding it, the flag of the vertex that simplex adds to it (`_ridge_flags`),
+and the closed pseudo-manifold check is one boolean pass over those lists
+(`_is_closed_pseudomanifold`): every ridge in exactly two top simplices, and
+every vertex link connected.  The links are checked by one union-find over
+flags: a ridge joins the flags of each of its vertices in its two simplices,
+whose positions follow from the position of the added vertex, and every
+link is connected iff there are as many classes as vertices.  Only when that
+pass fails is the problem list made, by `_pseudomanifold_problems` from the
+`_cofacets` table (facets in order of first appearance), so the error names
+the same first problem as `Triangulation.validate`.
+
+`DisjointSet` is the one union-find, with path halving.  Built over
+`range(n)` its parents are a list, as for the flags, the vertex components
+and the top-cell forest of homology; over any other items they are a dict.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Set, Tuple
 
 from .f2 import _mask_of, _set_bits
@@ -38,12 +50,17 @@ CellKey = Tuple[int, int]  # (dimension, id)
 
 
 class DisjointSet:
-    """Union-find over a fixed set of hashable items, with path halving."""
+    """Union-find with path halving.  Built over `range(n)` it keeps its
+    parents in a list indexed by the items, otherwise in a dict keyed by
+    them; `find` and `union` read both alike."""
 
     __slots__ = ("parent",)
 
     def __init__(self, items: Iterable):
-        self.parent = {x: x for x in items}
+        if isinstance(items, range) and items.start == 0 and items.step == 1:
+            self.parent = list(items)
+        else:
+            self.parent = {x: x for x in items}
 
     def find(self, x):
         parent = self.parent
@@ -53,9 +70,16 @@ class DisjointSet:
         return x
 
     def union(self, a, b) -> None:
-        """Merge the set of b into the set of a; a's root stays the root."""
-        root = self.find(a)
-        self.parent[self.find(b)] = root
+        """Merge the set of b into the set of a; a's root stays the root.
+        The two walks are `find`'s, written out to save two calls."""
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        parent[b] = a
 
 
 def _ints(tokens: Iterable[str], where: str) -> List[int]:
@@ -71,12 +95,57 @@ def _ints(tokens: Iterable[str], where: str) -> List[int]:
 
 def _cofacets(simplices: Sequence[Tuple[int, ...]]) -> Dict[Tuple[int, ...], List[int]]:
     """Every facet of a sorted list of k-simplices, in order of first
-    appearance, with the increasing ids of the simplices containing it."""
+    appearance, with the increasing ids of the simplices containing it.  A
+    simplex lists first the facet without its first vertex, the reverse of
+    the order of `combinations`."""
     out: Dict[Tuple[int, ...], List[int]] = {}
+    put = out.setdefault
     for j, s in enumerate(simplices):
-        for i in range(len(s)):
-            out.setdefault(s[:i] + s[i + 1 :], []).append(j)
+        for f in reversed(list(combinations(s, len(s) - 1))):
+            put(f, []).append(j)
     return out
+
+
+def _ridge_flags(simplices: Sequence[Tuple[int, ...]]) -> Dict[Tuple[int, ...], List[int]]:
+    """Every ridge of the sorted top simplices, with the flag j*w + i of each
+    simplex j holding it, i the position of the vertex j adds to the ridge
+    (w vertices per simplex).  The flags rise with j, so x // w lists the
+    simplex ids as `_cofacets` does."""
+    out: Dict[Tuple[int, ...], List[int]] = {}
+    put = out.setdefault
+    w = len(simplices[0])
+    x = w - 1  # combinations leaves out the last position first
+    for s in simplices:
+        for f in combinations(s, w - 1):
+            put(f, []).append(x)
+            x -= 1
+        x += 2 * w  # from before this simplex's flags to the next one's last
+    return out
+
+
+def _is_closed_pseudomanifold(
+    simplices: Sequence[Tuple[int, ...]], ridges: Dict[Tuple[int, ...], List[int]]
+) -> bool:
+    """`not _pseudomanifold_problems(simplices, _cofacets(simplices))`, from
+    the `_ridge_flags` table in one pass: every ridge in exactly two top
+    simplices, and as many classes of the flag union-find as vertices.
+
+    The ridge's vertex at position q sits at position q of a simplex that
+    adds its vertex at a later position i, and at q + 1 otherwise, so from
+    the added flag j*w + i the ridge's flags in j are the shifts p - i,
+    p != i, in order."""
+    w = len(simplices[0])
+    shifts = [tuple(p - i for p in range(w) if p != i) for i in range(w)]
+    flags = DisjointSet(range(w * len(simplices)))
+    union = flags.union
+    for ids in ridges.values():
+        if len(ids) != 2:
+            return False
+        x, y = ids
+        for a, b in zip(shifts[x % w], shifts[y % w]):
+            union(x + a, y + b)
+    n_vertices = len({v for s in simplices for v in s})
+    return sum(1 for x, p in enumerate(flags.parent) if x == p) == n_vertices
 
 
 def _pseudomanifold_problems(
@@ -102,7 +171,7 @@ def _pseudomanifold_problems(
             for v in ridge:
                 flags.union(ids[0] * w + first.index(v), other * w + s.index(v))
     n_vertices = len({v for s in simplices for v in s})
-    if sum(1 for x, p in flags.parent.items() if x == p) > n_vertices:
+    if sum(1 for x, p in enumerate(flags.parent) if x == p) > n_vertices:
         roots: Dict[int, Set[int]] = {}
         for j, s in enumerate(simplices):
             for p, v in enumerate(s):
@@ -128,7 +197,7 @@ class Triangulation:
         """All faces of all maximal simplices, sorted per dimension."""
         by_dim = {self.dim: list(self.simplices)}
         for k in range(self.dim, 0, -1):
-            by_dim[k - 1] = sorted(_cofacets(by_dim[k]))
+            by_dim[k - 1] = sorted({f for s in by_dim[k] for f in combinations(s, k)})
         return {k: by_dim[k] for k in range(self.dim + 1)}
 
     def validate(self) -> List[str]:
@@ -228,16 +297,25 @@ class CellComplex:
 
     def cofaces(self, k: int, i: int) -> Tuple[int, ...]:
         """Ids of (k+1)-cells having (k, i) as a face, with multiplicity."""
+        tables = self._cofaces
+        if tables is None:
+            tables = self._coface_tables()
+        return tables[k][i]
+
+    def _coface_tables(self) -> List[List[Tuple[int, ...]]]:
+        """The coface tuples of every cell, per dimension, built once from
+        the face tables."""
         if self._cofaces is None:
             tables: List[List[List[int]]] = [
                 [[] for _ in range(self.n_cells(k2))] for k2 in range(self.dim + 1)
             ]
             for k2 in range(1, self.dim + 1):
+                below = tables[k2 - 1]
                 for j, fl in enumerate(self._faces[k2]):
                     for f in fl:
-                        tables[k2 - 1][f].append(j)
-            self._cofaces = [[tuple(lst) for lst in tab] for tab in tables]
-        return self._cofaces[k][i]
+                        below[f].append(j)
+            self._cofaces = [list(map(tuple, tab)) for tab in tables]
+        return self._cofaces
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * self.n_cells(k) for k in range(self.dim + 1))
@@ -450,19 +528,24 @@ class Chain(_ChainFields):
 def dual_of_triangulation(t: Triangulation) -> CellComplex:
     """One (d-k)-cell per k-simplex; the dual of sigma is a face of the dual
     of tau exactly when tau is a facet of sigma."""
-    top = _cofacets(t.simplices)
-    problems = _pseudomanifold_problems(t.simplices, top)
-    if problems:
+    top = t.simplices
+    ridges = _ridge_flags(top)
+    if not _is_closed_pseudomanifold(top, ridges):
+        problems = _pseudomanifold_problems(top, _cofacets(top))
         raise ValueError("input is not a closed pseudo-manifold: " + problems[0])
-    d = t.dim
-    by_dim = {d: t.simplices}
-    faces: List[List[Sequence[int]]] = [[()] * len(t.simplices)]
+    d, w = t.dim, t.dim + 1
+    faces: List[List[Sequence[int]]] = [[()] * len(top)]
+    if d == 0:
+        return CellComplex(0, faces)
     # The dual of a k-simplex has dimension d - k; its faces are the duals of
     # the (k+1)-simplices containing it, which are its cofacet ids.
-    for k in range(d, 0, -1):
-        cofacets = top if k == d else _cofacets(by_dim[k])
-        by_dim[k - 1] = sorted(cofacets)
-        faces.append([cofacets[sigma] for sigma in by_dim[k - 1]])
+    keys = sorted(ridges)
+    ids = list(range(len(top)))  # one int object per id, as enumerate gives
+    faces.append([(ids[x // w], ids[y // w]) for x, y in map(ridges.__getitem__, keys)])
+    for _ in range(d - 1):
+        cofacets = _cofacets(keys)
+        keys = sorted(cofacets)
+        faces.append([cofacets[sigma] for sigma in keys])
     return CellComplex(d, faces)
 
 
@@ -472,15 +555,6 @@ class GenericityReport(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.passed
-
-
-def _coface_counts(c: CellComplex, k: int) -> List[int]:
-    """Number of cofaces of every k-cell, with multiplicity."""
-    counts = [0] * c.n_cells(k)
-    for fl in c._faces[k + 1]:
-        for f in fl:
-            counts[f] += 1
-    return counts
 
 
 def _closure_masks(c: CellComplex, seeds: Dict[CellKey, int]) -> List[Dict[int, int]]:
@@ -517,12 +591,13 @@ def validate_generic(c: CellComplex) -> GenericityReport:
     """
     violations: List[str] = []
     d = c.dim
+    cofaces = c._coface_tables()
     for k in range(d):
         expected = d - k + 1
         violations += [
-            f"{k}-cell {i} has {n} cofaces, expected {expected}"
-            for i, n in enumerate(_coface_counts(c, k))
-            if n != expected
+            f"{k}-cell {i} has {len(cf)} cofaces, expected {expected}"
+            for i, cf in enumerate(cofaces[k])
+            if len(cf) != expected
         ]
     for k in range(1, d + 1):
         for i, fl in enumerate(c._faces[k]):
@@ -547,12 +622,13 @@ def validate_generic(c: CellComplex) -> GenericityReport:
             if sphere.dim != d - 1:
                 violations.append(f"top cell {cell}: boundary has wrong dimension")
                 continue
+            sphere_cofaces = sphere._coface_tables()
             for k in range(sphere.dim):
                 expected = sphere.dim - k + 1
                 violations += [
                     f"top cell {cell}: boundary sphere fails coface count at {k}-cell {i}"
-                    for i, n in enumerate(_coface_counts(sphere, k))
-                    if n != expected
+                    for i, cf in enumerate(sphere_cofaces[k])
+                    if len(cf) != expected
                 ]
             expected_chi = 0 if (d - 1) % 2 else 2
             if sphere.euler_characteristic() != expected_chi:

@@ -26,7 +26,7 @@ rejects a basis that is not in RREF, so this invariant always holds.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 
@@ -164,11 +164,23 @@ def _forward(rows: Iterable[int]) -> Dict[int, int]:
     return by_pivot
 
 
+# maps the binary digits "0" and "1" to the bytes 0 and 1
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _set_bits(x: int) -> List[int]:
     """Indices of the set bits of x, lowest first.
 
     The one bit-iterator of the package; `matmul`, `rref` and `nullspace`
-    keep their own loops because they fuse the walk with a row operation."""
+    keep their own loops because they fuse the walk with a row operation.
+    Taking out the low bit costs O(width) per set bit, so a dense x is read
+    in one linear pass over its binary digits instead.  The cut is a fit of
+    the two costs on CPython 3.11: about 0.15 + 6e-5 n us per set bit for
+    the low-bit loop, 0.021 us per digit for the pass, n the bit length."""
+    n = x.bit_length()
+    if x.bit_count() * (n + 2500) > 350 * n:
+        digits = bin(x)[:1:-1].encode().translate(_DIGIT_BYTES)
+        return list(compress(range(n), digits))
     out = []
     while x:
         low = x & -x

@@ -36,25 +36,31 @@ def simplex_boundary(d: int) -> Triangulation:
 
 
 def freudenthal_torus(d: int, n: int) -> Triangulation:
-    """Kuhn-subdivided periodic grid: d! simplices per cube of an n^d torus."""
+    """Kuhn-subdivided periodic grid: d! simplices per cube of an n^d torus.
+
+    Vertex (c_0, ..., c_{d-1}) has id sum c_a n^(d-1-a), so stepping axis a
+    adds its stride, or 1 - n strides where c_a = n - 1 wraps to 0.  The
+    simplex of a cube and a permutation is its base id plus offsets that
+    depend only on the axes that wrap; sorted once per wrap pattern, they
+    list every simplex in increasing order."""
     if n < 3:
         raise ValueError("resolution too small; identifications degenerate below 3")
-
-    def vid(coords: Sequence[int]) -> int:
-        out = 0
-        for c in coords:
-            out = out * n + (c % n)
-        return out
-
-    maximal = []
-    for base in product(range(n), repeat=d):
+    strides = [n ** (d - 1 - a) for a in range(d)]
+    offsets = []  # per wrap pattern (bit a: axis a wraps), per permutation
+    for wraps in range(1 << d):
+        steps = [s * (1 - n) if wraps >> a & 1 else s for a, s in enumerate(strides)]
+        pattern = []
         for perm in permutations(range(d)):
-            verts = [vid(base)]
-            cur = list(base)
+            v, verts = 0, [0]
             for axis in perm:
-                cur[axis] += 1
-                verts.append(vid(cur))
-            maximal.append(tuple(sorted(verts)))
+                v += steps[axis]
+                verts.append(v)
+            pattern.append(sorted(verts))
+        offsets.append(pattern)
+    maximal = []
+    for base, coords in enumerate(product(range(n), repeat=d)):
+        wraps = sum(1 << a for a, c in enumerate(coords) if c == n - 1)
+        maximal += [tuple([base + o for o in offs]) for offs in offsets[wraps]]
     return Triangulation(d, maximal)
 
 

@@ -189,9 +189,7 @@ def sweep_signs(
     c: CellComplex, reps: Sequence[Chain], order: Optional[Sequence[int]] = None
 ) -> List[int]:
     """`sweep_sign` of every given cycle, all swept together bit-sliced."""
-    ensure_validated(c)
-    if not c.is_connected():
-        raise ValueError("sweep is defined per connected component")
+    _check_sweepable(c)
     for e in reps:
         _check_state(c, e)
     # bit j of cols[f]: does reps[j] contain (d-1)-cell f
@@ -249,17 +247,23 @@ def _walsh(k: int, b: int) -> int:
     return period * ((1 << (1 << b)) - 1) // ((1 << 2 * run) - 1)
 
 
-def _negative_sectors(c: CellComplex, sectors: SectorSet) -> int:
-    """The classes whose sweep sign is -1, as a mask in span numbering: the
-    column of a (d-1)-cell is the XOR of W_k over the generators k holding
-    it, so no class is built."""
+def _sector_columns(c: CellComplex, sectors: SectorSet) -> List[int]:
+    """The columns of every class in span numbering, bit j of column f
+    saying whether class j contains (d-1)-cell f: the XOR of W_k over the
+    generators k holding f, so no class is built. Refused where a sweep is."""
+    _check_sweepable(c)
     b = len(sectors.generators)
     cols = [0] * c.n_cells(c.dim - 1)
     for k, g in enumerate(sectors.generators):
         w = _walsh(k, b)
         for f in _set_bits(g):
             cols[f] ^= w
-    return _sweep(c, cols, 1 << b, None)
+    return cols
+
+
+def _negative_sectors(c: CellComplex, sectors: SectorSet) -> int:
+    """The classes whose sweep sign is -1, as a mask in span numbering."""
+    return _sweep(c, _sector_columns(c, sectors), sectors.class_count, None)
 
 
 def sector_reps(c: CellComplex) -> SectorSet:
@@ -337,6 +341,13 @@ def random_cycle(c: CellComplex, rng: random.Random) -> Chain:
         if rng.getrandbits(1):
             bits ^= v
     return Chain(c, c.dim - 1, bits)
+
+
+def _check_sweepable(c: CellComplex) -> None:
+    """A sweep needs a validated generic complex, one component at a time."""
+    ensure_validated(c)
+    if not c.is_connected():
+        raise ValueError("sweep is defined per connected component")
 
 
 def _check_state(c: CellComplex, s: Chain) -> None:

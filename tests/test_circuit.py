@@ -4,12 +4,22 @@ import random
 
 import pytest
 
+from gdslab import circuit as circuit_mod
 from gdslab.cli import build_manifold
 from gdslab.complexes import Chain, _closure_masks
-from gdslab.circuit import PhaseGate, build_gates, circuit_phase, schedule, verify_conjugation
+from gdslab.circuit import (
+    ConjugationReport,
+    PhaseGate,
+    _gates_meeting,
+    _phase_after_flip,
+    build_gates,
+    circuit_phase,
+    schedule,
+    verify_conjugation,
+)
 from gdslab.f2 import _set_bits
 from gdslab.manifolds import builtin_manifold
-from gdslab.model import random_cycle
+from gdslab.model import GDS, flip, random_cycle
 from gdslab.phases import I, MINUS_I, MINUS_ONE, ONE, Phase
 from gdslab.voronoi import PointSet, torus_voronoi
 
@@ -169,3 +179,62 @@ def test_conjugation(torus3, sphere3):
     assert verify_conjugation(torus3, n_states=20, seed=0)
     assert verify_conjugation(sphere3, n_states=50, seed=1)
 
+
+
+def full_product_failure(c, gates, n_states, seed):
+    """Oracle for `verify_conjugation`: the circuit phase after every flip
+    from the full gate-by-gate product."""
+    rng = random.Random(seed)
+    for trial in range(1, n_states + 1):
+        state = random_cycle(c, rng)
+        before = circuit_phase(gates, state)
+        for cell in range(c.n_cells(c.dim)):
+            after_state, sf = flip(c, cell, state, GDS)
+            after = circuit_phase(gates, after_state)
+            if after * Phase.from_sign(sf.phase) * before.conj() != ONE:
+                return ConjugationReport(False, trial, state.bits, cell)
+    return ConjugationReport(True)
+
+
+def mutated_gate_lists(c, gates, rng):
+    """Gate lists the circuit is not: a dimension changed, a support widened
+    or narrowed, a gate dropped, a gate added."""
+    k = rng.randrange(len(gates))
+    g = gates[k]
+    widened = g.support | 1 << rng.randrange(c.n_cells(c.dim - 1))
+    return {
+        "dim": gates[:k] + [g._replace(dim=g.dim + 1)] + gates[k + 1:],
+        "wider": gates[:k] + [g._replace(support=widened)] + gates[k + 1:],
+        "narrower": gates[:k] + [g._replace(support=g.support & (g.support - 1))] + gates[k + 1:],
+        "dropped": gates[:k] + gates[k + 1:],
+        "added": gates + [PhaseGate(0, 0, widened)],
+    }
+
+
+@pytest.mark.parametrize("spec", ["sphere:1", "sphere:3", "torus:3:3", "torus-voronoi:3"])
+def test_phase_after_flip_matches_the_full_product(spec):
+    c = build_manifold(spec, 30, 2)
+    gates = build_gates(c)
+    rng = random.Random(spec)
+    lists = {"circuit": gates, **mutated_gate_lists(c, gates, rng)}
+    for name, gate_list in lists.items():
+        meeting = _gates_meeting(c, gate_list)
+        for _ in range(4):
+            state = random_cycle(c, rng)
+            before = circuit_phase(gate_list, state)
+            for cell in range(c.n_cells(c.dim)):
+                after_state, _ = flip(c, cell, state, GDS)
+                assert _phase_after_flip(meeting[cell], before, state.bits, after_state.bits) \
+                    == circuit_phase(gate_list, after_state), (name, cell)
+
+
+def test_verify_conjugation_reports_as_the_full_product(monkeypatch, torus3, sphere3):
+    for c, seed in ((torus3, 0), (sphere3, 1)):
+        assert verify_conjugation(c, 6, seed) == full_product_failure(c, build_gates(c), 6, seed)
+    # a mutated circuit fails at the same (trial, state, cell) as the oracle
+    rng = random.Random(8)
+    for c in (torus3, sphere3):
+        for name, gate_list in mutated_gate_lists(c, build_gates(c), rng).items():
+            expected = full_product_failure(c, gate_list, 4, 3)
+            monkeypatch.setattr(circuit_mod, "build_gates", lambda _c, g=gate_list: g)
+            assert verify_conjugation(c, 4, 3) == expected, name

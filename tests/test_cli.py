@@ -28,7 +28,6 @@ from gdslab.cli import (
 from gdslab.complexes import CellComplex, Chain
 from gdslab.f2 import F2Matrix
 from gdslab.manifolds import SPECS, builtin_manifold, torus_diagonal_cycles, torus_dual_loops
-from gdslab.phases import ONE
 
 
 def run(argv, capsys):
@@ -227,17 +226,19 @@ def test_surface_suite_off_a_surface_exits_2(capsys):
 
 
 def test_sweep_order_failure_names_round_and_sector(monkeypatch, capsys):
-    real = model_mod.sweep_signs
+    real = model_mod._sweep
     calls = []
+    # the sweeps return masks in span numbering; sector 1 is listed second
+    listing = model_mod.sector_reps(build_manifold("tP:2", None, None)).listing()[1]
 
-    def flaky(c, reps, order=None):
-        signs = real(c, reps, order)
+    def flaky(c, cols, n, order):
+        negative = real(c, cols, n, order)
         calls.append(order)
         if len(calls) == 4:  # the third shuffled order
-            signs[1] = -signs[1]
-        return signs
+            negative ^= 1 << listing[1]
+        return negative
 
-    monkeypatch.setattr(model_mod, "sweep_signs", flaky)
+    monkeypatch.setattr(model_mod, "_sweep", flaky)
     rc, out, _ = run(
         ["verify", "--suite", "sweep-order", "--manifold", "tP:2", "--seed", "2"],
         capsys,
@@ -245,6 +246,67 @@ def test_sweep_order_failure_names_round_and_sector(monkeypatch, capsys):
     assert rc == EXIT_FAIL
     assert out == "FAIL sweep sign depends on the flip order (round 3 of 20, sector 1)\n"
     assert len(calls) == 21
+
+
+def test_sweep_order_failure_names_the_sector_in_listing_order(monkeypatch, capsys):
+    # on the Klein bottle the second listed sector is class 3 of the span
+    # numbering, which the sweeps index
+    listing = model_mod.sector_reps(build_manifold("klein", None, None)).listing()[1]
+    assert listing[1] == 3
+    real = model_mod._sweep
+    calls = []
+
+    def flaky(c, cols, n, order):
+        calls.append(order)
+        return real(c, cols, n, order) ^ (1 << 3 if len(calls) == 2 else 0)
+
+    monkeypatch.setattr(model_mod, "_sweep", flaky)
+    rc, out, _ = run(
+        ["verify", "--suite", "sweep-order", "--manifold", "klein", "--seed", "0"],
+        capsys,
+    )
+    assert rc == EXIT_FAIL
+    assert out == "FAIL sweep sign depends on the flip order (round 1 of 20, sector 1)\n"
+
+
+def reference_sweep_order(c, rng):
+    """The sweep-order suite as first written: `sweep_signs` of the listed
+    representatives, once for the id order and once per shuffled order."""
+    problems = []
+    reps = model_mod.sector_reps(c).reps
+    base = model_mod.sweep_signs(c, reps)
+    for round_no in range(1, 21):
+        order = list(range(c.n_cells(c.dim)))
+        rng.shuffle(order)
+        got = model_mod.sweep_signs(c, reps, order)
+        if got != base:
+            sector = next(j for j, (a, b) in enumerate(zip(got, base)) if a != b)
+            problems.append(f"sweep sign depends on the flip order "
+                            f"(round {round_no} of 20, sector {sector})")
+    return problems
+
+
+@pytest.mark.parametrize("spec", ["tP:3", "klein", "torus:3:3", "sphere:4"])
+def test_sweep_order_suite_matches_the_per_order_reference(monkeypatch, spec):
+    from gdslab.cli import _suite_sweep_order
+
+    for seed in (0, 1):
+        c = build_manifold(spec, None, None)
+        assert _suite_sweep_order(c, random.Random(seed)) == []
+        assert reference_sweep_order(c, random.Random(seed)) == []
+    # a chi_up table that forgets one vertex of top cell 1 makes the sign
+    # depend on the order; both report the same rounds and sectors
+    real = model_mod._chi_table
+
+    def forgetful(c, cell):
+        faces, masks = real(c, cell)
+        return (faces, (masks[0][1:],) + masks[1:]) if cell == 1 else (faces, masks)
+
+    monkeypatch.setattr(model_mod, "_chi_table", forgetful)
+    for seed in (0, 1):
+        c = build_manifold(spec, None, None)
+        got = _suite_sweep_order(c, random.Random(seed))
+        assert got and got == reference_sweep_order(c, random.Random(seed))
 
 
 def test_verify_voronoi_commutation(capsys):
@@ -395,7 +457,9 @@ def test_commutation_fail_lines_replay_the_state(monkeypatch, capsys):
 def test_circuit_fail_line_replays_the_flip(monkeypatch, capsys):
     # a circuit that never fires leaves each semion flip sign uncancelled, so
     # the first flip with sign -1 fails the conjugation check
-    monkeypatch.setattr(circuit_mod, "circuit_phase", lambda gates, state: ONE)
+    real = circuit_mod.build_gates
+    monkeypatch.setattr(circuit_mod, "build_gates",
+                        lambda c: [g._replace(support=0) for g in real(c)])
     rc, out, _ = run(["verify", "--suite", "circuit", "--manifold", "sphere:3",
                       "--seed", "3"], capsys)
     assert rc == EXIT_FAIL

@@ -15,6 +15,9 @@ from gdslab.complexes import (
     DisjointSet,
     Triangulation,
     _cofacets,
+    _is_closed_pseudomanifold,
+    _pseudomanifold_problems,
+    _ridge_flags,
     closed_subcomplex,
     dual_of_triangulation,
     is_embedded_union,
@@ -35,7 +38,8 @@ from gdslab.manifolds import (
     simplex_boundary,
     square_grid_torus,
 )
-from gdslab.cli import build_manifold
+from gdslab import complexes as complexes_mod
+from gdslab.cli import EXIT_USAGE, build_manifold, dispatch
 from gdslab.model import ground_degeneracy, sector_reps
 from gdslab.operators import random_sparse_cycle
 
@@ -336,6 +340,130 @@ def test_flag_union_find_matches_oracle_on_failures():
     butterfly = Triangulation(2, [(5, 6, 9), (5, 7, 8), (6, 9, 10), (7, 8, 10)])
     assert assert_links_match_oracle(butterfly)[-2:] == [
         "vertex 5 has a disconnected link", "vertex 10 has a disconnected link"]
+
+
+# the closed pseudo-manifolds that ship: every triangulation a spec builds, at
+# a few sizes
+SHIPPED_TRIANGULATIONS = [
+    "sphere:1", "sphere:2", "sphere:3", "sphere:4", "sphere:5",
+    "torus:1:3", "torus:2:3", "torus:2:4", "torus:3:3", "torus:3:4", "torus:4:3",
+    "tP:1", "tP:2", "tP:3", "tP:6", "genus:1", "genus:2", "genus:3", "klein",
+]
+
+# triangulations that fail the check, each in its own way
+BROKEN_TRIANGULATIONS = {
+    "open-ridges": Triangulation(2, [(0, 1, 2), (1, 2, 3)]),
+    "butterfly": Triangulation(2, [(0, 1, 2), (0, 3, 4), (1, 2, 5), (3, 4, 5)]),
+    "sparse-butterfly": Triangulation(2, [(5, 6, 9), (5, 7, 8), (6, 9, 10), (7, 8, 10)]),
+    "pinched-vertex": Triangulation(2, [f for s in [(0, 1, 2, 3), (0, 4, 5, 6)]
+                                        for f in itertools.combinations(s, 3)]),
+    "pinched-3-spheres": Triangulation(3, [f for s in [(0, 1, 2, 3, 4), (4, 5, 6, 7, 8)]
+                                           for f in itertools.combinations(s, 4)]),
+    "three-points": Triangulation(0, [(0,), (1,), (2,)]),
+    "one-point": Triangulation(0, [(0,)]),
+    "three-sheets": Triangulation(2, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3),
+                                      (0, 2, 4), (0, 3, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4)]),
+}
+
+
+def spec_triangulation(spec: str) -> Triangulation:
+    name, *params = spec.split(":")
+    row = manifold_spec(name)
+    return row.build(*row.complete([int(p) for p in params]), points=None, seed=None)
+
+
+def assert_boolean_check_matches_problems(t: Triangulation) -> bool:
+    closed = _is_closed_pseudomanifold(t.simplices, _ridge_flags(t.simplices))
+    assert closed == (not _pseudomanifold_problems(t.simplices, _cofacets(t.simplices)))
+    return closed
+
+
+def relabelled(t: Triangulation, rng: random.Random) -> Triangulation:
+    """t with its vertices renamed by a random injection into a wider range."""
+    labels = rng.sample(range(3 * t.n_vertices + 5), t.n_vertices)
+    return Triangulation(t.dim, [[labels[v] for v in s] for s in t.simplices])
+
+
+@pytest.mark.parametrize("spec", SHIPPED_TRIANGULATIONS)
+def test_boolean_pseudomanifold_check_passes_shipped_triangulations(spec):
+    t = spec_triangulation(spec)
+    assert assert_boolean_check_matches_problems(t)
+    rng = random.Random(spec)
+    for _ in range(3):
+        assert assert_boolean_check_matches_problems(relabelled(t, rng))
+
+
+def test_boolean_pseudomanifold_check_on_a_barycentric_subdivision():
+    t = barycentric_subdivision(simplex_boundary(3))
+    assert assert_boolean_check_matches_problems(t)
+    assert assert_boolean_check_matches_problems(relabelled(t, random.Random(5)))
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_TRIANGULATIONS))
+def test_boolean_pseudomanifold_check_fails_broken_triangulations(name):
+    t = BROKEN_TRIANGULATIONS[name]
+    assert not assert_boolean_check_matches_problems(t)
+    rng = random.Random(name)
+    for _ in range(5):
+        assert not assert_boolean_check_matches_problems(relabelled(t, rng))
+
+
+def test_boolean_pseudomanifold_check_on_random_pieces():
+    # random subsets of the top simplices of small closed manifolds, and
+    # disjoint unions with copies: mostly broken, some closed
+    rng = random.Random(11)
+    verdicts = set()
+    for spec in ("sphere:2", "sphere:3", "torus:2:3", "tP:2"):
+        t = spec_triangulation(spec)
+        for _ in range(15):
+            keep = [s for s in t.simplices if rng.random() < 0.8] or t.simplices[:1]
+            copy = [[v + t.n_vertices for v in s] for s in t.simplices]
+            for pieces in (keep, keep + copy):
+                verdicts.add(assert_boolean_check_matches_problems(
+                    relabelled(Triangulation(t.dim, pieces), rng)))
+    assert verdicts == {True, False}
+
+
+def test_every_triangulation_spec_builds_without_the_problem_list(monkeypatch):
+    # the problem list, with its messages, is made only when the boolean
+    # check fails; no shipped triangulation reaches it
+    def refuse(*args):
+        raise AssertionError("the problem list was built")
+
+    monkeypatch.setattr(complexes_mod, "_pseudomanifold_problems", refuse)
+    for spec in SHIPPED_TRIANGULATIONS:
+        name, *params = spec.split(":")
+        c = builtin_manifold(name, *map(int, params))
+        assert c.meta["generic_validated"]
+
+
+def test_broken_tri_file_exits_2_with_the_first_problem(tmp_path, capsys):
+    for name in ("open-ridges", "butterfly", "pinched-vertex"):
+        t = BROKEN_TRIANGULATIONS[name]
+        path = tmp_path / f"{name}.tri"
+        t.save(str(path))
+        rc = dispatch(["gsd", "--manifold", f"tri:{path}"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == ("error: input is not a closed pseudo-manifold: "
+                                f"{t.validate()[0]}\n")
+
+
+def test_disjoint_set_list_and_dict_storage_agree():
+    rng = random.Random(3)
+    n = 300
+    as_list, as_dict = DisjointSet(range(n)), DisjointSet(list(range(n)))
+    assert isinstance(as_list.parent, list) and isinstance(as_dict.parent, dict)
+    for _ in range(250):
+        a, b = rng.randrange(n), rng.randrange(n)
+        as_list.union(a, b)
+        as_dict.union(a, b)
+        probe = rng.randrange(n)
+        assert as_list.find(probe) == as_dict.find(probe)
+    assert [as_list.find(x) for x in range(n)] == [as_dict.find(x) for x in range(n)]
+    # any other range keeps a dict keyed by its items
+    assert isinstance(DisjointSet(range(2, 9)).parent, dict)
 
 
 def faces_by_dim_oracle(t: Triangulation) -> Dict[int, List[Tuple[int, ...]]]:

@@ -22,6 +22,7 @@ from gdslab.f2 import (
     no_twist_holds,
     reduce_by_rref,
     subspace_intersection_dim,
+    _set_bits,
     triple_intersection_parity,
 )
 from gdslab.homology import cycle_space_basis
@@ -147,6 +148,21 @@ def test_rows_are_kept_as_given():
     assert all(a is b for a, b in zip(m.data, rows))
     red, pivots = m.rref()
     assert pivots == [0, 200] and red.data == [1, 1 << 200]
+
+
+def reference_set_bits(x):
+    return [i for i in range(x.bit_length()) if (x >> i) & 1]
+
+
+def test_set_bits_matches_the_reference_on_sparse_and_dense_ints():
+    # widths and densities on both sides of the switch to the linear pass
+    rng = random.Random(4)
+    for width in (0, 1, 7, 64, 65, 300, 1000, 5000, 28672):
+        for density in (0.0, 0.001, 0.01, 0.05, 0.2, 0.5, 0.95, 1.0):
+            x = sum(1 << i for i in range(width) if rng.random() < density)
+            assert _set_bits(x) == reference_set_bits(x)
+    assert _set_bits((1 << 28672) - 1) == list(range(28672))
+    assert _set_bits(1 << 10000) == [10000]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=6))
