@@ -91,31 +91,43 @@ class ConjugationReport(NamedTuple):
         return self.ok
 
 
-def _gates_meeting(c: CellComplex, gates: Sequence[PhaseGate]) -> List[List[Tuple[int, int]]]:
-    """For every top cell, (support, weight) of the gates whose support meets
-    one of its faces, in gate order, the weight being what a firing gate adds
-    to the exponent of i in `circuit_phase`.  A flip of the cell changes only
-    bits of its faces, so every other gate fires alike before and after it."""
+def _gates_meeting(c: CellComplex, gates: Sequence[PhaseGate]) -> List[Tuple[Tuple[int, ...], ...]]:
+    """For every top cell, the supports of the gates that meet one of its
+    faces, as two tuples: the gates a firing adds 1 to the exponent of i in
+    `circuit_phase` for (even dimension), and those it subtracts 1 for.  A
+    flip of the cell changes only bits of its faces, so every other gate
+    fires alike before and after it."""
     d = c.dim
     by_qubit: List[List[int]] = [[] for _ in range(c.n_cells(d - 1))]
     for idx, g in enumerate(gates):
         for f in _set_bits(g.support):
             by_qubit[f].append(idx)
-    weighted = [(g.support, -1 if g.dim % 2 else 1) for g in gates]
-    return [[weighted[idx] for idx in sorted({idx for f in c.faces(d, cell) for idx in by_qubit[f]})]
-            for cell in range(c.n_cells(d))]
+    out = []
+    for cell in range(c.n_cells(d)):
+        meeting = [gates[idx] for idx in sorted({idx for f in c.faces(d, cell) for idx in by_qubit[f]})]
+        out.append((tuple(g.support for g in meeting if not g.dim % 2),
+                    tuple(g.support for g in meeting if g.dim % 2)))
+    return out
 
 
-def _phase_after_flip(meeting: Sequence[Tuple[int, int]], before: Phase, bits: int, after: int) -> Phase:
+def _phase_after_flip(
+    meeting: Tuple[Tuple[int, ...], ...], before: Phase, bits: int, after: int
+) -> Phase:
     """`circuit_phase` on the state `after`, given its value `before` on the
-    state `bits` and the weighted gates `meeting` every bit where the two
-    differ: i to the change of their weighted firing count."""
+    state `bits` and the signed supports `meeting` every bit where the two
+    differ: i to the change of their signed firing count."""
     change = 0
-    for support, weight in meeting:
+    plus, minus = meeting
+    for support in plus:
         if support & after:
-            change += weight
+            change += 1
         if support & bits:
-            change -= weight
+            change -= 1
+    for support in minus:
+        if support & after:
+            change -= 1
+        if support & bits:
+            change += 1
     return before * Phase.i_power(change)
 
 

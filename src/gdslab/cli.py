@@ -169,21 +169,18 @@ def _suite_commutation(c: CellComplex, rng: random.Random) -> List[str]:
 def _suite_sweep_order(c: CellComplex, rng: random.Random) -> List[str]:
     from . import model as model_mod
 
-    # every sweep reads the same sector columns, in span numbering; a sector
-    # is reported by its place in the listing order of `SectorSet.reps`
-    problems = []
-    sectors = model_mod.sector_reps(c)
-    cols = model_mod._sector_columns(c, sectors)
-    n = sectors.class_count
-    base = model_mod._sweep(c, cols, n, None)
-    listing = sectors.listing()[1]
     rounds = 20
-    for round_no in range(1, rounds + 1):
-        order = list(range(c.n_cells(c.dim)))
-        rng.shuffle(order)
-        changed = model_mod._sweep(c, cols, n, order) ^ base
-        if changed:
-            sector = next(i for i, j in enumerate(listing) if changed >> j & 1)
+
+    def shuffled_orders():
+        for _ in range(rounds):
+            order = list(range(c.n_cells(c.dim)))
+            rng.shuffle(order)
+            yield order
+
+    problems = []
+    changes = model_mod.order_dependent_sectors(c, shuffled_orders())
+    for round_no, sector in enumerate(changes, 1):
+        if sector is not None:
             problems.append(
                 f"sweep sign depends on the flip order "
                 f"(round {round_no} of {rounds}, sector {sector})"

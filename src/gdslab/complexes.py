@@ -17,22 +17,20 @@ closure of a cell set is the key set of that pass with every mask 1; callers
 that only count cells (Euler characteristics, Betti numbers, clean-overlap
 tests) read its per-dimension dicts instead.
 
-A triangulation's facets come from `itertools.combinations` on each sorted
-simplex.  `faces_by_dim` keeps the sorted facet sets; `_cofacets` lists the
-facets with the ids of the simplices holding them, and below the top level
-those id lists, in sorted facet order, are the face tuples of
-`dual_of_triangulation`.  A flag j*w + p is the vertex at position p of top
-simplex j (w vertices each).  At the top level each ridge lists, per simplex
-holding it, the flag of the vertex that simplex adds to it (`_ridge_flags`),
-and the closed pseudo-manifold check is one boolean pass over those lists
-(`_is_closed_pseudomanifold`): every ridge in exactly two top simplices, and
-every vertex link connected.  The links are checked by one union-find over
-flags: a ridge joins the flags of each of its vertices in its two simplices,
-whose positions follow from the position of the added vertex, and every
-link is connected iff there are as many classes as vertices.  Only when that
-pass fails is the problem list made, by `_pseudomanifold_problems` from the
-`_cofacets` table (facets in order of first appearance), so the error names
-the same first problem as `Triangulation.validate`.
+`faces_by_dim` keeps the sorted facet sets of a triangulation, from
+`itertools.combinations` on each sorted simplex.  `_cofacets` lists the
+facets, in order of first appearance (each simplex leaving out its first
+vertex first, by one `itemgetter` per position), with the ids of the
+simplices holding them, and below the top level those id lists, in sorted
+facet order, are the face tuples of `dual_of_triangulation`.  A flag
+j*w + p is the vertex at position p of top simplex j (w vertices each).  At
+the top level `_ridge_flags` is the same table with, per simplex holding a
+ridge, the flag of the vertex that simplex adds to it.
+`_pseudomanifold_problems` reads it for both `Triangulation.validate` and
+the dual: every ridge in exactly two top simplices, and every vertex link
+connected, by one union-find over flags whose positions follow from the
+added vertex's.  It builds a message only for a violation, so the dual
+refuses with `validate`'s first problem.
 
 `DisjointSet` is the one union-find, with path halving.  Built over
 `range(n)` its parents are a list, as for the flags, the vertex components
@@ -42,6 +40,7 @@ and the top-cell forest of homology; over any other items they are a dict.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Set, Tuple
 
 from .f2 import _mask_of, _set_bits
@@ -93,83 +92,72 @@ def _ints(tokens: Iterable[str], where: str) -> List[int]:
     return out
 
 
+def _facet_getters(w: int) -> List:
+    """The facets of a w-vertex simplex as getters, the i-th leaving out
+    position i: first the facet without the first vertex."""
+    keep = [tuple(p for p in range(w) if p != i) for i in range(w)]
+    if w <= 2:  # itemgetter takes at least one position, and of one returns no tuple
+        return [lambda s, ps=ps: tuple(s[p] for p in ps) for ps in keep]
+    return [itemgetter(*ps) for ps in keep]
+
+
 def _cofacets(simplices: Sequence[Tuple[int, ...]]) -> Dict[Tuple[int, ...], List[int]]:
-    """Every facet of a sorted list of k-simplices, in order of first
-    appearance, with the increasing ids of the simplices containing it.  A
-    simplex lists first the facet without its first vertex, the reverse of
-    the order of `combinations`."""
+    """Every facet of a sorted list of simplices, in order of first
+    appearance, with the increasing ids of the simplices containing it."""
     out: Dict[Tuple[int, ...], List[int]] = {}
     put = out.setdefault
+    facets = _facet_getters(len(simplices[0]))
     for j, s in enumerate(simplices):
-        for f in reversed(list(combinations(s, len(s) - 1))):
-            put(f, []).append(j)
+        for facet in facets:
+            put(facet(s), []).append(j)
     return out
 
 
 def _ridge_flags(simplices: Sequence[Tuple[int, ...]]) -> Dict[Tuple[int, ...], List[int]]:
-    """Every ridge of the sorted top simplices, with the flag j*w + i of each
-    simplex j holding it, i the position of the vertex j adds to the ridge
-    (w vertices per simplex).  The flags rise with j, so x // w lists the
-    simplex ids as `_cofacets` does."""
+    """`_cofacets` of the sorted top simplices, listing for each simplex j
+    holding a ridge the flag j*w + i instead of j, i the position of the
+    vertex j adds to the ridge (w vertices per simplex): same ridges, same
+    order, and x // w is the simplex id."""
     out: Dict[Tuple[int, ...], List[int]] = {}
     put = out.setdefault
-    w = len(simplices[0])
-    x = w - 1  # combinations leaves out the last position first
+    x = 0
+    facets = _facet_getters(len(simplices[0]))
     for s in simplices:
-        for f in combinations(s, w - 1):
-            put(f, []).append(x)
-            x -= 1
-        x += 2 * w  # from before this simplex's flags to the next one's last
+        for facet in facets:
+            put(facet(s), []).append(x)
+            x += 1
     return out
-
-
-def _is_closed_pseudomanifold(
-    simplices: Sequence[Tuple[int, ...]], ridges: Dict[Tuple[int, ...], List[int]]
-) -> bool:
-    """`not _pseudomanifold_problems(simplices, _cofacets(simplices))`, from
-    the `_ridge_flags` table in one pass: every ridge in exactly two top
-    simplices, and as many classes of the flag union-find as vertices.
-
-    The ridge's vertex at position q sits at position q of a simplex that
-    adds its vertex at a later position i, and at q + 1 otherwise, so from
-    the added flag j*w + i the ridge's flags in j are the shifts p - i,
-    p != i, in order."""
-    w = len(simplices[0])
-    shifts = [tuple(p - i for p in range(w) if p != i) for i in range(w)]
-    flags = DisjointSet(range(w * len(simplices)))
-    union = flags.union
-    for ids in ridges.values():
-        if len(ids) != 2:
-            return False
-        x, y = ids
-        for a, b in zip(shifts[x % w], shifts[y % w]):
-            union(x + a, y + b)
-    n_vertices = len({v for s in simplices for v in s})
-    return sum(1 for x, p in enumerate(flags.parent) if x == p) == n_vertices
 
 
 def _pseudomanifold_problems(
     simplices: Sequence[Tuple[int, ...]], ridges: Dict[Tuple[int, ...], List[int]]
 ) -> List[str]:
     """Closed pseudo-manifold violations of the top simplices, given their
-    `_cofacets` table: a ridge not in exactly two of them, or a vertex whose
-    link is disconnected."""
-    problems = [
-        f"face {ridge} lies in {len(ids)} maximal simplices"
-        for ridge, ids in ridges.items()
-        if len(ids) != 2
-    ]
-    # Vertex links must be connected (one wedge of top simplices per vertex):
-    # flag j*w + p is vertex p of simplex j, and a ridge through v joins the
-    # flags of v in the simplices that share it.
+    `_ridge_flags` table: a ridge not in exactly two of them, or a vertex
+    whose link is disconnected, in order of first appearance.
+
+    Vertex links must be connected (one wedge of top simplices per vertex):
+    flag j*w + p is vertex p of simplex j, a ridge joins the flags of each
+    of its vertices in the first simplex holding it and in each other, and
+    every link is connected iff there are as many classes as vertices.  The
+    ridge's vertex at position q sits at position q of a simplex that adds
+    its vertex at a later position i, and at q + 1 otherwise, so from the
+    added flag j*w + i the ridge's flags in j are the shifts p - i, p != i,
+    in order; `pairs` zips them for each pair of added positions."""
+    problems = []
     w = len(simplices[0])
+    shifts = [tuple(p - i for p in range(w) if p != i) for i in range(w)]
+    pairs = [tuple(zip(shifts[i], shifts[k])) for i in range(w) for k in range(w)]
     flags = DisjointSet(range(w * len(simplices)))
+    union = flags.union
     for ridge, ids in ridges.items():
-        first = simplices[ids[0]]
-        for other in ids[1:]:
-            s = simplices[other]
-            for v in ridge:
-                flags.union(ids[0] * w + first.index(v), other * w + s.index(v))
+        if len(ids) != 2:
+            problems.append(f"face {ridge} lies in {len(ids)} maximal simplices")
+        x = ids[0]
+        row = x % w * w
+        for y in ids[1:]:
+            for a, b in pairs[row + y % w]:
+                union(x + a, y + b)
     n_vertices = len({v for s in simplices for v in s})
     if sum(1 for x, p in enumerate(flags.parent) if x == p) > n_vertices:
         roots: Dict[int, Set[int]] = {}
@@ -202,7 +190,7 @@ class Triangulation:
 
     def validate(self) -> List[str]:
         """Closed pseudo-manifold checks; returns a list of violations."""
-        return _pseudomanifold_problems(self.simplices, _cofacets(self.simplices))
+        return _pseudomanifold_problems(self.simplices, _ridge_flags(self.simplices))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * len(v) for k, v in self.faces_by_dim().items())
@@ -304,17 +292,17 @@ class CellComplex:
 
     def _coface_tables(self) -> List[List[Tuple[int, ...]]]:
         """The coface tuples of every cell, per dimension, built once from
-        the face tables."""
+        the face tables one dimension at a time, so that only one
+        dimension's lists live beside the tuples."""
         if self._cofaces is None:
-            tables: List[List[List[int]]] = [
-                [[] for _ in range(self.n_cells(k2))] for k2 in range(self.dim + 1)
-            ]
-            for k2 in range(1, self.dim + 1):
-                below = tables[k2 - 1]
-                for j, fl in enumerate(self._faces[k2]):
+            tables: List[List[Tuple[int, ...]]] = []
+            for k in range(self.dim + 1):
+                lists: List[List[int]] = [[] for _ in range(self.n_cells(k))]
+                for j, fl in enumerate(self._faces[k + 1] if k < self.dim else ()):
                     for f in fl:
-                        below[f].append(j)
-            self._cofaces = [list(map(tuple, tab)) for tab in tables]
+                        lists[f].append(j)
+                tables.append(list(map(tuple, lists)))
+            self._cofaces = tables
         return self._cofaces
 
     def euler_characteristic(self) -> int:
@@ -530,8 +518,8 @@ def dual_of_triangulation(t: Triangulation) -> CellComplex:
     of tau exactly when tau is a facet of sigma."""
     top = t.simplices
     ridges = _ridge_flags(top)
-    if not _is_closed_pseudomanifold(top, ridges):
-        problems = _pseudomanifold_problems(top, _cofacets(top))
+    problems = _pseudomanifold_problems(top, ridges)
+    if problems:
         raise ValueError("input is not a closed pseudo-manifold: " + problems[0])
     d, w = t.dim, t.dim + 1
     faces: List[List[Sequence[int]]] = [[()] * len(top)]
@@ -542,6 +530,7 @@ def dual_of_triangulation(t: Triangulation) -> CellComplex:
     keys = sorted(ridges)
     ids = list(range(len(top)))  # one int object per id, as enumerate gives
     faces.append([(ids[x // w], ids[y // w]) for x, y in map(ridges.__getitem__, keys)])
+    del ridges  # its flags are one int object each: free them before the passes below
     for _ in range(d - 1):
         cofacets = _cofacets(keys)
         keys = sorted(cofacets)

@@ -175,12 +175,16 @@ def _set_bits(x: int) -> List[int]:
     keep their own loops because they fuse the walk with a row operation.
     Taking out the low bit costs O(width) per set bit, so a dense x is read
     in one linear pass over its binary digits instead.  The cut is a fit of
-    the two costs on CPython 3.11: about 0.15 + 6e-5 n us per set bit for
-    the low-bit loop, 0.021 us per digit for the pass, n the bit length."""
-    n = x.bit_length()
-    if x.bit_count() * (n + 2500) > 350 * n:
-        digits = bin(x)[:1:-1].encode().translate(_DIGIT_BYTES)
-        return list(compress(range(n), digits))
+    the two costs on CPython 3.11, for k set bits of n: 0.07 + k(0.10 +
+    5.6e-5 n) us for the low-bit loop, 0.53 + 0.0137 n + 0.006 k us for the
+    pass.  An x of at most 64 bits, which most calls pass (gate supports,
+    small masks), takes the loop without the density test, which would cost
+    it about 0.1 us."""
+    if x >> 64:
+        n = x.bit_length()
+        if x.bit_count() * (n + 1700) > 243 * n + 8000:
+            digits = bin(x)[:1:-1].encode().translate(_DIGIT_BYTES)
+            return list(compress(range(n), digits))
     out = []
     while x:
         low = x & -x

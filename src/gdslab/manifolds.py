@@ -290,6 +290,7 @@ def builtin_manifold(name: str, *params: int, points: Optional[int] = None,
         return built
     label = ":".join([name, *map(str, values)])
     c = dual_of_triangulation(built)
+    del built  # free the triangulation before validation builds the coface table
     report = validate_generic(c)
     if not report.passed:
         raise AssertionError(

@@ -33,13 +33,15 @@ That is the XOR, over the generators holding f, of the Walsh masks W_k,
 whose bit j is bit k of j (2^k zeros, then 2^k ones, repeated over 2^b
 bits). `ground_degeneracy` reads the count off the sign mask alone, and
 `sector_reports` numbers the sectors in listing order, by weight and then
-bits (`SectorSet.listing`), as `SectorSet.reps` lists them.
+bits (`SectorSet.listing`), as `SectorSet.reps` lists them;
+`order_dependent_sectors` names a sector whose sign changes under another
+flip order by the same numbering.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .complexes import CellComplex, CellKey, Chain, _closure_masks, ensure_validated
 from .f2 import F2Matrix, PreconditionError, _set_bits
@@ -264,6 +266,22 @@ def _sector_columns(c: CellComplex, sectors: SectorSet) -> List[int]:
 def _negative_sectors(c: CellComplex, sectors: SectorSet) -> int:
     """The classes whose sweep sign is -1, as a mask in span numbering."""
     return _sweep(c, _sector_columns(c, sectors), sectors.class_count, None)
+
+
+def order_dependent_sectors(
+    c: CellComplex, orders: Iterable[Sequence[int]]
+) -> Iterator[Optional[int]]:
+    """For each flip order in turn, the first sector in listing order whose
+    sweep sign differs from the sweep in id order, or None if none does.
+    Every sweep reads one build of the sector columns."""
+    sectors = sector_reps(c)
+    cols = _sector_columns(c, sectors)
+    n = sectors.class_count
+    base = _sweep(c, cols, n, None)
+    listing = sectors.listing()[1]
+    for order in orders:
+        changed = _sweep(c, cols, n, order) ^ base
+        yield next((i for i, j in enumerate(listing) if changed >> j & 1), None)
 
 
 def sector_reps(c: CellComplex) -> SectorSet:

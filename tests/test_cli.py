@@ -226,47 +226,26 @@ def test_surface_suite_off_a_surface_exits_2(capsys):
 
 
 def test_sweep_order_failure_names_round_and_sector(monkeypatch, capsys):
-    real = model_mod._sweep
-    calls = []
-    # the sweeps return masks in span numbering; sector 1 is listed second
-    listing = model_mod.sector_reps(build_manifold("tP:2", None, None)).listing()[1]
+    real = model_mod.order_dependent_sectors
+    orders = []
 
-    def flaky(c, cols, n, order):
-        negative = real(c, cols, n, order)
-        calls.append(order)
-        if len(calls) == 4:  # the third shuffled order
-            negative ^= 1 << listing[1]
-        return negative
+    def recorded(shuffled):
+        for order in shuffled:
+            orders.append(order)
+            yield order
 
-    monkeypatch.setattr(model_mod, "_sweep", flaky)
+    def flaky(c, shuffled):  # the third shuffled order changes sector 1
+        for sector in real(c, recorded(shuffled)):
+            yield 1 if len(orders) == 3 else sector
+
+    monkeypatch.setattr(model_mod, "order_dependent_sectors", flaky)
     rc, out, _ = run(
         ["verify", "--suite", "sweep-order", "--manifold", "tP:2", "--seed", "2"],
         capsys,
     )
     assert rc == EXIT_FAIL
     assert out == "FAIL sweep sign depends on the flip order (round 3 of 20, sector 1)\n"
-    assert len(calls) == 21
-
-
-def test_sweep_order_failure_names_the_sector_in_listing_order(monkeypatch, capsys):
-    # on the Klein bottle the second listed sector is class 3 of the span
-    # numbering, which the sweeps index
-    listing = model_mod.sector_reps(build_manifold("klein", None, None)).listing()[1]
-    assert listing[1] == 3
-    real = model_mod._sweep
-    calls = []
-
-    def flaky(c, cols, n, order):
-        calls.append(order)
-        return real(c, cols, n, order) ^ (1 << 3 if len(calls) == 2 else 0)
-
-    monkeypatch.setattr(model_mod, "_sweep", flaky)
-    rc, out, _ = run(
-        ["verify", "--suite", "sweep-order", "--manifold", "klein", "--seed", "0"],
-        capsys,
-    )
-    assert rc == EXIT_FAIL
-    assert out == "FAIL sweep sign depends on the flip order (round 1 of 20, sector 1)\n"
+    assert len(orders) == 20
 
 
 def reference_sweep_order(c, rng):

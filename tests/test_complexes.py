@@ -15,7 +15,6 @@ from gdslab.complexes import (
     DisjointSet,
     Triangulation,
     _cofacets,
-    _is_closed_pseudomanifold,
     _pseudomanifold_problems,
     _ridge_flags,
     closed_subcomplex,
@@ -372,10 +371,23 @@ def spec_triangulation(spec: str) -> Triangulation:
     return row.build(*row.complete([int(p) for p in params]), points=None, seed=None)
 
 
-def assert_boolean_check_matches_problems(t: Triangulation) -> bool:
-    closed = _is_closed_pseudomanifold(t.simplices, _ridge_flags(t.simplices))
-    assert closed == (not _pseudomanifold_problems(t.simplices, _cofacets(t.simplices)))
-    return closed
+def assert_flag_table_matches_problems(t: Triangulation) -> bool:
+    """The flag table lists `_cofacets`' ridges in order of first appearance,
+    each simplex leaving out its first vertex first, with flag j*w + i for
+    simplex j; the problem list from it equals the oracle's."""
+    flags, cofacets = _ridge_flags(t.simplices), _cofacets(t.simplices)
+    w = t.dim + 1
+    first_seen = dict.fromkeys(s[:i] + s[i + 1:] for s in t.simplices for i in range(w))
+    assert list(flags) == list(cofacets) == list(first_seen)
+    for ridge, xs in flags.items():
+        assert [x // w for x in xs] == cofacets[ridge]
+        for x in xs:  # the vertex that x's simplex adds is at position x % w
+            s = t.simplices[x // w]
+            assert s[: x % w] + s[x % w + 1:] == ridge
+    problems = _pseudomanifold_problems(t.simplices, flags)
+    assert problems == reference_pseudomanifold_problems(t.simplices, cofacets)
+    assert problems == t.validate()
+    return not problems
 
 
 def relabelled(t: Triangulation, rng: random.Random) -> Triangulation:
@@ -385,30 +397,30 @@ def relabelled(t: Triangulation, rng: random.Random) -> Triangulation:
 
 
 @pytest.mark.parametrize("spec", SHIPPED_TRIANGULATIONS)
-def test_boolean_pseudomanifold_check_passes_shipped_triangulations(spec):
+def test_pseudomanifold_problems_match_the_oracle_on_shipped_triangulations(spec):
     t = spec_triangulation(spec)
-    assert assert_boolean_check_matches_problems(t)
+    assert assert_flag_table_matches_problems(t)
     rng = random.Random(spec)
     for _ in range(3):
-        assert assert_boolean_check_matches_problems(relabelled(t, rng))
+        assert assert_flag_table_matches_problems(relabelled(t, rng))
 
 
-def test_boolean_pseudomanifold_check_on_a_barycentric_subdivision():
+def test_pseudomanifold_problems_match_the_oracle_on_a_barycentric_subdivision():
     t = barycentric_subdivision(simplex_boundary(3))
-    assert assert_boolean_check_matches_problems(t)
-    assert assert_boolean_check_matches_problems(relabelled(t, random.Random(5)))
+    assert assert_flag_table_matches_problems(t)
+    assert assert_flag_table_matches_problems(relabelled(t, random.Random(5)))
 
 
 @pytest.mark.parametrize("name", sorted(BROKEN_TRIANGULATIONS))
-def test_boolean_pseudomanifold_check_fails_broken_triangulations(name):
+def test_pseudomanifold_problems_match_the_oracle_on_broken_triangulations(name):
     t = BROKEN_TRIANGULATIONS[name]
-    assert not assert_boolean_check_matches_problems(t)
+    assert not assert_flag_table_matches_problems(t)
     rng = random.Random(name)
     for _ in range(5):
-        assert not assert_boolean_check_matches_problems(relabelled(t, rng))
+        assert not assert_flag_table_matches_problems(relabelled(t, rng))
 
 
-def test_boolean_pseudomanifold_check_on_random_pieces():
+def test_pseudomanifold_problems_match_the_oracle_on_random_pieces():
     # random subsets of the top simplices of small closed manifolds, and
     # disjoint unions with copies: mostly broken, some closed
     rng = random.Random(11)
@@ -419,22 +431,26 @@ def test_boolean_pseudomanifold_check_on_random_pieces():
             keep = [s for s in t.simplices if rng.random() < 0.8] or t.simplices[:1]
             copy = [[v + t.n_vertices for v in s] for s in t.simplices]
             for pieces in (keep, keep + copy):
-                verdicts.add(assert_boolean_check_matches_problems(
+                verdicts.add(assert_flag_table_matches_problems(
                     relabelled(Triangulation(t.dim, pieces), rng)))
     assert verdicts == {True, False}
 
 
-def test_every_triangulation_spec_builds_without_the_problem_list(monkeypatch):
-    # the problem list, with its messages, is made only when the boolean
-    # check fails; no shipped triangulation reaches it
-    def refuse(*args):
-        raise AssertionError("the problem list was built")
+def test_every_triangulation_spec_checks_its_ridges_once(monkeypatch):
+    # one pass over the ridge flags checks a build, and finds no problem
+    real = complexes_mod._pseudomanifold_problems
+    found = []
 
-    monkeypatch.setattr(complexes_mod, "_pseudomanifold_problems", refuse)
+    def counted(simplices, ridges):
+        found.append(real(simplices, ridges))
+        return found[-1]
+
+    monkeypatch.setattr(complexes_mod, "_pseudomanifold_problems", counted)
     for spec in SHIPPED_TRIANGULATIONS:
         name, *params = spec.split(":")
         c = builtin_manifold(name, *map(int, params))
         assert c.meta["generic_validated"]
+    assert found == [[]] * len(SHIPPED_TRIANGULATIONS)
 
 
 def test_broken_tri_file_exits_2_with_the_first_problem(tmp_path, capsys):

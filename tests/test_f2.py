@@ -155,14 +155,31 @@ def reference_set_bits(x):
 
 
 def test_set_bits_matches_the_reference_on_sparse_and_dense_ints():
-    # widths and densities on both sides of the switch to the linear pass
+    # widths and densities on both sides of the 64-bit gate and of the
+    # switch to the linear pass
     rng = random.Random(4)
-    for width in (0, 1, 7, 64, 65, 300, 1000, 5000, 28672):
+    for width in (0, 1, 7, 63, 64, 65, 66, 128, 300, 1000, 5000, 28672):
         for density in (0.0, 0.001, 0.01, 0.05, 0.2, 0.5, 0.95, 1.0):
             x = sum(1 << i for i in range(width) if rng.random() < density)
             assert _set_bits(x) == reference_set_bits(x)
     assert _set_bits((1 << 28672) - 1) == list(range(28672))
     assert _set_bits(1 << 10000) == [10000]
+    for width in (64, 65):
+        assert _set_bits((1 << width) - 1) == list(range(width))
+
+
+def test_set_bits_reads_ints_of_at_most_64_bits_by_the_low_bit_loop(monkeypatch):
+    # the string pass has a fixed cost that no int of 64 bits or fewer repays
+    import gdslab.f2 as f2_mod
+
+    def no_string(x):
+        raise AssertionError("a string pass on a narrow int")
+
+    monkeypatch.setattr(f2_mod, "bin", no_string, raising=False)
+    for x in (0, 1, 0b1011, (1 << 63) | 1, (1 << 64) - 1):
+        assert _set_bits(x) == reference_set_bits(x)
+    with pytest.raises(AssertionError):
+        _set_bits((1 << 65) - 1)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=6))

@@ -19,6 +19,7 @@ from gdslab.model import (
     flip,
     ground_degeneracy,
     hplus_violations,
+    order_dependent_sectors,
     random_cycle,
     sector_reports,
     sector_reps,
@@ -402,6 +403,54 @@ def test_walsh_columns_follow_the_span_numbering(spec):
     expected = sweep_signs(c, [Chain(c, c.dim - 1, x) for x in span])
     negative = _negative_sectors(c, SectorSet(c, c.dim - 1, mixed))
     assert [-1 if (negative >> j) & 1 else 1 for j in range(len(span))] == expected
+
+
+def test_order_dependent_sectors_name_sectors_in_listing_order(monkeypatch):
+    # on the Klein bottle the second listed sector is class 3 of the span
+    # numbering, which the sweeps index
+    import gdslab.model as model_mod
+
+    c = build_manifold("klein", None, None)
+    assert sector_reps(c).listing()[1][1] == 3
+    real = model_mod._sweep
+    calls = []
+
+    def flaky(c, cols, n, order):
+        calls.append(order)
+        return real(c, cols, n, order) ^ (1 << 3 if len(calls) == 2 else 0)
+
+    monkeypatch.setattr(model_mod, "_sweep", flaky)
+    n_top = c.n_cells(c.dim)
+    orders = [list(range(n_top))[::-1], list(range(n_top))]
+    assert list(order_dependent_sectors(c, orders)) == [1, None]
+    assert calls == [None] + orders
+
+
+@pytest.mark.parametrize("spec", ["tP:3", "klein", "torus:3:3"])
+def test_order_dependent_sectors_match_the_sweep_of_listed_reps(monkeypatch, spec):
+    # a chi_up table that forgets one vertex of top cell 1 makes the signs
+    # depend on the order: the first changed sector is the first listed
+    # representative whose `sweep_signs` sign changes
+    import gdslab.model as model_mod
+
+    real = model_mod._chi_table
+
+    def forgetful(c, cell):
+        faces, masks = real(c, cell)
+        return (faces, (masks[0][1:],) + masks[1:]) if cell == 1 else (faces, masks)
+
+    monkeypatch.setattr(model_mod, "_chi_table", forgetful)
+    c = build_manifold(spec, None, None)
+    reps = sector_reps(c).reps
+    base = sweep_signs(c, reps)
+    rng = random.Random(4)
+    orders = [rng.sample(range(c.n_cells(c.dim)), c.n_cells(c.dim)) for _ in range(8)]
+    expected = []
+    for order in orders:
+        got = sweep_signs(c, reps, order)
+        expected.append(next((j for j, (a, b) in enumerate(zip(got, base)) if a != b), None))
+    assert list(order_dependent_sectors(c, orders)) == expected
+    assert any(x is not None for x in expected)
 
 
 def disjoint_union(*triangulations):
