@@ -3,7 +3,7 @@
 One gate per cell of dimension below d.  Its support is the bitmask of the
 (d-1)-cells whose closure holds the cell, so it fires on a basis state iff
 `support & state.bits` is nonzero: its cell lies in the closure of the up-set.
-The supports come from the downward pass that builds the chi_up tables
+The supports come from one downward OR pass over the whole complex
 (`complexes._closure_masks`), seeded with bit f on every (d-1)-cell f.
 A firing gate gives +i for an even-dimensional cell and -i for an odd one, so
 the phase is i to (#even - #odd firing gates); it telescopes to i^chi.
@@ -131,8 +131,11 @@ def _phase_after_flip(
     return before * Phase.i_power(change)
 
 
-def verify_conjugation(c: CellComplex, n_states: int = 20, seed: int = 0) -> ConjugationReport:
-    """Check that conjugating a flip by the phase circuit cancels its sign.
+def verify_conjugation(
+    c: CellComplex, gates: Sequence[PhaseGate], n_states: int = 20, seed: int = 0
+) -> ConjugationReport:
+    """Check that conjugating a flip by the phase circuit `gates` (as
+    `build_gates(c)` gives them) cancels its sign.
 
     For every top cell and sampled cycle states: the circuit phase after the
     flip, times the semion flip sign, times the conjugate circuit phase before
@@ -142,7 +145,6 @@ def verify_conjugation(c: CellComplex, n_states: int = 20, seed: int = 0) -> Con
     """
     if c.dim % 2 == 0:
         raise ValueError("the conjugating circuit exists in odd dimension")
-    gates = build_gates(c)
     meeting = _gates_meeting(c, gates)
     rng = random.Random(seed)
     for trial in range(1, n_states + 1):

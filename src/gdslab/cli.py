@@ -119,7 +119,7 @@ def _cmd_circuit(args) -> Tuple[str, int]:
     c = build_manifold(args.manifold, args.points, args.seed)
     gates = circuit_mod.build_gates(c)
     sched = circuit_mod.schedule(gates)
-    ok = circuit_mod.verify_conjugation(c, n_states=10, seed=args.seed or 0)
+    ok = circuit_mod.verify_conjugation(c, gates, n_states=10, seed=args.seed or 0)
     if args.out:
         sched.save(args.out)
     return (f"gates {len(gates)}, depth {sched.depth}, conjugation "
@@ -239,7 +239,8 @@ def _suite_circuit(c: CellComplex, rng: random.Random) -> List[str]:
     from . import circuit as circuit_mod
 
     trials = 20
-    report = circuit_mod.verify_conjugation(c, n_states=trials, seed=rng.randrange(1 << 30))
+    gates = circuit_mod.build_gates(c)
+    report = circuit_mod.verify_conjugation(c, gates, n_states=trials, seed=rng.randrange(1 << 30))
     if report:
         return []
     return [f"circuit conjugation fails at top cell {report.cell} "

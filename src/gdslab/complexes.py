@@ -15,7 +15,10 @@ Closures come from one downward pass, `_closure_masks`: masks on seed cells
 of any dimensions are ORed into their faces one dimension at a time.  The
 closure of a cell set is the key set of that pass with every mask 1; callers
 that only count cells (Euler characteristics, Betti numbers, clean-overlap
-tests) read its per-dimension dicts instead.
+tests) read its per-dimension dicts instead.  One step of the pass, from
+the masks on j-cells to the masks on their faces, is `_or_into_faces`; the
+sweep of `model` runs it per top cell on int keys, without the (dim, id)
+keyed seeds.
 
 `faces_by_dim` keeps the sorted facet sets of a triangulation, from
 `itertools.combinations` on each sorted simplex.  `_cofacets` lists the
@@ -95,10 +98,9 @@ def _ints(tokens: Iterable[str], where: str) -> List[int]:
 def _facet_getters(w: int) -> List:
     """The facets of a w-vertex simplex as getters, the i-th leaving out
     position i: first the facet without the first vertex."""
-    keep = [tuple(p for p in range(w) if p != i) for i in range(w)]
-    if w <= 2:  # itemgetter takes at least one position, and of one returns no tuple
-        return [lambda s, ps=ps: tuple(s[p] for p in ps) for ps in keep]
-    return [itemgetter(*ps) for ps in keep]
+    if w <= 2:  # itemgetter of one position returns no tuple, of a slice it does
+        return [itemgetter(slice(1, None)), itemgetter(slice(0, 1))][:w]
+    return [itemgetter(*(p for p in range(w) if p != i)) for i in range(w)]
 
 
 def _cofacets(simplices: Sequence[Tuple[int, ...]]) -> Dict[Tuple[int, ...], List[int]]:
@@ -261,7 +263,7 @@ class CellComplex:
         self._boundary_rows: Dict[int, List[int]] = {}
         # non-root top-cell boundaries + generators, kept by homology.cycle_space_basis
         self._cycle_bases: Dict[int, Tuple[int, ...]] = {}
-        # per top cell chi_up tables, kept by model._chi_table
+        # per top cell chi_up tables of single flips, kept by model._chi_table
         self._chi_tables: Dict[int, tuple] = {}
         # ((support bits, state bits), pieces) of the latest pair, kept by
         # operators.overlap_pieces: one balloon trial asks three times
@@ -558,12 +560,22 @@ def _closure_masks(c: CellComplex, seeds: Dict[CellKey, int]) -> List[Dict[int, 
     for (j, i), m in seeds.items():
         out[j][i] = m
     for j in range(k, 0, -1):
-        below, faces = out[j - 1], c._faces[j]
-        get = below.get
-        for i, m in out[j].items():
-            for f in faces[i]:
-                below[f] = get(f, 0) | m
+        _or_into_faces(c._faces[j], out[j], out[j - 1])
     return out
+
+
+def _or_into_faces(
+    faces: List[Tuple[int, ...]], masks: Dict[int, int], below: Dict[int, int]
+) -> Dict[int, int]:
+    """One step of the downward pass: OR the mask of every j-cell in
+    `masks` into each of its faces in `below`, the face tuples of the
+    j-cells being `faces`.  A face first met here is keyed in the order of
+    `masks`, then of its face tuple.  Returns `below`."""
+    get = below.get
+    for i, m in masks.items():
+        for f in faces[i]:
+            below[f] = get(f, 0) | m
+    return below
 
 
 HERITABILITY_SAMPLES = 4  # evenly spaced top cells whose boundary spheres are validated

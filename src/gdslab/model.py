@@ -5,12 +5,13 @@ condition at (d-2)-cells; a plaquette flip NOTs the boundary of a top cell and,
 in the semion model, carries a sign fixed by the Euler characteristic of the
 up-labelled part of the cell boundary.
 
-chi_up is read from a table kept per top cell: its face tuple and, for every
-cell sigma in the closure of its boundary, grouped by dim sigma, the mask of
-the face positions whose closure contains sigma.  The table comes from one
-downward pass (`complexes._closure_masks`): face pos starts with bit pos, and
-every cell ORs its mask into its own faces.  A state's local pattern (bit i
-set iff face i is up) meets mask_sigma exactly when sigma lies in the closed
+A single flip (`chi_up`, and the oracle's terms in `ed`) reads chi_up from a
+table kept per top cell: its face tuple and, for every cell sigma in the
+closure of its boundary, grouped by dim sigma, the mask of the face
+positions whose closure contains sigma.  The table comes from one downward
+pass (`complexes._closure_masks`): face pos starts with bit pos, and every
+cell ORs its mask into its own faces.  A state's local pattern (bit i set
+iff face i is up) meets mask_sigma exactly when sigma lies in the closed
 up-part, so chi_up = sum over sigma of (-1)^dim sigma
 [pattern & mask_sigma != 0].  Only such sums and their parities read the
 masks, so their order within a dimension is free.
@@ -20,10 +21,13 @@ cell counts +1 whatever its dimension: the phase is -1 exactly when an even
 number of sigma meet the pattern.  `_sweep`, the one sweep loop, uses this
 to flip many states at once, bit-sliced: the states are stored transposed,
 one int per (d-1)-cell whose bit j says whether state j contains that cell.
-OR-ing the columns of the faces selected by mask_sigma gives, for all
-states in one int, whether sigma is up; XOR-ing those over sigma gives the
-parity of chi_up, and a flip XORs the all-states mask into the columns of
-the cell boundary.
+It builds no table.  Per top cell, `_flip_columns` seeds the faces with
+their columns and runs the same downward OR steps
+(`complexes._or_into_faces`), so sigma ends with the OR of the columns of
+the faces whose closure holds it: for all states in one int, whether sigma
+is up, the value the table's mask_sigma selects.  XOR-ing those over sigma
+gives the parity of chi_up, and the flip XORs the all-states mask into the
+columns of the cell boundary.
 
 `sweep_signs` transposes an explicit list of chains into those columns.
 The sectors need no list: with generators g_0 .. g_{b-1}, sector j of the
@@ -41,9 +45,11 @@ flip order by the same numbering.
 from __future__ import annotations
 
 import random
+from functools import reduce
+from operator import xor
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .complexes import CellComplex, CellKey, Chain, _closure_masks, ensure_validated
+from .complexes import CellComplex, CellKey, Chain, _closure_masks, _or_into_faces, ensure_validated
 from .f2 import F2Matrix, PreconditionError, _set_bits
 from .homology import SectorSet, cycle_space_basis, homology_sector_reps
 
@@ -94,7 +100,8 @@ ChiTable = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]
 
 
 def _chi_table(c: CellComplex, cell: int) -> ChiTable:
-    """The chi_up table of one top cell, built once per complex."""
+    """The chi_up table of one top cell for single flips, built once per
+    complex; sweeps read none (`_flip_columns`)."""
     table = c._chi_tables.get(cell)
     if table is None:
         faces = c.faces(c.dim, cell)
@@ -221,24 +228,31 @@ def _sweep(c: CellComplex, cols: List[int], n: int, order: Optional[Sequence[int
     full = (1 << n) - 1
     negative = 0
     for cell in cells:
-        faces, masks = _chi_table(c, cell)
-        face_cols = [cols[f] for f in faces]
-        parity = 0
-        for ms in masks:
-            for m in ms:
-                up = 0
-                while m:
-                    low = m & -m
-                    up |= face_cols[low.bit_length() - 1]
-                    m ^= low
-                parity ^= up
         # an even chi_up gives the phase -1
-        negative ^= parity ^ full
-        for f in faces:
-            cols[f] ^= full
+        negative ^= _flip_columns(c, cell, cols, full) ^ full
     if cols != start:
         raise AssertionError("sweep did not return to its starting cycle")
     return negative
+
+
+def _flip_columns(c: CellComplex, cell: int, cols: List[int], full: int) -> int:
+    """One step of the sweep: the flip of a top cell on every cycle at once.
+    Returns the parity of chi_up before the flip, bit j for cycle j, and
+    XORs `full` into the columns of the cell's faces.  The faces are seeded
+    with their columns and ORed down one dimension at a time, so every cell
+    sigma of the closure ends with the OR of the columns of the faces whose
+    closure holds it, which says whether sigma is up; the parity is the XOR
+    of those values."""
+    tables = c._faces
+    faces = tables[c.dim][cell]
+    level = {f: cols[f] for f in faces}
+    parity = reduce(xor, level.values(), 0)
+    for j in range(c.dim - 1, 0, -1):
+        level = _or_into_faces(tables[j], level, {})
+        parity = reduce(xor, level.values(), parity)
+    for f in faces:
+        cols[f] ^= full
+    return parity
 
 
 def _walsh(k: int, b: int) -> int:
@@ -273,15 +287,21 @@ def order_dependent_sectors(
 ) -> Iterator[Optional[int]]:
     """For each flip order in turn, the first sector in listing order whose
     sweep sign differs from the sweep in id order, or None if none does.
-    Every sweep reads one build of the sector columns."""
+    Every sweep reads one build of the sector columns; the listing is built
+    only once some sign differs."""
     sectors = sector_reps(c)
     cols = _sector_columns(c, sectors)
     n = sectors.class_count
     base = _sweep(c, cols, n, None)
-    listing = sectors.listing()[1]
+    listing = None
     for order in orders:
         changed = _sweep(c, cols, n, order) ^ base
-        yield next((i for i, j in enumerate(listing) if changed >> j & 1), None)
+        if not changed:
+            yield None
+            continue
+        if listing is None:
+            listing = sectors.listing()[1]
+        yield next(i for i, j in enumerate(listing) if changed >> j & 1)
 
 
 def sector_reps(c: CellComplex) -> SectorSet:

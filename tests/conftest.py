@@ -214,3 +214,82 @@ def reference_sector_reports(c, model):
             eps = (chi % 2) if survives else (chi + 1) % 2
         reports.append(model_mod.SectorReport(idx, rep, sign, survives, eps))
     return reports
+
+
+# -- the table sweep ------------------------------------------------------------
+# The bit-sliced sweep as it read the per-top-cell chi_up tables: for every
+# closure cell sigma, the OR of the columns of the face positions in
+# mask_sigma, one set bit at a time. The sweep from the columns' downward OR
+# pass replaced it, and must match it on every input.
+
+
+def reference_sweep(c, cols, n, order=None):
+    """Oracle for `model._sweep`, with its checks and messages; leaves
+    `cols` as it found them."""
+    from gdslab.model import _chi_table
+
+    d = c.dim
+    ridge_sums = [0] * c.n_cells(d - 2)
+    for f, col in enumerate(cols):
+        if col:
+            for r in c.faces(d - 1, f):
+                ridge_sums[r] ^= col
+    if any(ridge_sums):
+        raise ValueError("sweep must start from a cycle")
+    n_top = c.n_cells(d)
+    cells = list(order) if order is not None else list(range(n_top))
+    if sorted(cells) != list(range(n_top)):
+        raise ValueError("order must visit every top cell exactly once")
+    start = list(cols)
+    full = (1 << n) - 1
+    negative = 0
+    for cell in cells:
+        faces, masks = _chi_table(c, cell)
+        face_cols = [cols[f] for f in faces]
+        parity = 0
+        for ms in masks:
+            for m in ms:
+                up = 0
+                while m:
+                    low = m & -m
+                    up |= face_cols[low.bit_length() - 1]
+                    m ^= low
+                parity ^= up
+        negative ^= parity ^ full
+        for f in faces:
+            cols[f] ^= full
+    if cols != start:
+        raise AssertionError("sweep did not return to its starting cycle")
+    return negative
+
+
+# -- faults at the sweep's read point (`model._flip_columns`) -------------------
+
+
+def forgetful_flip(real):
+    """`_flip_columns` with a chi_up that forgets one vertex of top cell 1:
+    the first vertex of its closure, in the order of the table's masks."""
+    from gdslab.complexes import _closure_masks
+
+    def forgetful(c, cell, cols, full):
+        forgotten = 0
+        if cell == 1:
+            seeds = {(c.dim - 1, f): cols[f] for f in c.faces(c.dim, cell)}
+            forgotten = next(iter(_closure_masks(c, seeds)[0].values()))
+        return real(c, cell, cols, full) ^ forgotten
+
+    return forgetful
+
+
+def widened_flip(real):
+    """`_flip_columns` whose flip of top cell 0 also flips the boundary of
+    top cell 1: the sectors are unchanged, but no sweep comes back."""
+
+    def widened(c, cell, cols, full):
+        parity = real(c, cell, cols, full)
+        if cell == 0:
+            for f in c.faces(c.dim, 1):
+                cols[f] ^= full
+        return parity
+
+    return widened

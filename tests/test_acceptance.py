@@ -318,8 +318,8 @@ def test_criterion_11_appendix():
 def test_criterion_12_circuit():
     t3 = builtin_manifold("torus", 3, 3)
     s3 = builtin_manifold("sphere", 3)
-    assert verify_conjugation(t3, n_states=20, seed=0)
-    assert verify_conjugation(s3, n_states=50, seed=0)
+    assert verify_conjugation(t3, build_gates(t3), n_states=20, seed=0)
+    assert verify_conjugation(s3, build_gates(s3), n_states=50, seed=0)
     d4 = schedule(build_gates(builtin_manifold("torus", 3, 4))).depth
     d8 = schedule(build_gates(builtin_manifold("torus", 3, 8))).depth
     assert d4 == d8

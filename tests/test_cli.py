@@ -29,6 +29,8 @@ from gdslab.complexes import CellComplex, Chain
 from gdslab.f2 import F2Matrix
 from gdslab.manifolds import SPECS, builtin_manifold, torus_diagonal_cycles, torus_dual_loops
 
+from conftest import forgetful_flip
+
 
 def run(argv, capsys):
     rc = dispatch(argv)
@@ -273,15 +275,9 @@ def test_sweep_order_suite_matches_the_per_order_reference(monkeypatch, spec):
         c = build_manifold(spec, None, None)
         assert _suite_sweep_order(c, random.Random(seed)) == []
         assert reference_sweep_order(c, random.Random(seed)) == []
-    # a chi_up table that forgets one vertex of top cell 1 makes the sign
-    # depend on the order; both report the same rounds and sectors
-    real = model_mod._chi_table
-
-    def forgetful(c, cell):
-        faces, masks = real(c, cell)
-        return (faces, (masks[0][1:],) + masks[1:]) if cell == 1 else (faces, masks)
-
-    monkeypatch.setattr(model_mod, "_chi_table", forgetful)
+    # a chi_up that forgets one vertex of top cell 1 makes the sign depend
+    # on the order; both report the same rounds and sectors
+    monkeypatch.setattr(model_mod, "_flip_columns", forgetful_flip(model_mod._flip_columns))
     for seed in (0, 1):
         c = build_manifold(spec, None, None)
         got = _suite_sweep_order(c, random.Random(seed))
@@ -446,6 +442,19 @@ def test_circuit_fail_line_replays_the_flip(monkeypatch, capsys):
     c = build_manifold("sphere:3", None, 3)
     _, sf = model_mod.flip(c, 1, Chain(c, 2, 0x71), model_mod.GDS)
     assert sf.phase == -1
+
+
+@pytest.mark.parametrize("argv", [
+    ["circuit", "--manifold", "sphere:3"],
+    ["verify", "--suite", "circuit", "--manifold", "sphere:3"],
+])
+def test_circuit_commands_build_the_gates_once(monkeypatch, capsys, argv):
+    real = circuit_mod.build_gates
+    calls = []
+    monkeypatch.setattr(circuit_mod, "build_gates", lambda c: calls.append(c) or real(c))
+    rc, _, _ = run(argv, capsys)
+    assert rc == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_usage_errors(capsys):

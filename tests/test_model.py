@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdslab.cli import build_manifold
 from gdslab.complexes import Chain, ensure_validated
@@ -15,6 +17,7 @@ from gdslab.model import (
     SignedFlip,
     _components,
     _chi_table,
+    _sweep,
     chi_up,
     flip,
     ground_degeneracy,
@@ -29,7 +32,15 @@ from gdslab.model import (
     verify_projector,
 )
 
-from conftest import ORACLE_SPECS, dense_incidence, reference_nullspace, reference_sector_reports
+from conftest import (
+    ORACLE_SPECS,
+    dense_incidence,
+    forgetful_flip,
+    reference_nullspace,
+    reference_sector_reports,
+    reference_sweep,
+    widened_flip,
+)
 
 
 def closure_chi_up(c, cell, s):
@@ -368,6 +379,100 @@ def test_sweep_signs_match_reference_sweep(small_complex):
         assert [sweep_sign(c, e, order) for e in reps] == expected
 
 
+# the small complexes, tP:7..12, torus:4:3 and a small Voronoi torus, for the
+# table-sweep oracle
+TABLE_SWEEP_COMPLEXES = SMALL_COMPLEXES + [
+    (f"tP:{t}", None, None) for t in range(7, 13)
+] + [("torus:4:3", None, None), ("torus-voronoi:2", 25, 7)]
+
+
+def sector_sweep_input(c):
+    """The sector columns of a complex and their class count."""
+    from gdslab.model import _sector_columns
+
+    sectors = sector_reps(c)
+    return _sector_columns(c, sectors), sectors.class_count
+
+
+def assert_sweep_matches_table_sweep(c, cols, n, order):
+    start = list(cols)
+    assert _sweep(c, cols, n, order) == reference_sweep(c, cols, n, order)
+    assert cols == start
+
+
+@pytest.mark.parametrize("spec,points,seed", TABLE_SWEEP_COMPLEXES,
+                         ids=[f"{spec}-{points}" if points else spec
+                              for spec, points, _ in TABLE_SWEEP_COMPLEXES])
+def test_sweep_matches_the_table_sweep(spec, points, seed):
+    c = build_manifold(spec, points, seed)
+    cols, n = sector_sweep_input(c)
+    rng = random.Random(spec)
+    orders = [None, list(range(c.n_cells(c.dim)))[::-1]]
+    orders += [rng.sample(range(c.n_cells(c.dim)), c.n_cells(c.dim)) for _ in range(2)]
+    for order in orders:
+        assert_sweep_matches_table_sweep(c, cols, n, order)
+
+
+HYPOTHESIS_SWEEP_SPECS = ["tP:3", "klein", "torus:3:3", "sphere:4", "genus:2"]
+
+
+@given(spec=st.sampled_from(HYPOTHESIS_SWEEP_SPECS), seed=st.integers(0, 2 ** 32 - 1),
+       shuffled=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_sweep_matches_the_table_sweep_on_drawn_orders_and_cycles(spec, seed, shuffled):
+    # the sector columns plus random cycles, in id order or a shuffled one
+    c = build_manifold(spec, None, None)
+    rng = random.Random(seed)
+    cols, n = sector_sweep_input(c)
+    for k in range(4):
+        for f in random_cycle(c, rng).cells():
+            cols[f] ^= 1 << n + k
+    order = rng.sample(range(c.n_cells(c.dim)), c.n_cells(c.dim)) if shuffled else None
+    assert_sweep_matches_table_sweep(c, cols, n + 4, order)
+
+
+def test_sweep_errors_match_the_table_sweep(torus2):
+    c = torus2
+    cols, n = sector_sweep_input(c)
+    not_cycle = list(cols)
+    not_cycle[0] ^= 1 << n
+    n_top = c.n_cells(c.dim)
+    cases = [(not_cycle, n + 1, None, "sweep must start from a cycle")]
+    cases += [(cols, n, order, "order must visit every top cell exactly once")
+              for order in ([0] * n_top, list(range(n_top - 1)), list(range(n_top + 1)))]
+    for args_cols, args_n, order, message in cases:
+        for sweep in (_sweep, reference_sweep):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                sweep(c, list(args_cols), args_n, order)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gsd", "--model", "gds"], ["gsd", "--model", "gtc"],
+    ["verify", "--suite", "sweep-order", "--seed", "1"],
+])
+@pytest.mark.parametrize("spec", ["tP:3", "torus:3:3"])
+def test_sweeps_build_no_chi_tables(monkeypatch, capsys, argv, spec):
+    from gdslab import cli
+
+    c = build_manifold(spec, None, None)
+    monkeypatch.setattr(cli, "build_manifold", lambda spec, points, seed: c)
+    assert cli.dispatch(argv + ["--manifold", spec]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert c._chi_tables == {}
+
+
+def test_table_thm_a_reads_no_chi_table(monkeypatch, capsys):
+    import gdslab.model as model_mod
+    from gdslab import cli
+
+    def refused(c, cell):
+        raise AssertionError("a sweep read a chi_up table")
+
+    monkeypatch.setattr(model_mod, "_chi_table", refused)
+    assert cli.dispatch(["table-thm-a", "--tmax", "4"]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 # the small complexes and the larger ones up to the sector guard (b = 12)
 GENERATOR_SWEEP_COMPLEXES = SMALL_COMPLEXES + [
     (spec, None, None)
@@ -428,18 +533,12 @@ def test_order_dependent_sectors_name_sectors_in_listing_order(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["tP:3", "klein", "torus:3:3"])
 def test_order_dependent_sectors_match_the_sweep_of_listed_reps(monkeypatch, spec):
-    # a chi_up table that forgets one vertex of top cell 1 makes the signs
-    # depend on the order: the first changed sector is the first listed
+    # a chi_up that forgets one vertex of top cell 1 makes the signs depend
+    # on the order: the first changed sector is the first listed
     # representative whose `sweep_signs` sign changes
     import gdslab.model as model_mod
 
-    real = model_mod._chi_table
-
-    def forgetful(c, cell):
-        faces, masks = real(c, cell)
-        return (faces, (masks[0][1:],) + masks[1:]) if cell == 1 else (faces, masks)
-
-    monkeypatch.setattr(model_mod, "_chi_table", forgetful)
+    monkeypatch.setattr(model_mod, "_flip_columns", forgetful_flip(model_mod._flip_columns))
     c = build_manifold(spec, None, None)
     reps = sector_reps(c).reps
     base = sweep_signs(c, reps)
@@ -503,26 +602,32 @@ def test_sweep_signs_error_messages(torus2):
 def test_sweep_signs_rejects_disconnected():
     from gdslab.complexes import Triangulation, dual_of_triangulation
     from gdslab.manifolds import nonorientable_surface
+    from gdslab.model import _sector_columns
 
     t_rp2 = nonorientable_surface(1)
     shift = t_rp2.n_vertices
     c = dual_of_triangulation(Triangulation(
         2, t_rp2.simplices + [tuple(v + shift for v in s) for s in t_rp2.simplices]
     ))
-    with pytest.raises(ValueError, match="^sweep is defined per connected component$"):
-        sweep_signs(c, [Chain.empty(c, 1)])
+    for sweep_entry in (
+        lambda: sweep_signs(c, [Chain.empty(c, 1)]),
+        lambda: _sector_columns(c, sector_reps(c)),
+        lambda: next(order_dependent_sectors(c, [None])),
+    ):
+        with pytest.raises(ValueError, match="^sweep is defined per connected component$"):
+            sweep_entry()
 
 
 def test_sweep_that_does_not_return_is_an_internal_error(monkeypatch, capsys):
     from gdslab import cli
+    import gdslab.model as model_mod
 
-    # A copy on which the sweep's flip of cell 0 flips the boundaries of
-    # cells 0 and 1: the boundary space and the sectors are unchanged, but
-    # the flips of all top cells no longer cancel, so no sweep comes back.
+    # A sweep whose flip of cell 0 flips the boundaries of cells 0 and 1:
+    # the boundary space and the sectors are unchanged, but the flips of all
+    # top cells no longer cancel, so no sweep comes back.
     c = builtin_manifold("torus", 2, 3)
     ensure_validated(c)
-    faces, masks = _chi_table(c, 0)
-    c._chi_tables[0] = (faces + c.faces(2, 1), masks)
+    monkeypatch.setattr(model_mod, "_flip_columns", widened_flip(model_mod._flip_columns))
     with pytest.raises(AssertionError, match="^sweep did not return to its starting cycle$"):
         sweep_signs(c, [Chain.empty(c, 1)])
     monkeypatch.setattr(cli, "build_manifold", lambda spec, points, seed: c)
@@ -530,3 +635,8 @@ def test_sweep_that_does_not_return_is_an_internal_error(monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "internal error: sweep did not return to its starting cycle\n"
     )
+    # the same fault in the table that the table sweep flips by
+    faces, masks = _chi_table(c, 0)
+    c._chi_tables[0] = (faces + c.faces(2, 1), masks)
+    with pytest.raises(AssertionError, match="^sweep did not return to its starting cycle$"):
+        reference_sweep(c, [0] * c.n_cells(1), 1)
