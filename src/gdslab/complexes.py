@@ -11,14 +11,17 @@ complex's one coface table (built once, and read next by homology), and the
 boundary of a k-cell's boundary vanishes iff the sorted list of its faces'
 faces pairs up.
 
-Closures come from one downward pass, `_closure_masks`: masks on seed cells
-of any dimensions are ORed into their faces one dimension at a time.  The
-closure of a cell set is the key set of that pass with every mask 1; callers
-that only count cells (Euler characteristics, Betti numbers, clean-overlap
-tests) read its per-dimension dicts instead.  One step of the pass, from
-the masks on j-cells to the masks on their faces, is `_or_into_faces`; the
-sweep of `model` runs it per top cell on int keys, without the (dim, id)
-keyed seeds.
+Closures come from one downward pass, in two forms.  Callers that only ask
+which cells lie in the closure (`closure`, `chi_of_cells`, the Betti numbers
+and semicharacteristics of homology, the component split of `model`) use
+`_closure_cells`: one set of ids per dimension, each the union of the face
+tuples of the set above.  Callers that ask which seeds hold a cell (the
+chi_up tables, clean-overlap tests, circuit supports) use `_closure_masks`:
+masks on seed cells of any dimensions are ORed into their faces one
+dimension at a time, so a cell's mask names the seeds whose closure holds
+it.  One step of that pass, from the masks on j-cells to the masks on their
+faces, is `_or_into_faces`; the sweep of `model` runs it per top cell on int
+keys, without the (dim, id) keyed seeds.
 
 `faces_by_dim` keeps the sorted facet sets of a triangulation, from
 `itertools.combinations` on each sorted simplex.  `_cofacets` lists the
@@ -42,8 +45,9 @@ and the top-cell forest of homology; over any other items they are a dict.
 
 from __future__ import annotations
 
-from itertools import combinations
-from operator import itemgetter
+from functools import reduce
+from itertools import chain, combinations
+from operator import itemgetter, xor
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Set, Tuple
 
 from .f2 import _mask_of, _set_bits
@@ -313,10 +317,14 @@ class CellComplex:
     def boundary_bits(self, k: int, i: int) -> int:
         """Odd-multiplicity faces of (k, i) as a bitmask over (k-1)-cells,
         built for every k-cell on the first call in dimension k."""
+        return self._boundary_table(k)[i]
+
+    def _boundary_table(self, k: int) -> List[int]:
+        """The boundary bitmasks of every k-cell, built once per dimension."""
         rows = self._boundary_rows.get(k)
         if rows is None:
             rows = self._boundary_rows[k] = [_mask_of(fl) for fl in self._faces[k]]
-        return rows[i]
+        return rows
 
     def coboundary_bits(self, k: int, i: int) -> int:
         """Odd-multiplicity cofaces of (k, i) as a bitmask over (k+1)-cells."""
@@ -326,13 +334,13 @@ class CellComplex:
 
     def closure(self, cells: Iterable[CellKey]) -> FrozenSet[CellKey]:
         """The cells of the closure of a cell set, in any dimensions."""
-        by_dim = _closure_masks(self, dict.fromkeys(cells, 1))
-        return frozenset((k, i) for k, ms in enumerate(by_dim) for i in ms)
+        by_dim = _closure_cells(self, cells)
+        return frozenset((k, i) for k, ids in enumerate(by_dim) for i in ids)
 
     def chi_of_cells(self, cells: Iterable[CellKey]) -> int:
         """Euler characteristic of the closure of a cell set."""
-        by_dim = _closure_masks(self, dict.fromkeys(cells, 1))
-        return sum(-len(ms) if k % 2 else len(ms) for k, ms in enumerate(by_dim))
+        by_dim = _closure_cells(self, cells)
+        return sum(-len(ids) if k % 2 else len(ids) for k, ids in enumerate(by_dim))
 
     def subcomplex(self, cells: Iterable[CellKey]) -> "CellComplex":
         """The complex induced on a face-closed set of cells.
@@ -501,8 +509,8 @@ class Chain(_ChainFields):
     def boundary(self) -> "Chain":
         c, k = self.complex, self.dim
         bits = 0
-        for i in self.cells():
-            bits ^= c.boundary_bits(k, i)
+        if self.bits:  # the empty chain builds no row table
+            bits = reduce(xor, map(c._boundary_table(k).__getitem__, self.cells()))
         return Chain(c, k - 1, bits)
 
     def is_cycle(self) -> bool:
@@ -546,6 +554,21 @@ class GenericityReport(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.passed
+
+
+def _closure_cells(c: CellComplex, cells: Iterable[CellKey]) -> List[Set[int]]:
+    """The cell ids of the closure of a cell set, per dimension 0..k, k the
+    highest seed dimension: the same keys as `_closure_masks` with unit
+    masks, from one union of face tuples per dimension."""
+    out: List[Set[int]] = []
+    for j, i in cells:
+        while len(out) <= j:
+            out.append(set())
+        out[j].add(i)
+    tables = c._faces
+    for j in range(len(out) - 1, 0, -1):
+        out[j - 1].update(chain.from_iterable(map(tables[j].__getitem__, out[j])))
+    return out
 
 
 def _closure_masks(c: CellComplex, seeds: Dict[CellKey, int]) -> List[Dict[int, int]]:
@@ -674,30 +697,36 @@ def is_embedded_union(c: CellComplex, k: int, cells: Iterable[int]) -> bool:
     whose closure contains it. Otherwise the k-cells only touch there
     tangentially, a contact the continuum picture perturbs away.  One
     closure pass marks each cell with the k-cells holding it (bit j for the
-    j-th k-cell), a second with the shared (k-1)-cells above it; the members
-    at a cell are one sheet iff its ridges reach them all from the lowest.
+    j-th k-cell, its members), and the test runs top-down over it: the
+    members at a j-cell x must be joined, from the lowest, by the members of
+    its cofaces that hold two or more, read from the coface table.
+
+    That equals the test through the (k-1)-cells above x.  A shared
+    (k-1)-cell r above x passes through a (j+1)-cell y above x, whose members
+    include r's, so every join by a ridge lies in a join by a coface, and a
+    coface's members lie in x's.  Conversely, once every cell above x passes,
+    the members of each coface y are joined through the ridges above y,
+    which lie above x.  So all cells pass one test iff they all pass the
+    other.
     """
     tops = set(cells)
     if k < 2 or not tops:
         return True  # no cell lies below a (k-1)-cell of the union
     held = _closure_masks(c, {(k, f): 1 << j for j, f in enumerate(tops)})
-    # (k-1)-cells shared by two or more k-cells: ridges that join their members
-    ridges = [(r, m) for r, m in held[k - 1].items() if m & (m - 1)]
-    # an empty pass when nothing is shared: no lower cell then has a ridge
-    above = _closure_masks(c, {(k - 1, r): 1 << j for j, (r, _) in enumerate(ridges)})
-    above = above or [{}] * (k - 1)
-    for j in range(k - 1):
+    cofaces = c._coface_tables()
+    for j in range(k - 2, -1, -1):
+        up, get = cofaces[j], held[j + 1].get
         for cell, m in held[j].items():
             if not m & (m - 1):
                 continue
-            # grow the members reached from the lowest one through the ridges
-            joins = [ridges[r][1] for r in _set_bits(above[j].get(cell, 0))]
+            # grow the members reached from the lowest one through the cofaces
+            joins = [h for y in up[cell] if (h := get(y, 0)) & (h - 1)]
             reached, grown = m & -m, True
             while grown:
                 grown = False
-                for ridge in joins:
-                    if ridge & reached and ridge & ~reached:
-                        reached |= ridge
+                for join in joins:
+                    if join & reached and join & ~reached:
+                        reached |= join
                         grown = True
             if reached != m:
                 return False

@@ -52,7 +52,7 @@ import numpy as np
 from .complexes import CellComplex, ensure_validated
 from .f2 import _span
 from .homology import cycle_space_basis
-from .model import GDS, GTC, MODELS, _chi_of_pattern, _chi_table
+from .model import GDS, GTC, MODELS, _chi_table
 
 QUBIT_LIMIT = 20
 # Largest Hilbert space diagonalized densely; bigger ones go to eigsh.
@@ -84,8 +84,14 @@ def _pattern_table(c: CellComplex, cell: int, model: str) -> Tuple[Tuple[int, ..
         raise ValueError("top cell has too many faces for a pattern table")
     if model == GTC:
         return faces, [1] * (1 << m)
-    masks = _chi_table(c, cell)[1]
-    return faces, [-((-1) ** _chi_of_pattern(masks, pat)) for pat in range(1 << m)]
+    cols, even, odd = _chi_table(c, cell)[1:]
+    # the closed up-part of each pattern: that of the pattern less its
+    # lowest bit, ORed with that bit's face mask
+    up = [0] * (1 << m)
+    for pat in range(1, 1 << m):
+        low = pat & -pat
+        up[pat] = up[pat ^ low] | cols[low.bit_length() - 1]
+    return faces, [-((-1) ** ((u & even).bit_count() - (u & odd).bit_count())) for u in up]
 
 
 def _odd(x: np.ndarray, mask: int) -> np.ndarray:

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from typing import Collection, Dict, Iterable, Iterator, List, NamedTuple, Sequence, Set, Tuple
 
-from .complexes import CellComplex, CellKey, Chain, DisjointSet, _closure_masks
+from .complexes import CellComplex, CellKey, Chain, DisjointSet, _closure_cells
 from .f2 import F2Matrix, _mask_of, _set_bits, _span
 
 MAX_SECTOR_RANK = 12  # largest b_p whose 2^b_p sector representatives are listed
@@ -100,7 +100,7 @@ def betti_of_cells(c: CellComplex, cells: Iterable[CellKey]) -> BettiVector:
     """Betti numbers of the closure of a cell set, b_k = dim ker boundary_k -
     rank boundary_{k+1} over F2, computed in place from the cells of each
     dimension that one closure pass keys."""
-    return _betti(c, _closure_masks(c, dict.fromkeys(cells, 1)), {})
+    return _betti(c, _closure_cells(c, cells), {})
 
 
 def _rank(c: CellComplex, ids: Sequence[Collection[int]], k: int) -> int:
@@ -149,7 +149,7 @@ def semicharacteristic_of_cells(c: CellComplex, cells: Iterable[CellKey], k: int
     is n_start + ... + n_k + r_start + r_{k+1} mod 2, and r_0 = 0."""
     if start not in (0, 1):
         raise ValueError("start must be 0 or 1")
-    ids = _closure_masks(c, dict.fromkeys(cells, 1))
+    ids = _closure_cells(c, cells)
     counts = sum(len(ids[i]) for i in range(start, min(k + 1, len(ids))))
     return (counts + _rank(c, ids, start) + _rank(c, ids, k + 1)) % 2
 

@@ -6,28 +6,29 @@ in the semion model, carries a sign fixed by the Euler characteristic of the
 up-labelled part of the cell boundary.
 
 A single flip (`chi_up`, and the oracle's terms in `ed`) reads chi_up from a
-table kept per top cell: its face tuple and, for every cell sigma in the
-closure of its boundary, grouped by dim sigma, the mask of the face
-positions whose closure contains sigma.  The table comes from one downward
-pass (`complexes._closure_masks`): face pos starts with bit pos, and every
-cell ORs its mask into its own faces.  A state's local pattern (bit i set
-iff face i is up) meets mask_sigma exactly when sigma lies in the closed
-up-part, so chi_up = sum over sigma of (-1)^dim sigma
-[pattern & mask_sigma != 0].  Only such sums and their parities read the
-masks, so their order within a dimension is free.
+table kept per top cell.  Number the cells sigma of the closure of its
+boundary 0..n-1, dimension by dimension (`complexes._closure_cells`).  The
+table holds its face tuple, for every face position the mask of the sigma
+in the closure of that face, and the masks of the sigma of even and of odd
+dimension.  One upward pass builds it: a cell's mask is its own bit ORed
+with its faces' masks.  The OR of the masks of the up faces is the closed
+up-part, so chi_up is the count of its even-dimensional sigma less the
+count of its odd ones: two `bit_count`s.  The numbering of the sigma is
+free, since only these counts read it.
 
 The flip phase -(-1)^chi_up depends on chi_up only mod 2, and mod 2 every
 cell counts +1 whatever its dimension: the phase is -1 exactly when an even
-number of sigma meet the pattern.  `_sweep`, the one sweep loop, uses this
-to flip many states at once, bit-sliced: the states are stored transposed,
-one int per (d-1)-cell whose bit j says whether state j contains that cell.
-It builds no table.  Per top cell, `_flip_columns` seeds the faces with
-their columns and runs the same downward OR steps
-(`complexes._or_into_faces`), so sigma ends with the OR of the columns of
-the faces whose closure holds it: for all states in one int, whether sigma
-is up, the value the table's mask_sigma selects.  XOR-ing those over sigma
-gives the parity of chi_up, and the flip XORs the all-states mask into the
-columns of the cell boundary.
+number of sigma are up.  `_sweeps`, the one sweep loop, uses this to flip
+many states at once, bit-sliced: the states are stored transposed, one int
+per (d-1)-cell whose bit j says whether state j contains that cell.  It
+builds no table.  Per top cell, `_flip_columns` seeds the faces with their
+columns and runs the same downward OR steps (`complexes._or_into_faces`),
+so sigma ends with the OR of the columns of the faces whose closure holds
+it: for all states in one int, whether sigma is up.  XOR-ing those over
+sigma gives the parity of chi_up, and the flip XORs the all-states mask
+into the columns of the cell boundary.  One column set may be swept in
+many flip orders; it is checked to be a set of cycles once, and every
+sweep must bring it back to its starting columns.
 
 `sweep_signs` transposes an explicit list of chains into those columns.
 The sectors need no list: with generators g_0 .. g_{b-1}, sector j of the
@@ -46,10 +47,11 @@ from __future__ import annotations
 
 import random
 from functools import reduce
+from itertools import chain
 from operator import xor
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .complexes import CellComplex, CellKey, Chain, _closure_masks, _or_into_faces, ensure_validated
+from .complexes import CellComplex, Chain, _closure_cells, _or_into_faces, ensure_validated
 from .f2 import F2Matrix, PreconditionError, _set_bits
 from .homology import SectorSet, cycle_space_basis, homology_sector_reps
 
@@ -93,10 +95,11 @@ def is_cycle_state(c: CellComplex, s: Chain) -> bool:
     return not hplus_violations(c, s)
 
 
-# (face tuple of a top cell, masks by dimension): masks[k] holds, for every
-# k-cell sigma in the closure of the cell boundary, the mask of the face
-# positions whose closure contains sigma
-ChiTable = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]
+# (face tuple of a top cell, cols, even, odd): the closure cells sigma of
+# the cell boundary numbered 0..n-1, cols[pos] the mask of those in the
+# closure of face pos, even and odd the masks of those of even and odd
+# dimension
+ChiTable = Tuple[Tuple[int, ...], Tuple[int, ...], int, int]
 
 
 def _chi_table(c: CellComplex, cell: int) -> ChiTable:
@@ -105,23 +108,24 @@ def _chi_table(c: CellComplex, cell: int) -> ChiTable:
     table = c._chi_tables.get(cell)
     if table is None:
         faces = c.faces(c.dim, cell)
-        seed: Dict[CellKey, int] = {}
-        for pos, f in enumerate(faces):
-            key = (c.dim - 1, f)
-            seed[key] = seed.get(key, 0) | 1 << pos
-        by_dim = _closure_masks(c, seed)
-        table = (faces, tuple(tuple(ms.values()) for ms in by_dim))
+        parity = [0, 0]
+        n = 0
+        below: Dict[int, int] = {}
+        for j, ids in enumerate(_closure_cells(c, [(c.dim - 1, f) for f in faces])):
+            # each cell's own bit ORed with its faces' masks: its closure
+            faces_j = c._faces[j]
+            level = {}
+            for x in ids:
+                m = 1 << n
+                for f in faces_j[x]:
+                    m |= below[f]
+                level[x] = m
+                n += 1
+            parity[j % 2] |= (1 << n) - (1 << n - len(ids))  # this dimension's bits
+            below = level
+        table = (faces, tuple(map(below.__getitem__, faces)), parity[0], parity[1])
         c._chi_tables[cell] = table
     return table
-
-
-def _chi_of_pattern(masks: Tuple[Tuple[int, ...], ...], pattern: int) -> int:
-    """chi_up of a local up-pattern over a table's face positions."""
-    chi = 0
-    for k, ms in enumerate(masks):
-        up = sum(1 for m in ms if pattern & m)
-        chi += -up if k % 2 else up
-    return chi
 
 
 def chi_up(c: CellComplex, cell: int, s: Chain) -> int:
@@ -132,13 +136,13 @@ def chi_up(c: CellComplex, cell: int, s: Chain) -> int:
     """
     _check_state(c, s)
     ensure_validated(c)
-    faces, masks = _chi_table(c, cell)
+    faces, cols, even, odd = _chi_table(c, cell)
     bits = s.bits
-    pattern = 0
-    for pos, f in enumerate(faces):
+    up = 0
+    for f, col in zip(faces, cols):
         if (bits >> f) & 1:
-            pattern |= 1 << pos
-    return _chi_of_pattern(masks, pattern)
+            up |= col
+    return (up & even).bit_count() - (up & odd).bit_count()
 
 
 def flip(c: CellComplex, cell: int, s: Chain, model: str = GDS) -> Tuple[Chain, SignedFlip]:
@@ -208,9 +212,19 @@ def sweep_signs(
 
 
 def _sweep(c: CellComplex, cols: List[int], n: int, order: Optional[Sequence[int]]) -> int:
+    """The mask of the cycles whose sweep sign is -1, for one flip order
+    (`_sweeps`)."""
+    return next(_sweeps(c, cols, n, [order]))
+
+
+def _sweeps(
+    c: CellComplex, cols: List[int], n: int, orders: Iterable[Optional[Sequence[int]]]
+) -> Iterator[int]:
     """The one bit-sliced sweep of n cycles stored transposed, bit j of
-    cols[f] saying whether cycle j contains (d-1)-cell f; returns the mask of
-    the cycles whose sweep sign is -1. Flips the columns in place and back."""
+    cols[f] saying whether cycle j contains (d-1)-cell f: for each flip order
+    in turn (None for id order), the mask of the cycles whose sweep sign is
+    -1.  The columns are checked to be cycles once; each sweep flips them in
+    place and must bring them back."""
     d = c.dim
     # the boundaries of all cycles at once, one int per (d-2)-cell; a repeated face cancels
     ridge_sums = [0] * c.n_cells(d - 2)
@@ -220,19 +234,22 @@ def _sweep(c: CellComplex, cols: List[int], n: int, order: Optional[Sequence[int
                 ridge_sums[r] ^= col
     if any(ridge_sums):
         raise ValueError("sweep must start from a cycle")
-    n_top = c.n_cells(d)
-    cells = list(order) if order is not None else list(range(n_top))
-    if sorted(cells) != list(range(n_top)):
-        raise ValueError("order must visit every top cell exactly once")
+    ids = list(range(c.n_cells(d)))
     start = list(cols)
     full = (1 << n) - 1
-    negative = 0
-    for cell in cells:
-        # an even chi_up gives the phase -1
-        negative ^= _flip_columns(c, cell, cols, full) ^ full
-    if cols != start:
-        raise AssertionError("sweep did not return to its starting cycle")
-    return negative
+    for order in orders:
+        cells = ids
+        if order is not None:
+            cells = list(order)
+            if sorted(cells) != ids:
+                raise ValueError("order must visit every top cell exactly once")
+        negative = 0
+        for cell in cells:
+            # an even chi_up gives the phase -1
+            negative ^= _flip_columns(c, cell, cols, full) ^ full
+        if cols != start:
+            raise AssertionError("sweep did not return to its starting cycle")
+        yield negative
 
 
 def _flip_columns(c: CellComplex, cell: int, cols: List[int], full: int) -> int:
@@ -287,15 +304,14 @@ def order_dependent_sectors(
 ) -> Iterator[Optional[int]]:
     """For each flip order in turn, the first sector in listing order whose
     sweep sign differs from the sweep in id order, or None if none does.
-    Every sweep reads one build of the sector columns; the listing is built
-    only once some sign differs."""
+    Every sweep reads one build of the sector columns, checked once; the
+    listing is built only once some sign differs."""
     sectors = sector_reps(c)
-    cols = _sector_columns(c, sectors)
-    n = sectors.class_count
-    base = _sweep(c, cols, n, None)
+    sweeps = _sweeps(c, _sector_columns(c, sectors), sectors.class_count, chain([None], orders))
+    base = next(sweeps)
     listing = None
-    for order in orders:
-        changed = _sweep(c, cols, n, order) ^ base
+    for negative in sweeps:
+        changed = negative ^ base
         if not changed:
             yield None
             continue
@@ -360,7 +376,7 @@ def _components(c: CellComplex) -> List[CellComplex]:
     roots = c.vertex_roots()
     by_root: dict = {}
     for cell in range(c.n_cells(c.dim)):
-        root = roots[min(_closure_masks(c, {(c.dim, cell): 1})[0])]
+        root = roots[min(_closure_cells(c, [(c.dim, cell)])[0])]
         by_root.setdefault(root, []).append(cell)
     pieces = []
     for root in sorted(by_root):

@@ -76,7 +76,7 @@ class OverlapPieces(NamedTuple):
     clean: bool
     chi_shared: int
     chi_boundary: int
-
+    chi_support: int
 
 
 def overlap_pieces(c: CellComplex, l_bits: int, a_bits: int) -> OverlapPieces:
@@ -88,7 +88,12 @@ def overlap_pieces(c: CellComplex, l_bits: int, a_bits: int) -> OverlapPieces:
     applies verbatim. One closure pass marks every cell with the pieces
     holding it; the pairwise meets are all that boundary's closure iff the
     cells held by two or more pieces are exactly that closure and each of
-    them is held by all three. The pieces of the latest pair are kept on `c`.
+    them is held by all three. The same pass gives the Euler characteristics
+    of the closures of the shared piece, of its boundary and of the whole
+    support (the cells held by the support-only or the shared piece), and
+    each piece's embedding test (`is_embedded_union`) takes one more pass:
+    four closure passes per pair. The pieces of the latest pair are kept on
+    `c`.
     """
     key = (l_bits, a_bits)
     if c._overlap_pieces is not None and c._overlap_pieces[0] == key:
@@ -107,11 +112,12 @@ def overlap_pieces(c: CellComplex, l_bits: int, a_bits: int) -> OverlapPieces:
     ):
         seeds.update(dict.fromkeys(((k, i) for i in _set_bits(bits)), bit))
     by_dim = _closure_masks(c, seeds)
-    chi_shared = chi_boundary = 0
+    chi_shared = chi_boundary = chi_support = 0
     for k, masks in enumerate(by_dim):
         sign = -1 if k % 2 else 1
         chi_shared += sign * sum(1 for m in masks.values() if m & 2)
         chi_boundary += sign * sum(1 for m in masks.values() if m & 8)
+        chi_support += sign * sum(1 for m in masks.values() if m & 3)
     clean = (
         # each cell lies in one piece, or in all three and the boundary's closure
         all(m in (1, 2, 4, 15) for masks in by_dim for m in masks.values())
@@ -119,7 +125,7 @@ def overlap_pieces(c: CellComplex, l_bits: int, a_bits: int) -> OverlapPieces:
         and is_embedded_union(c, d1, _set_bits(b_bits))
         and is_embedded_union(c, d1, _set_bits(c_bits_only))
     )
-    pieces = OverlapPieces(clean, chi_shared, chi_boundary)
+    pieces = OverlapPieces(clean, chi_shared, chi_boundary, chi_support)
     c._overlap_pieces = (key, pieces)
     return pieces
 
@@ -147,8 +153,7 @@ def balloon_sign(c: CellComplex, l: Balloon, alpha: Chain) -> Phase:
             "balloon support and state touch tangentially; no consistent sign"
         )
     if d % 2 == 1:
-        chi_l = l.support.euler_characteristic()
-        return Phase.i_power(chi_l) * Phase.from_sign((-1) ** pieces.chi_shared)
+        return Phase.i_power(pieces.chi_support) * Phase.from_sign((-1) ** pieces.chi_shared)
     if d == 2:
         raise ValueError("balloon signs are not defined on surfaces; there the"
                          " overlap boundary is points and the sign carries a"

@@ -217,17 +217,42 @@ def reference_sector_reports(c, model):
 
 
 # -- the table sweep ------------------------------------------------------------
-# The bit-sliced sweep as it read the per-top-cell chi_up tables: for every
-# closure cell sigma, the OR of the columns of the face positions in
-# mask_sigma, one set bit at a time. The sweep from the columns' downward OR
-# pass replaced it, and must match it on every input.
+# The bit-sliced sweep as it read the per-top-cell chi_up tables in their
+# first form: for every closure cell sigma, the OR of the columns of the face
+# positions in mask_sigma, one set bit at a time. The sweep from the columns'
+# downward OR pass replaced it, and must match it on every input.
+
+
+def mask_table(c, cell):
+    """The chi_up table of one top cell in its first form, built from the
+    recursive closure oracle: its face tuple and, per dimension, the mask of
+    the face positions whose closure holds each cell of the closure."""
+    faces = c.faces(c.dim, cell)
+    masks = {}
+    for pos, f in enumerate(faces):
+        for key in reference_closure(c, [(c.dim - 1, f)]):
+            masks[key] = masks.get(key, 0) | (1 << pos)
+    by_dim = [[] for _ in range(c.dim)]
+    for (k, _), m in masks.items():
+        by_dim[k].append(m)
+    return faces, by_dim
+
+
+def widened_table(real):
+    """`mask_table` whose table of top cell 0 also lists the faces of top
+    cell 1, so that the table sweep flips both boundaries there."""
+
+    def widened(c, cell):
+        faces, masks = real(c, cell)
+        return (faces + c.faces(c.dim, 1) if cell == 0 else faces), masks
+
+    return widened
 
 
 def reference_sweep(c, cols, n, order=None):
     """Oracle for `model._sweep`, with its checks and messages; leaves
-    `cols` as it found them."""
-    from gdslab.model import _chi_table
-
+    `cols` as it found them. Reads `mask_table` by name, once per top
+    cell."""
     d = c.dim
     ridge_sums = [0] * c.n_cells(d - 2)
     for f, col in enumerate(cols):
@@ -244,7 +269,7 @@ def reference_sweep(c, cols, n, order=None):
     full = (1 << n) - 1
     negative = 0
     for cell in cells:
-        faces, masks = _chi_table(c, cell)
+        faces, masks = mask_table(c, cell)
         face_cols = [cols[f] for f in faces]
         parity = 0
         for ms in masks:

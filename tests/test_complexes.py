@@ -14,6 +14,8 @@ from gdslab.complexes import (
     Chain,
     DisjointSet,
     Triangulation,
+    _closure_cells,
+    _closure_masks,
     _cofacets,
     _pseudomanifold_problems,
     _ridge_flags,
@@ -557,6 +559,19 @@ def test_closure_matches_the_recursive_oracle_on_voronoi3(voronoi3):
     assert_closures_match_oracle(voronoi3, seed=3)
 
 
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_closure_cells_are_the_keys_of_closure_masks(spec):
+    # seeds of one or several dimensions, with arbitrary masks
+    c = build_manifold(spec, 60, 1)
+    rng = random.Random(spec)
+    for _ in range(12):
+        dims = rng.sample(range(c.dim + 1), rng.randint(1, c.dim + 1))
+        cells = random_cell_set(c, rng, dims)
+        masks = _closure_masks(c, {key: rng.getrandbits(6) | 1 for key in cells})
+        assert _closure_cells(c, cells) == [set(ms) for ms in masks]
+    assert _closure_cells(c, []) == [] == _closure_masks(c, {})
+
+
 @pytest.mark.parametrize("make,args", [
     (simplex_boundary, (2,)), (simplex_boundary, (3,)), (simplex_boundary, (4,)),
     (freudenthal_torus, (2, 3)), (freudenthal_torus, (3, 3)),
@@ -783,6 +798,30 @@ def test_gsd_builds_no_boundary_rows_below_the_top_dimension():
     assert c._boundary_rows == {}
 
 
+def per_cell_boundary(c: CellComplex, k: int, bits: int) -> int:
+    """Oracle for `Chain.boundary`: every face of every cell of the chain
+    toggled once per occurrence."""
+    out = 0
+    for i in range(c.n_cells(k)):
+        if bits >> i & 1:
+            for f in c.faces(k, i):
+                out ^= 1 << f
+    return out
+
+
+@pytest.mark.parametrize("spec", SHIPPED_SPECS + ["glued"])
+def test_chain_boundary_matches_the_per_cell_xor(spec):
+    c = glued_complex() if spec == "glued" else build_manifold(spec, None, 1)
+    rng = random.Random(spec)
+    for k in range(c.dim + 1):
+        n = c.n_cells(k)
+        assert Chain.empty(c, k).boundary() == Chain.empty(c, k - 1)
+        assert k not in c._boundary_rows  # the empty chain builds no row table
+        for bits in ((1 << n) - 1, 1 << rng.randrange(n), rng.getrandbits(n), rng.getrandbits(n)):
+            b = Chain(c, k, bits).boundary()
+            assert (b.complex, b.dim, b.bits) == (c, k - 1, per_cell_boundary(c, k, bits))
+
+
 def test_chain_boundary_and_cycles(torus2):
     b = Chain(torus2, 1, torus2.boundary_bits(2, 0))
     assert b.is_cycle()
@@ -933,7 +972,7 @@ def reference_is_embedded_union(c: CellComplex, k: int, cells: Iterable[int]) ->
 
 EMBEDDING_SPECS = [
     ("sphere", 2), ("sphere", 3), ("sphere", 4), ("torus", 3, 3), ("torus", 3, 4),
-    ("tP", 3), ("klein",), ("genus", 2), ("torus", 2, 3),
+    ("tP", 3), ("klein",), ("genus", 2), ("torus", 2, 3), ("torus", 4, 3),
 ]
 
 

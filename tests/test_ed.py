@@ -28,6 +28,8 @@ from gdslab.model import GDS, GTC, ground_degeneracy, sector_reps
 from gdslab.voronoi import PointSet, torus_voronoi
 from gdslab.wavefunction import EVEN_SEMICHAR, ODD_CHI, PhaseFn, reference_phase
 
+from conftest import reference_closure
+
 
 # -- reference implementations ----------------------------------------------
 # The per-state `Fraction` action, the whole-space branch-array commutator
@@ -275,6 +277,22 @@ def test_projected_term_hermitian(sphere2):
     t = build_term(sphere2, H_C_PROJ, 1)
     m = _matrix(sphere2, t)
     assert {(c, r): v for (r, c), v in m.items()} == m
+
+
+@pytest.mark.parametrize("spec", ["sphere:4", "tP:1"])
+def test_pattern_table_matches_the_closure_chi_up_of_every_pattern(spec):
+    # the sign of each up-pattern is -(-1)^chi of the closure of its faces
+    c = build_manifold(spec, None, None)
+    for cell in range(c.n_cells(c.dim)):
+        faces, signs = ed._pattern_table(c, cell, GDS)
+        assert faces == c.faces(c.dim, cell)
+        expected = []
+        for pat in range(1 << len(faces)):
+            up = [(c.dim - 1, f) for pos, f in enumerate(faces) if pat >> pos & 1]
+            chi = sum(-1 if k % 2 else 1 for k, _ in reference_closure(c, up))
+            expected.append(-((-1) ** chi))
+        assert signs == expected, cell
+        assert ed._pattern_table(c, cell, GTC) == (faces, [1] * (1 << len(faces)))
 
 
 @pytest.mark.parametrize(

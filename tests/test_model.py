@@ -32,14 +32,17 @@ from gdslab.model import (
     verify_projector,
 )
 
+import conftest
 from conftest import (
     ORACLE_SPECS,
     dense_incidence,
     forgetful_flip,
+    mask_table,
     reference_nullspace,
     reference_sector_reports,
     reference_sweep,
     widened_flip,
+    widened_table,
 )
 
 
@@ -333,26 +336,25 @@ def test_chi_up_matches_closure_chi_on_random_states(small_complex):
         assert chi_up(c, cell, s) == closure_chi_up(c, cell, s)
 
 
-def closure_chi_table(c, cell):
-    """Oracle for `_chi_table`: the masks keyed by (dim, id) over the closure
-    of every face, as frozensets."""
-    faces = c.faces(c.dim, cell)
-    masks = {}
-    for pos, f in enumerate(faces):
-        for key in c.closure([(c.dim - 1, f)]):
-            masks[key] = masks.get(key, 0) | (1 << pos)
-    by_dim = [[] for _ in range(c.dim)]
-    for (k, _), m in masks.items():
-        by_dim[k].append(m)
-    return faces, by_dim
+def untransposed(table):
+    """A chi_up table in the first form that `mask_table` builds, with the
+    masks grouped by the parity of their dimension: for every closure cell
+    (bit i of the even or odd mask), the mask of the face positions whose
+    mask holds bit i."""
+    faces, cols, even, odd = table
+    assert even & odd == 0 and (even | odd) + 1 == 1 << (even | odd).bit_length()
+    by_parity = [[], []]
+    for i in range((even | odd).bit_length()):
+        mask = sum(1 << pos for pos, col in enumerate(cols) if col >> i & 1)
+        by_parity[odd >> i & 1].append(mask)
+    return faces, [sorted(ms) for ms in by_parity]
 
 
 def assert_chi_tables_match_oracle(c):
     for cell in range(c.n_cells(c.dim)):
-        faces, masks = _chi_table(c, cell)
-        ref_faces, ref_masks = closure_chi_table(c, cell)
-        assert faces == ref_faces
-        assert [sorted(ms) for ms in masks] == [sorted(ms) for ms in ref_masks], cell
+        ref_faces, ref_masks = mask_table(c, cell)
+        by_parity = [sorted(m for ms in ref_masks[p::2] for m in ms) for p in (0, 1)]
+        assert untransposed(_chi_table(c, cell)) == (ref_faces, by_parity), cell
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
@@ -517,14 +519,19 @@ def test_order_dependent_sectors_name_sectors_in_listing_order(monkeypatch):
 
     c = build_manifold("klein", None, None)
     assert sector_reps(c).listing()[1][1] == 3
-    real = model_mod._sweep
+    real = model_mod._sweeps
     calls = []
 
-    def flaky(c, cols, n, order):
-        calls.append(order)
-        return real(c, cols, n, order) ^ (1 << 3 if len(calls) == 2 else 0)
+    def recorded(orders):
+        for order in orders:
+            calls.append(order)
+            yield order
 
-    monkeypatch.setattr(model_mod, "_sweep", flaky)
+    def flaky(c, cols, n, orders):
+        for negative in real(c, cols, n, recorded(orders)):
+            yield negative ^ (1 << 3 if len(calls) == 2 else 0)
+
+    monkeypatch.setattr(model_mod, "_sweeps", flaky)
     n_top = c.n_cells(c.dim)
     orders = [list(range(n_top))[::-1], list(range(n_top))]
     assert list(order_dependent_sectors(c, orders)) == [1, None]
@@ -636,7 +643,6 @@ def test_sweep_that_does_not_return_is_an_internal_error(monkeypatch, capsys):
         "internal error: sweep did not return to its starting cycle\n"
     )
     # the same fault in the table that the table sweep flips by
-    faces, masks = _chi_table(c, 0)
-    c._chi_tables[0] = (faces + c.faces(2, 1), masks)
+    monkeypatch.setattr(conftest, "mask_table", widened_table(conftest.mask_table))
     with pytest.raises(AssertionError, match="^sweep did not return to its starting cycle$"):
         reference_sweep(c, [0] * c.n_cells(1), 1)

@@ -135,9 +135,9 @@ def test_overlap_pieces_of_one_trial_are_computed_once(torus3, monkeypatch):
 
 
 def pairwise_overlap_pieces(c, l_bits, a_bits):
-    """Oracle for `overlap_pieces`: (clean, chi_shared, chi_boundary) from
-    the closures of the three pieces and of the shared boundary, compared
-    pairwise as sets."""
+    """Oracle for `overlap_pieces`: (clean, chi_shared, chi_boundary,
+    chi_support) from the closures of the three pieces and of the shared
+    boundary, compared pairwise as sets."""
     d1 = c.dim - 1
     b_bits = l_bits & a_bits
     a_only = l_bits & ~a_bits
@@ -159,7 +159,7 @@ def pairwise_overlap_pieces(c, l_bits, a_bits):
         and is_embedded_union(c, d1, _set_bits(b_bits))
         and is_embedded_union(c, d1, _set_bits(c_only))
     )
-    return clean, chi(cl_b), chi(m_cells)
+    return clean, chi(cl_b), chi(m_cells), chi(cl_a | cl_b)
 
 
 @pytest.mark.parametrize("spec", ["torus:3:3", "torus:3:5", "sphere:3", "sphere:4", "voronoi3"])
@@ -180,7 +180,8 @@ def test_overlap_pieces_match_pairwise_oracle(spec, voronoi3):
         l_bits, a_bits = pair[0].bits, pair[1].bits
         pieces = overlap_pieces(c, l_bits, a_bits)
         expected = pairwise_overlap_pieces(c, l_bits, a_bits)
-        assert (pieces.clean, pieces.chi_shared, pieces.chi_boundary) == expected
+        assert (pieces.clean, pieces.chi_shared, pieces.chi_boundary,
+                pieces.chi_support) == expected
         seen.add(pieces.clean)
     assert seen == {True, False}
 
