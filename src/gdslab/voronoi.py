@@ -12,9 +12,14 @@ cells, faces and their numbering come from sorting these rows.
 
 Construction uses floating-point Delaunay, but every certificate decision is
 exact: each accepted simplex gets an integer orientation and an exact
-circumcentre, a kd-tree with a safety margin collects the patch points of
-the whole 3^d patch that could lie in or on its circumsphere, and each of
-those is decided by the integer `in_sphere` predicate.  The kept classes
+circumcentre, read off one int64 cofactor matrix of its edge matrix (edges
+are below 3 * 2^20, so every minor and squared edge length is below 2^45;
+only the final products are Python ints).  A kd-tree with a safety margin
+then settles emptiness against the whole 3^d patch: a simplex whose d + 1
+nearest patch points are checked to be its own vertices and whose
+(d + 2)-th nearest lies beyond the margin has no other point in or on its
+circumsphere, and every other simplex has each patch point within the
+margin decided by the integer `in_sphere` predicate.  The kept classes
 must then tile the torus: their exact volumes sum to the box's.  The margin
 only saves work, so a margin too narrow for any check is widened until, at
 the full patch, the checks pass or raise.  Degenerate inputs are detected
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -162,18 +167,28 @@ def _class_keys(pids: np.ndarray, offs: np.ndarray) -> np.ndarray:
     Anchoring at vertex a subtracts a's offset from every vertex; the sorted
     vertex keys of that translate compare as its sorted (pid, offset) tuple
     does, so the least row over the v anchors is the least sorted translate.
+    A key is linear in the offset, so anchoring at a subtracts one amount,
+    a's offset read in radix 5, from every key of the simplex: each anchor's
+    row is the one sorted row less a constant, and the least row is the
+    one less the largest.
     """
-    best = None
-    for a in range(offs.shape[1]):
-        keys = np.sort(_vertex_keys(pids, offs - offs[:, a : a + 1]), axis=1)
-        if best is None:
-            best = keys
-            continue
-        rows = np.arange(len(keys))
-        first = (keys != best).argmax(axis=1)  # 0 where the rows are equal
-        less = keys[rows, first] < best[rows, first]
-        best[less] = keys[less]
-    return best
+    d = offs.shape[-1]
+    shifts = offs @ (_RADIX ** np.arange(d - 1, -1, -1))
+    return np.sort(_vertex_keys(pids, offs), axis=1) - shifts.max(axis=1, keepdims=True)
+
+
+def _unique_rows(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of an int array (n, k) in sorted order, the index
+    of each one's first occurrence, and the inverse (n,): what
+    `np.unique(keys, axis=0, return_index=True, return_inverse=True)` gives,
+    from one stable lexsort (column 0 the primary key)."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], order[new], inverse
 
 
 def _cofaces(incidence: np.ndarray, n_faces: int) -> List[Tuple[int, ...]]:
@@ -229,10 +244,8 @@ def torus_voronoi(d: int, points: PointSet) -> CellComplex:
         # offsets; each class keeps its first Delaunay simplex, and _certify
         # gets them in Delaunay order
         simplices = simplices[(simplices % n_off == n_off // 2).any(axis=1)]
-        classes, first = np.unique(
-            _class_keys(simplices // n_off, offset_arr[simplices % n_off]),
-            axis=0,
-            return_index=True,
+        classes, first, _ = _unique_rows(
+            _class_keys(simplices // n_off, offset_arr[simplices % n_off])
         )
         kept = simplices[np.sort(first)]
         try:
@@ -250,13 +263,8 @@ def torus_voronoi(d: int, points: PointSet) -> CellComplex:
         pids, offs = _decode_keys(classes, d)
         offs -= offs.min(axis=1, keepdims=True)
         face_cols = np.array(list(combinations(range(k + 1), k)))
-        unique, first, inverse = np.unique(
-            _class_keys(
-                pids[:, face_cols].reshape(-1, k), offs[:, face_cols].reshape(-1, k, d)
-            ),
-            axis=0,
-            return_index=True,
-            return_inverse=True,
+        unique, first, inverse = _unique_rows(
+            _class_keys(pids[:, face_cols].reshape(-1, k), offs[:, face_cols].reshape(-1, k, d))
         )
         by_occurrence = np.argsort(first)
         classes = unique[by_occurrence]
@@ -275,24 +283,31 @@ def _certify(d, patch, coords, kept, margin=1.0) -> None:
     the patch ids of one simplex, one per translation class.  Orientations
     and circumcentres come from one exact batch (`_exact_circumcentres`,
     `_rounded_spheres`).  Each circumsphere must lie in the margin box
-    [-m, 1 + m]^d, up to the 1e-9 slack of the query below; as the box lies
+    [-m, 1 + m]^d, up to the 1e-9 slack of the queries below; as the box lies
     in the 3^d patch, no translate beyond the patch can be inside it.
 
-    Emptiness: one kd-tree query over all 3^d patch points returns, for
-    every simplex, the points within r * (1 + 1e-9) + 1e-9 of its centre,
-    and each of those that is not a vertex is decided by the exact
-    `in_sphere`.  No patch point is judged by floating point alone.  A
-    simplex with an empty circumsphere and no cospherical point is a true
-    Delaunay simplex, and two distinct ones have disjoint interiors.
+    Emptiness: a kd-tree over all 3^d patch points gives every simplex its
+    d + 2 nearest points.  A patch point is a candidate when it lies within
+    the slack radius r * (1 + 1e-9) + 1e-9 of the centre.  If the (d + 2)-th
+    nearest point lies beyond the slack radius, so does every point after
+    it, and only the d + 1 nearest can be candidates; if those are checked
+    to be the simplex's own vertices, it has no candidate besides them.
+    Every other simplex (a point within the slack radius besides the
+    vertices, or nearest points that are not the vertices) gets all its
+    candidates from one ball query, and each that is not a vertex is
+    decided by the exact `in_sphere`.  No patch point is judged inside or
+    on a sphere by floating point alone.  A simplex with an empty
+    circumsphere and no cospherical point is a true Delaunay simplex, and
+    two distinct ones have disjoint interiors.
 
-    Why the query misses nothing inside or on a sphere: patch coordinates
-    are k / 2^20 with |k| < 2^21, so they are exact in a double.  The float
-    centre is the exact rational rounded once per coordinate, and the
-    radius is sqrt of the correctly rounded r^2, so both are within a few
-    ulps (about 1e-15 on a box of side 3) of the truth, as is the distance
-    the tree computes.  The slack, 1e-9 in unit-box units, dwarfs that
-    error, so every point left out of the query result is strictly outside
-    the circumsphere.
+    Why a point left out is strictly outside the circumsphere: patch
+    coordinates are k / 2^20 with |k| < 2^21, so they are exact in a double.
+    The float centre is the exact rational rounded once per coordinate, and
+    the radius is sqrt of the correctly rounded r^2, so both are within a
+    few ulps (about 1e-15 on a box of side 3) of the truth, as are the
+    distances the tree computes.  The slack, 1e-9 in unit-box units, dwarfs
+    that error, so a point the tree puts beyond the slack radius lies
+    beyond r.
 
     Tiling: the kept classes are then disjoint, so they cover the torus,
     and no class is missing, iff their exact volumes sum to the torus's:
@@ -314,12 +329,19 @@ def _certify(d, patch, coords, kept, margin=1.0) -> None:
         raise ValueError("point set too sparse: a circumsphere leaves the 3^d patch")
 
     tree = cKDTree(coords / SCALE)
-    near = tree.query_ball_point(centres, radii * (1 + 1e-9) + 1e-9)
-    for simplex_pts, patch_ids, candidates in zip(pts.tolist(), kept.tolist(), near):
+    slack = radii * (1 + 1e-9) + 1e-9
+    dist, nearest = tree.query(centres, k=d + 2)
+    empty = (dist[:, d + 1] > slack) & (
+        np.sort(nearest[:, : d + 1], axis=1) == np.sort(kept, axis=1)
+    ).all(axis=1)
+    rest = np.flatnonzero(~empty)
+    near = tree.query_ball_point(centres[rest], slack[rest])
+    for s, candidates in zip(rest.tolist(), near):
+        patch_ids = kept[s].tolist()
         for q in candidates:
             if q in patch_ids:
                 continue
-            side = in_sphere(simplex_pts, coords[q].tolist())
+            side = in_sphere(pts[s].tolist(), coords[q].tolist())
             if side == 0:
                 raise GeneralPositionError(
                     "cospherical points",
@@ -336,37 +358,30 @@ def _certify(d, patch, coords, kept, margin=1.0) -> None:
         )
 
 
-def _dets(m: np.ndarray) -> np.ndarray:
-    """Exact determinants of a stack (n, k, k) of integer object matrices,
-    by the Leibniz sum over permutations."""
-    k = m.shape[-1]
-    total = 0
-    for perm in permutations(range(k)):
-        term = (-1) ** sum(a > b for a, b in combinations(perm, 2))
-        for i, j in enumerate(perm):
-            term = term * m[:, i, j]
-        total = total + term
-    return total
-
-
 def _exact_circumcentres(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Orientations (n,) and circumcentre offsets (n, d) of simplices with
     integer vertices pts (n, d + 1, d), as Python ints in object arrays.
 
-    The orientation is det(p_i - p_0).  The circumcentre minus p_0 is
-    num / den with den = 2^d * orient, by Cramer's rule on
-    2 (p_i - p_0) . c = |p_i - p_0|^2.  The numerators overflow int64 in
-    d = 3, hence the Python ints.
+    The orientation is det E, E the edge matrix with rows p_i - p_0.  The
+    circumcentre minus p_0 is num / den with den = 2^d * orient, by Cramer's
+    rule on 2 E c = b, b_i = |p_i - p_0|^2.  Both come from the cofactor
+    matrix C of E: orient = sum_j E_0j C_0j, and num_j = 2^(d-1) sum_i
+    b_i C_ij.  Patch coordinates lie in [-2^20, 2^21), so |E_ij| < 3 * 2^20,
+    every entry of C (a minor of order at most 2) and every b_i is below
+    2^45, and C and b are exact in int64.  The d + d^2 products above
+    overflow it, hence the Python ints.
     """
-    edges = (pts[:, 1:] - pts[:, :1]).astype(object)
-    a = 2 * edges
-    b = (edges * edges).sum(axis=2)
-    num = []
-    for j in range(edges.shape[2]):
-        aj = a.copy()
-        aj[:, :, j] = b
-        num.append(_dets(aj))
-    return _dets(edges), np.stack(num, axis=1)
+    edges = pts[:, 1:] - pts[:, :1]
+    d = edges.shape[2]
+    if d == 2:
+        cof = np.stack([edges[:, 1, ::-1] * (1, -1), edges[:, 0, ::-1] * (-1, 1)], axis=1)
+    else:  # row i of the cofactor matrix is e_(i+1) x e_(i+2)
+        cof = np.cross(edges[:, [1, 2, 0]], edges[:, [2, 0, 1]])
+    cof = cof.astype(object)
+    orient = (edges[:, 0].astype(object) * cof[:, 0]).sum(axis=1)
+    b = (edges * edges).sum(axis=2).astype(object)
+    num = (b[:, :, None] * cof).sum(axis=1) * (1 << (d - 1))
+    return orient, num
 
 
 def _rounded_spheres(

@@ -106,23 +106,30 @@ def masked_kernel_generators(c, p):
     return tuple(v for v in kernel if not v & mask)
 
 
-def reference_closure(c, cells):
-    """Oracle for `CellComplex.closure`: the recursive per-cell closure that
-    the one downward pass replaced, memoized per cell."""
+def cell_closure(c):
+    """The closure of one cell, as a function of its key: the recursive
+    per-cell closure, memoized per cell for the life of the function."""
     memo = {}
 
-    def of_cell(k, i):
-        key = (k, i)
+    def of_cell(key):
         if key not in memo:
+            k, i = key
             out = {key}
             for f in set(c.faces(k, i)) if k > 0 else ():
-                out |= of_cell(k - 1, f)
+                out |= of_cell((k - 1, f))
             memo[key] = frozenset(out)
         return memo[key]
 
+    return of_cell
+
+
+def reference_closure(c, cells):
+    """Oracle for `CellComplex.closure`: the recursive per-cell closure that
+    the one downward pass replaced, memoized per cell."""
+    of_cell = cell_closure(c)
     out = set()
-    for k, i in cells:
-        out |= of_cell(k, i)
+    for key in cells:
+        out |= of_cell(key)
     return frozenset(out)
 
 

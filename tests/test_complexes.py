@@ -44,10 +44,12 @@ from gdslab.cli import EXIT_USAGE, build_manifold, dispatch
 from gdslab.model import ground_degeneracy, sector_reps
 from gdslab.operators import random_sparse_cycle
 
-from conftest import ORACLE_SPECS, dense_incidence, reference_closure
+from conftest import ORACLE_SPECS, cell_closure, dense_incidence, reference_closure
 
 
-def resolve_union(c: CellComplex, k: int, cells: Iterable[int]) -> CellComplex:
+def resolve_union(
+    c: CellComplex, k: int, cells: Iterable[int], closure_of=None
+) -> CellComplex:
     """Normalization of a union of k-cells: tangential touchings split apart.
 
     Cells of the result are (cell, sheet) pairs, where the sheets at a face
@@ -57,19 +59,21 @@ def resolve_union(c: CellComplex, k: int, cells: Iterable[int]) -> CellComplex:
     union of closed cells.
 
     Oracle for `is_embedded_union`: the union is embedded iff its
-    normalization has as many cells as its closure.
+    normalization has as many cells as its closure.  `closure_of` is a
+    memoized `cell_closure(c)` that callers on one complex may share.
     """
     tops = sorted(set(cells))
+    closure_of = closure_of or cell_closure(c)
     containing: Dict[CellKey, List[int]] = {}
     for f in tops:
-        for key in c.closure([(k, f)]):
+        for key in closure_of((k, f)):
             containing.setdefault(key, []).append(f)
     ridge_members: Dict[CellKey, List[int]] = {
         key: mem for key, mem in containing.items() if key[0] == k - 1
     }
     touches: Dict[CellKey, List[CellKey]] = {}
     for ridge in ridge_members:
-        for key in c.closure([ridge]):
+        for key in closure_of(ridge):
             touches.setdefault(key, []).append(ridge)
     # sheet index per (cell, top): components under adjacency through ridges
     sheet_of: Dict[CellKey, Dict[int, int]] = {}
@@ -103,14 +107,16 @@ def resolve_union(c: CellComplex, k: int, cells: Iterable[int]) -> CellComplex:
     return CellComplex(k, faces, meta={"source_cells": [key for key, _ in per_dim[k]]})
 
 
-def resolved_counts_match_closure(c: CellComplex, k: int, cells: List[int]) -> bool:
+def resolved_counts_match_closure(
+    c: CellComplex, k: int, cells: List[int], closure_of=None
+) -> bool:
     """The oracle's embeddedness: normalizing the union splits nothing."""
     if not cells:
         return True
     counts = [0] * (k + 1)
     for dim, _ in c.closure((k, i) for i in cells):
         counts[dim] += 1
-    return list(resolve_union(c, k, cells).cell_counts) == counts
+    return list(resolve_union(c, k, cells, closure_of).cell_counts) == counts
 
 
 def subset_boundary_link_walk(c: CellComplex, top_cells: Iterable[int]) -> bool:
@@ -945,17 +951,20 @@ def test_subset_boundary_random_voronoi(voronoi2, voronoi3):
             assert subset_boundary_manifold_check(c, subset)
 
 
-def reference_is_embedded_union(c: CellComplex, k: int, cells: Iterable[int]) -> bool:
+def reference_is_embedded_union(
+    c: CellComplex, k: int, cells: Iterable[int], closure_of=None
+) -> bool:
     """`is_embedded_union` checking every closure cell, (k-1)- and k-cells
-    included."""
+    included; `closure_of` as in `resolve_union`."""
+    closure_of = closure_of or cell_closure(c)
     containing: Dict[CellKey, List[int]] = {}
     for f in set(cells):
-        for key in c.closure([(k, f)]):
+        for key in closure_of((k, f)):
             containing.setdefault(key, []).append(f)
     ridges_at: Dict[CellKey, List[List[int]]] = {}
     for ridge, members in containing.items():
         if ridge[0] == k - 1 and len(members) > 1:
-            for key in c.closure([ridge]):
+            for key in closure_of(ridge):
                 ridges_at.setdefault(key, []).append(members)
     for key, members in containing.items():
         if len(members) < 2:
@@ -983,6 +992,7 @@ def test_is_embedded_union_matches_resolved_counts(spec):
     n = c.n_cells(k)
     reps = sector_reps(c).reps
     rng = random.Random(11)
+    closure_of = cell_closure(c)  # one memo for every oracle call below
     outcomes = []
     for _ in range(40):
         unions = [rng.sample(range(n), rng.randint(1, min(n, 6)))]
@@ -992,9 +1002,9 @@ def test_is_embedded_union_matches_resolved_counts(spec):
         for bits in (l_bits, l_bits & ~a_bits, l_bits & a_bits, a_bits & ~l_bits):
             unions.append(_set_bits(bits))
         for cells in unions:
-            expected = resolved_counts_match_closure(c, k, cells)
+            expected = resolved_counts_match_closure(c, k, cells, closure_of)
             assert is_embedded_union(c, k, cells) == expected, (spec, cells)
-            assert reference_is_embedded_union(c, k, cells) == expected, (spec, cells)
+            assert reference_is_embedded_union(c, k, cells, closure_of) == expected, (spec, cells)
             outcomes.append(expected)
     assert True in outcomes
     if c.dim >= 3:

@@ -1,7 +1,8 @@
 """Periodic Voronoi generator and its exact predicates."""
 
 import math
-from itertools import combinations, product
+import random
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -126,6 +127,10 @@ def _patch(points):
 def _certify_args(monkeypatch, d, n, seed):
     """Build a complex and return the arguments torus_voronoi gave the
     _certify call that passed, the last one."""
+    return _last_certify_args(monkeypatch, PointSet.random(d, n, seed=seed))
+
+
+def _last_certify_args(monkeypatch, points):
     calls = []
     real = voronoi._certify
 
@@ -134,7 +139,7 @@ def _certify_args(monkeypatch, d, n, seed):
         return real(*args)
 
     monkeypatch.setattr(voronoi, "_certify", spy)
-    torus_voronoi(d, PointSet.random(d, n, seed=seed))
+    torus_voronoi(points.dim, points)
     return calls[-1]
 
 
@@ -324,10 +329,11 @@ def test_missing_class_is_an_internal_error_in_the_cli(monkeypatch, capsys):
     assert err.startswith("internal error: certified simplices do not tile the torus")
 
 
-def _reference_certify(points, kept):
-    """Certify kept patch-id tuples one simplex at a time, in order: Bareiss
-    orientation and Cramer centre each, the 3^d patch box, then the
-    kd-tree candidates by exact in_sphere."""
+def _reference_candidates(points, kept):
+    """Check kept patch-id tuples one simplex at a time, in order: Bareiss
+    orientation and Cramer centre each, then the 3^d patch box; yield each
+    (kept index, patch id) pair of a non-vertex kd-tree candidate, in
+    order."""
     patch, coords = _patch(points)
     centres, radii = [], []
     for ids in kept:
@@ -344,17 +350,24 @@ def _reference_certify(points, kept):
     ):
         raise ValueError("point set too sparse: a circumsphere leaves the 3^d patch")
     tree = cKDTree(np.asarray(coords, dtype=float) / SCALE)
-    for ids, candidates in zip(kept, tree.query_ball_point(centres, radii * (1 + 1e-9) + 1e-9)):
-        for q in candidates:
-            if q in ids:
-                continue
-            side = in_sphere([coords[i] for i in ids], coords[q])
-            if side == 0:
-                raise GeneralPositionError(
-                    "cospherical points", [patch[i] for i in ids] + [patch[q]]
-                )
-            if side > 0:
-                raise RuntimeError("triangulation is not Delaunay (exact check)")
+    near = tree.query_ball_point(centres, radii * (1 + 1e-9) + 1e-9)
+    for s, (ids, candidates) in enumerate(zip(kept, near)):
+        yield from ((s, q) for q in candidates if q not in ids)
+
+
+def _reference_certify(points, kept):
+    """Certify kept patch-id tuples: every kd-tree candidate of
+    `_reference_candidates` by exact in_sphere."""
+    patch, coords = _patch(points)
+    for s, q in _reference_candidates(points, kept):
+        ids = kept[s]
+        side = in_sphere([coords[i] for i in ids], coords[q])
+        if side == 0:
+            raise GeneralPositionError(
+                "cospherical points", [patch[i] for i in ids] + [patch[q]]
+            )
+        if side > 0:
+            raise RuntimeError("triangulation is not Delaunay (exact check)")
 
 
 def _outcome(build):
@@ -448,3 +461,117 @@ def test_certify_decides_margin_points_exactly(monkeypatch):
     with pytest.raises(RuntimeError, match="do not tile the torus"):
         voronoi._certify(2, patch, coords, kept)
     assert seen == [(near, -1)]
+
+
+def _planted_near_circle():
+    """The margin points of `test_certify_decides_margin_points_exactly`
+    and random points more than 0.3 from the planted circle's centre on the
+    torus: both planted triangles are Delaunay, and the fourth planted
+    point lies just outside the circumcircle of each."""
+    q, a = SCALE // 4, SCALE // 8
+    planted = ((q, q), (q + 2 * a, q), (q, q + 2 * a), (q + 2 * a + 1, q + 2 * a - 1))
+
+    def gap(x):
+        return min(abs(x - q - a), SCALE - abs(x - q - a))
+
+    far = tuple(
+        p for p in PointSet.random(2, 40, seed=5).coords
+        if math.hypot(*map(gap, p)) > 0.3 * SCALE
+    )
+    return PointSet(2, planted + far)
+
+
+NEAREST_POINT_SETS = [
+    PointSet.random(d, n, seed)
+    for d, n, seed in SHIPPED_POINT_SETS + [(2, 500, 7), (3, 100, 7)]
+] + [_planted_near_circle()]
+
+
+@pytest.mark.parametrize(
+    "points", NEAREST_POINT_SETS, ids=lambda p: f"{p.dim}-{len(p)}-{p.seed}"
+)
+def test_nearest_point_step_skips_no_candidate(monkeypatch, points):
+    # the (simplex, point) pairs that reach in_sphere are exactly the
+    # non-vertex ball-query candidates of the one-simplex-at-a-time oracle,
+    # in its order
+    args = _last_certify_args(monkeypatch, points)
+    kept = args[3].tolist()
+    seen = []
+    real = voronoi.in_sphere
+
+    def counting(simplex, pt):
+        seen.append((tuple(map(tuple, simplex)), tuple(pt)))
+        return real(simplex, pt)
+
+    monkeypatch.setattr(voronoi, "in_sphere", counting)
+    voronoi._certify(*args)
+    _, coords = _patch(points)
+    assert seen == [
+        (tuple(coords[i] for i in kept[s]), coords[q])
+        for s, q in _reference_candidates(points, kept)
+    ]
+    if points.seed is None:  # the planted set: both planted triangles
+        assert len(seen) == 2
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_exact_circumcentres_at_the_int64_bound(d):
+    # every ordering of patch-box corners, and jittered near-corner
+    # simplices: edges reach +-(3 * 2^20 - 1), the bound of the int64 minors
+    lo, hi = -SCALE, 2 * SCALE - 1
+    rng = random.Random(d)
+    simplices = list(permutations(product((lo, hi), repeat=d), d + 1))
+    for _ in range(300):
+        simplices.append(tuple(
+            tuple(rng.choice((lo + rng.randrange(999), hi - rng.randrange(999))) for _ in range(d))
+            for _ in range(d + 1)
+        ))
+    pts = np.array(simplices, dtype=np.int64)
+    assert np.abs(pts[:, 1:] - pts[:, :1]).max() == 3 * SCALE - 1
+    orient, num = voronoi._exact_circumcentres(pts)
+    ref_orient = [voronoi._orient_det(s) for s in simplices]
+    assert orient.tolist() == ref_orient
+    assert num.tolist() == [_circumcentre_offsets(list(s), o)[0] for s, o in zip(simplices, ref_orient)]
+
+
+def _assert_unique_rows_match_numpy(keys):
+    unique, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    rows, index, inv = voronoi._unique_rows(keys)
+    assert rows.tolist() == unique.tolist()
+    assert index.tolist() == first.tolist()
+    # numpy 2.x versions disagree on the shape of the inverse
+    assert inv.tolist() == inverse.ravel().tolist()
+
+
+def _random_duplicate_rows():
+    rng = np.random.default_rng(3)
+    pool = np.concatenate([
+        rng.integers(-(2**62), 2**62, size=(40, 4)), rng.integers(-2, 3, size=(40, 4))
+    ])
+    return pool[rng.integers(0, len(pool), size=3000)]
+
+
+@pytest.mark.parametrize("keys", [
+    _random_duplicate_rows(),
+    np.array([[7, -3, 2**40]], dtype=np.int64),
+    np.full((50, 3), 9, dtype=np.int64),
+], ids=["duplicates", "single", "all-equal"])
+def test_unique_rows_matches_numpy_unique(keys):
+    _assert_unique_rows_match_numpy(keys)
+
+
+def test_unique_rows_matches_numpy_unique_on_face_keys(monkeypatch):
+    # every key array of a build: kept classes, then faces level by level
+    calls = []
+    real = voronoi._unique_rows
+
+    def spy(keys):
+        calls.append(keys)
+        return real(keys)
+
+    monkeypatch.setattr(voronoi, "_unique_rows", spy)
+    torus_voronoi(3, PointSet.random(3, 100, seed=7))
+    monkeypatch.undo()
+    assert len(calls) == 4
+    for keys in calls:
+        _assert_unique_rows_match_numpy(keys)
